@@ -93,7 +93,6 @@
 #include "exec/thread_pool.hpp"
 #include "harness/experiment.hpp"
 #include "net/client.hpp"
-#include "sim/kernels.hpp"
 
 namespace vcsteer::bench {
 
@@ -819,7 +818,6 @@ class Output {
     summary.experiments = experiments_;
     summary.lane_groups = lane_groups_;
     summary.batched_points = batched_points_;
-    summary.kernel = sim::kern::selected_name();
     summary.phases = phases_;
     summary.schemes = schemes_;
     if (launch_report_) {

@@ -31,25 +31,18 @@
 #             per-phase timing spans and event counts, and the
 #             pipeline_viewer's event counts reconcile exactly with the
 #             simulator's own SimStats counters
-#   batch     batched lane-parallel simulation: coalesced fig5 AND fig7
-#             smoke sweeps through every stepping engine (blocked
-#             transposed, VCSTEER_TRANSPOSE=lockstep, VCSTEER_TRANSPOSE=off
-#             legacy loop) on the forced-scalar kernel table, plus AVX2
-#             blocked+lockstep legs, must all produce results JSON
-#             byte-identical to the batching-off (VCSTEER_BATCH=off) run,
-#             with lane groups actually formed. The AVX2 legs are skipped —
-#             loudly — when the host CPU lacks them (the summary reports
-#             the kernel actually selected, so a silent scalar fallback
-#             cannot masquerade as AVX2 coverage); the forced-scalar legs
-#             keep AVX2-less runners covering every engine.
+#   batch     batched evaluation: fig5 AND fig7 smoke sweeps with lane
+#             groups sharing one warm pass per simulation point must write
+#             results JSON byte-identical to the batching-off
+#             (VCSTEER_BATCH=off) run, with lane groups actually formed
 #   perf      NON-BLOCKING perf trajectory: runs fig5_twocluster --smoke
 #             --jobs 1 three times, takes the median run's kuops/s via
 #             scripts/perf_gate.py (±7% single-core-VM wobble defence), and
 #             rewrites BENCH_perf.json at the repo root (warning, never
 #             failing, on a >10% drop vs the committed baseline). When the
 #             microbench binary exists, the wakeup/select, value-table-
-#             churn, arena-reuse and transposed-step kernels are recorded
-#             alongside as 3-repetition medians. Run it from a Release tree
+#             churn and arena-reuse kernels are recorded alongside as
+#             3-repetition medians. Run it from a Release tree
 #             (cmake --preset release) — any other build type only
 #             measures assert overhead.
 #
@@ -191,7 +184,7 @@ gate_perf() {
   if [[ -x "$BUILD_DIR/microbench" ]]; then
     microbench_json="$GATE_OUT/perf_microbench.json"
     "$BUILD_DIR/microbench" \
-      --benchmark_filter='BM_WakeupSelect|BM_BatchedWakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_TransposedStep$' \
+      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused' \
       --benchmark_repetitions=3 \
       --benchmark_format=json > "$microbench_json"
   fi
@@ -211,75 +204,25 @@ gate_perf() {
 }
 
 gate_batch() {
-  # Bit-identity of the batched lane-parallel path across every engine and
-  # kernel, on both figure smokes: batching disabled (VCSTEER_BATCH=off),
-  # the legacy per-lane engine (VCSTEER_TRANSPOSE=off), the blocked
-  # transposed default, and the pure cycle-major lockstep schedule must all
-  # write byte-identical results JSON, on the forced-scalar kernel table
-  # (so AVX2-less runners cover every engine) and again on AVX2 where the
-  # CPU has it. Also works under a sanitizer build dir — the sanitize and
-  # tsan CI jobs run this gate, which is the ASan/UBSan/TSan coverage of
-  # the batch and transposed-stepping paths.
-  local fig kernel
+  # Batched evaluation must be invisible in the output: on both figure
+  # smokes, the default run (lane groups share one warm pass per simulation
+  # point) must write results JSON byte-identical to VCSTEER_BATCH=off. The
+  # off run's summary proves it really ran unbatched, so the cmp compares
+  # two different paths. The sanitize CI job runs this gate too, for
+  # ASan/UBSan coverage of the lane arenas and the warm-state adoption.
+  local fig
   for fig in fig5_twocluster fig7_fourcluster; do
     VCSTEER_BATCH=off "$BUILD_DIR/$fig" --smoke --jobs 2 \
       --json "$GATE_OUT/batch_${fig}_off.json" \
       --summary-json "$GATE_OUT/batch_${fig}_off_summary.json"
     assert_summary "$GATE_OUT/batch_${fig}_off_summary.json" \
       'ok' 'sweep["lane_groups"] == 0' 'sweep["batched_points"] == 0'
-
-    # Blocked transposed default, forced scalar kernel.
-    VCSTEER_KERNEL=scalar "$BUILD_DIR/$fig" --smoke --jobs 2 \
-      --json "$GATE_OUT/batch_${fig}_scalar.json" \
-      --summary-json "$GATE_OUT/batch_${fig}_scalar_summary.json"
-    assert_summary "$GATE_OUT/batch_${fig}_scalar_summary.json" \
-      'ok' 'sweep["lane_groups"] > 0' 'sweep["batched_points"] > 0' \
-      'events["kernel"] == "scalar"'
-    cmp "$GATE_OUT/batch_${fig}_off.json" "$GATE_OUT/batch_${fig}_scalar.json"
-
-    # Pure cycle-major lockstep — the heaviest consumer of the lane-plane
-    # mask kernels — still on the scalar table.
-    VCSTEER_KERNEL=scalar VCSTEER_TRANSPOSE=lockstep \
-      "$BUILD_DIR/$fig" --smoke --jobs 2 \
-      --json "$GATE_OUT/batch_${fig}_lockstep.json" \
-      --summary-json "$GATE_OUT/batch_${fig}_lockstep_summary.json"
-    assert_summary "$GATE_OUT/batch_${fig}_lockstep_summary.json" \
+    "$BUILD_DIR/$fig" --smoke --jobs 2 \
+      --json "$GATE_OUT/batch_${fig}_on.json" \
+      --summary-json "$GATE_OUT/batch_${fig}_on_summary.json"
+    assert_summary "$GATE_OUT/batch_${fig}_on_summary.json" \
       'ok' 'sweep["lane_groups"] > 0'
-    cmp "$GATE_OUT/batch_${fig}_off.json" \
-        "$GATE_OUT/batch_${fig}_lockstep.json"
-
-    # Legacy per-lane engine with batching still on.
-    VCSTEER_TRANSPOSE=off "$BUILD_DIR/$fig" --smoke --jobs 2 \
-      --json "$GATE_OUT/batch_${fig}_legacy.json" \
-      --summary-json "$GATE_OUT/batch_${fig}_legacy_summary.json"
-    assert_summary "$GATE_OUT/batch_${fig}_legacy_summary.json" \
-      'ok' 'sweep["lane_groups"] > 0'
-    cmp "$GATE_OUT/batch_${fig}_off.json" \
-        "$GATE_OUT/batch_${fig}_legacy.json"
-
-    # AVX2 legs (blocked + lockstep) where the CPU has it. The summary
-    # reports the kernel actually selected, so a silent scalar fallback
-    # cannot masquerade as AVX2 coverage.
-    VCSTEER_KERNEL=avx2 "$BUILD_DIR/$fig" --smoke --jobs 2 \
-      --json "$GATE_OUT/batch_${fig}_avx2.json" \
-      --summary-json "$GATE_OUT/batch_${fig}_avx2_summary.json"
-    kernel="$(python3 -c 'import json,sys
-print(json.load(open(sys.argv[1]))["events"]["kernel"])' \
-      "$GATE_OUT/batch_${fig}_avx2_summary.json")"
-    if [[ "$kernel" == "avx2" ]]; then
-      assert_summary "$GATE_OUT/batch_${fig}_avx2_summary.json" \
-        'ok' 'sweep["lane_groups"] > 0'
-      cmp "$GATE_OUT/batch_${fig}_off.json" "$GATE_OUT/batch_${fig}_avx2.json"
-      VCSTEER_KERNEL=avx2 VCSTEER_TRANSPOSE=lockstep \
-        "$BUILD_DIR/$fig" --smoke --jobs 2 \
-        --json "$GATE_OUT/batch_${fig}_avx2_lockstep.json" \
-        --summary-json "$GATE_OUT/batch_${fig}_avx2_lockstep_summary.json"
-      cmp "$GATE_OUT/batch_${fig}_off.json" \
-          "$GATE_OUT/batch_${fig}_avx2_lockstep.json"
-    else
-      echo "ci_gates: batch: host CPU lacks AVX2 (selected kernel:" \
-           "$kernel); scalar-vs-AVX2 equality not covered on this runner" >&2
-    fi
+    cmp "$GATE_OUT/batch_${fig}_off.json" "$GATE_OUT/batch_${fig}_on.json"
   done
 }
 

@@ -12,10 +12,10 @@
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across
 // schemes: the simulator coalesces schemes into batched lanes sharing one
-// interleaved cycle loop, the model shares one materialised trace and one
-// functional memory replay. exec::run_sweep's two-stage pruned mode
-// (--prune-model K) estimates every grid point with ModelEvaluator and
-// spends SimEvaluator only on the top-K frontier.
+// functional warm pass per simulation point, the model shares one
+// materialised trace and one functional memory replay. exec::run_sweep's
+// two-stage pruned mode (--prune-model K) estimates every grid point with
+// ModelEvaluator and spends SimEvaluator only on the top-K frontier.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +53,7 @@ struct EvalResponse {
   std::vector<harness::RunResult> results;
   /// Wall-clock accounting, same phase buckets as the direct path.
   harness::PhaseTimes phases;
-  /// Per-scheme-label share of the simulate/walk span.
+  /// Per-scheme-label simulate/walk span.
   std::map<std::string, double> scheme_simulate_s;
   harness::EvalCounters counters;
   /// Trace experiments constructed serving this call (0 when the backend

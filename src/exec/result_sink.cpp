@@ -40,8 +40,7 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
   }
   os << "}"
      << ",\"events\":{\"experiments\":" << s.experiments
-     << ",\"cycles\":" << s.cycles
-     << ",\"kernel\":" << stats::json_quote(s.kernel) << "}";
+     << ",\"cycles\":" << s.cycles << "}";
   if (s.launch_workers == 0) {
     os << ",\"launch\":null";
   } else {

@@ -54,9 +54,6 @@ struct RunSummary {
   /// (exec::SweepResult counters, summed over sweeps).
   std::size_t lane_groups = 0;
   std::size_t batched_points = 0;
-  /// The SIMD kernel variant the run's simulators dispatched to
-  /// (sim::kern::selected_name(): "scalar" or "avx2").
-  std::string kernel;
   /// Per-phase spans summed over all sweeps (see exec::PhaseSeconds).
   PhaseSeconds phases;
   /// Per-scheme committed uops and simulate spans, for honest per-scheme
@@ -113,7 +110,7 @@ struct RunSummary {
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},
-///    "events":{"experiments","cycles","kernel"},
+///    "events":{"experiments","cycles"},
 ///    "launch":null | {"workers","max_retries","ok","failed_shards",
 ///                     "shards":[{"shard","attempts","ok","exit_code","signal"}]},
 ///    "net":null | {"server","role","jobs_pulled","gets","puts","reconnects",

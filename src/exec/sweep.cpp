@@ -16,7 +16,6 @@
 #include "eval/model_evaluator.hpp"
 #include "eval/sim_evaluator.hpp"
 #include "exec/thread_pool.hpp"
-#include "sim/sim_batch.hpp"
 
 namespace vcsteer::exec {
 
@@ -99,7 +98,7 @@ std::uint32_t resolve_batch_lanes(std::uint32_t requested) {
   if (lanes == 0) {
     const char* env = std::getenv("VCSTEER_BATCH");
     if (env == nullptr) {
-      lanes = static_cast<std::uint32_t>(sim::kMaxBatchLanes);
+      lanes = static_cast<std::uint32_t>(harness::kMaxBatchLanes);
     } else if (std::string_view(env) == "off") {
       lanes = 1;
     } else {
@@ -115,12 +114,12 @@ std::uint32_t resolve_batch_lanes(std::uint32_t requested) {
         lanes = 1;
       } else {
         lanes = static_cast<std::uint32_t>(
-            std::min<long>(parsed, sim::kMaxBatchLanes));
+            std::min<long>(parsed, harness::kMaxBatchLanes));
       }
     }
   }
   return std::clamp<std::uint32_t>(
-      lanes, 1, static_cast<std::uint32_t>(sim::kMaxBatchLanes));
+      lanes, 1, static_cast<std::uint32_t>(harness::kMaxBatchLanes));
 }
 
 std::uint64_t grid_fingerprint(const SweepGrid& grid,

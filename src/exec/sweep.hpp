@@ -92,12 +92,12 @@ struct SweepOptions {
   /// Called after each (trace, machine) job completes, from the worker
   /// thread (serialised by the runner). done/total count this shard's jobs.
   std::function<void(std::size_t done, std::size_t total)> progress;
-  /// Lanes per batched group when coalescing a job's built-in schemes into
-  /// one TraceExperiment::run_batch pass (results stay bit-identical;
-  /// custom-policy schemes always run singleton). 0 resolves from the
-  /// VCSTEER_BATCH environment variable ("off" or a lane count; unset =
-  /// sim::kMaxBatchLanes); 1 disables coalescing. Clamped to
-  /// [1, sim::kMaxBatchLanes].
+  /// Lanes per batched group when TraceExperiment::evaluate coalesces a
+  /// job's built-in schemes so they share one warm pass per simulation
+  /// point (results stay bit-identical; custom-policy schemes always run
+  /// singleton). 0 resolves from the VCSTEER_BATCH environment variable
+  /// ("off" or a lane count; unset = harness::kMaxBatchLanes); 1 disables
+  /// coalescing. Clamped to [1, harness::kMaxBatchLanes].
   std::uint32_t batch_lanes = 0;
   /// Two-stage pruned search (--prune-model K; 0 = off). When set, every
   /// grid point is first scored by the analytical critical-path model
@@ -186,8 +186,7 @@ class SweepResult {
   /// Per-phase wall-clock spans, summed over all jobs of this run.
   PhaseSeconds phases;
   /// Simulate span per scheme label, summed over all jobs (cache-served
-  /// points contribute nothing — no cycle loop ran for them). Batched
-  /// lanes report their proportional share of the shared loop.
+  /// points contribute nothing — no cycle loop ran for them).
   std::map<std::string, double> scheme_simulate_s;
 
  private:
@@ -208,9 +207,10 @@ std::uint64_t grid_fingerprint(const SweepGrid& grid, std::uint64_t seed_salt);
 
 /// Lane count for scheme coalescing: the explicit `requested` wins, then the
 /// VCSTEER_BATCH environment variable ("off" or a lane count), then the
-/// sim-layer maximum. An unparseable VCSTEER_BATCH (empty, trailing garbage
-/// like "4x", negative) warns loudly and falls back to 1 lane — it never
-/// silently half-parses. Always returns a value in [1, sim::kMaxBatchLanes].
+/// harness-layer maximum. An unparseable VCSTEER_BATCH (empty, trailing
+/// garbage like "4x", negative) warns loudly and falls back to 1 lane — it
+/// never silently half-parses. Always returns a value in
+/// [1, harness::kMaxBatchLanes].
 std::uint32_t resolve_batch_lanes(std::uint32_t requested);
 
 }  // namespace vcsteer::exec

@@ -9,7 +9,6 @@
 #include "compiler/rhop_pass.hpp"
 #include "compiler/vc_pass.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_batch.hpp"
 #include "sim/sim_context.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
@@ -35,7 +34,7 @@ workload::GeneratedWorkload timed_generate(
 
 // PinPoints-weighted accumulation of one scheme's simulation points into a
 // RunResult. Shared by the singleton (run_annotated) and batched
-// (run_batch) paths so both produce bit-identical aggregates: the
+// (eval_batch) paths so both produce bit-identical aggregates: the
 // floating-point operations and their order are exactly the historical
 // run_annotated loop's.
 class WeightedAccum {
@@ -247,30 +246,15 @@ RunResult TraceExperiment::eval_custom(steer::SteeringPolicy& policy,
   return run_annotated(policy, label);
 }
 
-RunResult TraceExperiment::run(const SchemeSpec& spec) {
-  return eval_spec(spec);
-}
-
-RunResult TraceExperiment::run(steer::SteeringPolicy& policy,
-                               const std::string& label) {
-  return eval_custom(policy, label);
-}
-
-std::vector<RunResult> TraceExperiment::run_batch(
-    std::span<const SchemeSpec> specs) {
-  return eval_batch(specs);
-}
-
 std::vector<RunResult> TraceExperiment::evaluate(
     std::span<const SchemeRequest> requests, std::uint32_t batch_lanes,
     EvalCounters* counters) {
   VCSTEER_CHECK(!requests.empty());
   std::vector<RunResult> results(requests.size());
-  // Coalesce the built-in requests into lane groups of batch_lanes: one
-  // batched pass warms each simulation point once for the whole group
-  // instead of once per scheme, bit-identically. Custom-policy requests
-  // stay singleton (a SchemeSpec cannot describe them), as do leftover
-  // groups of one (nothing to share).
+  // Coalesce the built-in requests into lane groups of batch_lanes: a group
+  // warms each simulation point once instead of once per scheme,
+  // bit-identically. Custom-policy requests stay singleton (a SchemeSpec
+  // cannot describe them), as do leftover groups of one (nothing to share).
   std::vector<std::size_t> singleton;
   std::vector<std::size_t> batchable;
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -336,7 +320,7 @@ RunResult TraceExperiment::run_annotated(steer::SteeringPolicy& policy,
 std::vector<RunResult> TraceExperiment::eval_batch(
     std::span<const SchemeSpec> specs) {
   VCSTEER_CHECK(!specs.empty());
-  VCSTEER_CHECK_MSG(specs.size() <= sim::kMaxBatchLanes,
+  VCSTEER_CHECK_MSG(specs.size() <= kMaxBatchLanes,
                     "more schemes than batch lanes");
   if (!ctx_) ctx_ = std::make_unique<sim::SimContext>(machine_, wl_.program);
 
@@ -359,28 +343,34 @@ std::vector<RunResult> TraceExperiment::eval_batch(
                       points_.size(), machine_.num_clusters);
   }
 
-  std::vector<RunResult> results;
-  std::vector<sim::RunPhases> lane_phases(specs.size());
+  // One functional warm pass per simulation point: lane 0 warms, the other
+  // lanes adopt its caches. Every lane is armed before any runs, because a
+  // lane armed after lane 0 had run would adopt post-run cache contents.
+  std::vector<double> simulate_s(specs.size(), 0.0);
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    sim::SimBatch batch;
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-      batch.add_lane(*cores[k], *policies[k], intervals_[i], warm_addrs_[i]);
+    const Clock::time_point t0 = Clock::now();
+    cores[0]->begin_run(intervals_[i], *policies[0], warm_addrs_[i]);
+    for (std::size_t k = 1; k < specs.size(); ++k) {
+      cores[k]->begin_run_prewarmed(intervals_[i], *policies[k],
+                                    cores[0]->memory());
     }
-    batch.run();
+    phases_.warmup_s += seconds_since(t0);
     for (std::size_t k = 0; k < specs.size(); ++k) {
-      const sim::SimBatch::Lane& ln = batch.lane(k);
-      accs[k].add_point(points_[i].weight, ln.stats, cores[k]->observer(),
+      const Clock::time_point t1 = Clock::now();
+      sim::ClusteredCore& core = *cores[k];
+      while (!core.done()) core.step();
+      const sim::SimStats stats = core.finish_run();
+      simulate_s[k] += seconds_since(t1);
+      accs[k].add_point(points_[i].weight, stats, core.observer(),
                         machine_.num_clusters);
-      lane_phases[k].warmup_s += ln.phases.warmup_s;
-      lane_phases[k].simulate_s += ln.phases.simulate_s;
     }
   }
+  std::vector<RunResult> results;
   results.reserve(specs.size());
   for (std::size_t k = 0; k < specs.size(); ++k) {
     RunResult result = accs[k].finalize(machine_.num_clusters);
-    phases_.warmup_s += lane_phases[k].warmup_s;
-    phases_.simulate_s += lane_phases[k].simulate_s;
-    scheme_simulate_s_[result.scheme] += lane_phases[k].simulate_s;
+    phases_.simulate_s += simulate_s[k];
+    scheme_simulate_s_[result.scheme] += simulate_s[k];
     results.push_back(std::move(result));
   }
   return results;

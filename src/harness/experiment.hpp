@@ -144,6 +144,11 @@ struct PhaseTimes {
   }
 };
 
+/// Most schemes one batched lane group may hold: each lane keeps its own
+/// core arena, and eight lanes already cover every figure sweep's scheme
+/// count.
+inline constexpr std::size_t kMaxBatchLanes = 8;
+
 /// Batch/singleton execution tallies of one TraceExperiment::evaluate call
 /// (surfaced through exec::SweepResult and --summary-json).
 struct EvalCounters {
@@ -159,28 +164,15 @@ class TraceExperiment {
 
   /// THE evaluation entry point: every request — built-in scheme or custom
   /// policy — of one (trace, machine) cell in one call. Built-in requests
-  /// are coalesced into batched lane groups of up to `batch_lanes` (one
-  /// interleaved cycle loop warms each simulation point once for the whole
-  /// group); custom-policy requests and leftover groups of one run
+  /// are coalesced into batched lane groups of up to `batch_lanes` (at most
+  /// kMaxBatchLanes), which warm each simulation point once for the whole
+  /// group; custom-policy requests and leftover groups of one run
   /// singleton. Results come back in request order and are bit-identical
   /// for every `batch_lanes`, including 1. `counters` (optional) receives
   /// the batch-execution tallies.
   std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests,
                                   std::uint32_t batch_lanes = 1,
                                   EvalCounters* counters = nullptr);
-
-  /// Deprecated single-scheme entry point; use evaluate().
-  [[deprecated("use evaluate()")]] RunResult run(const SchemeSpec& spec);
-
-  /// Deprecated always-batched entry point; use evaluate() with
-  /// batch_lanes >= specs.size(), which produces the same bits.
-  [[deprecated("use evaluate()")]] std::vector<RunResult> run_batch(
-      std::span<const SchemeSpec> specs);
-
-  /// Deprecated caller-constructed-policy entry point; use evaluate() with
-  /// a custom SchemeRequest (tag + factory).
-  [[deprecated("use evaluate()")]] RunResult run(steer::SteeringPolicy& policy,
-                                                 const std::string& label);
 
   const workload::GeneratedWorkload& workload() const { return wl_; }
   const std::vector<workload::SimPoint>& simpoints() const { return points_; }
@@ -198,10 +190,9 @@ class TraceExperiment {
   /// Wall-clock spans accumulated over this experiment's lifetime
   /// (construction + every run so far).
   const PhaseTimes& phases() const { return phases_; }
-  /// Simulate span per scheme label (each run's own cycle-loop span; in a
-  /// batch, the shared span attributed proportionally to each lane's step
-  /// count). Lets callers derive honest per-scheme throughput instead of
-  /// dividing one shared wall clock evenly.
+  /// Simulate span per scheme label: each run's own cycle-loop span,
+  /// batched or not. Lets callers derive honest per-scheme throughput
+  /// instead of dividing one shared wall clock evenly.
   const std::map<std::string, double>& scheme_simulate_s() const {
     return scheme_simulate_s_;
   }
@@ -209,8 +200,8 @@ class TraceExperiment {
  private:
   /// Weighted simulation of all points under an already-annotated program.
   RunResult run_annotated(steer::SteeringPolicy& policy, std::string label);
-  /// The three execution shapes behind evaluate() (and the deprecated
-  /// shims): one built-in scheme, a batched lane group, a custom policy.
+  /// The three execution shapes behind evaluate(): one built-in scheme, a
+  /// batched lane group, a custom policy.
   RunResult eval_spec(const SchemeSpec& spec);
   std::vector<RunResult> eval_batch(std::span<const SchemeSpec> specs);
   RunResult eval_custom(steer::SteeringPolicy& policy,

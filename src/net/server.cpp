@@ -151,6 +151,12 @@ struct SweepServer::Impl {
         njobs == 0) {
       return "ERR LEASE wants <sweep-hex> <njobs> <client-id>\n";
     }
+    // sscanf reads "-1" as 2^64-1 too; either way the count is refused
+    // before the queue grows by it.
+    if (njobs > kMaxSweepJobs) {
+      return "ERR LEASE job count above " + std::to_string(kMaxSweepJobs) +
+             "\n";
+    }
     SweepState& sweep = sweeps[sweep_id];
     if (sweep.njobs == 0) {
       sweep.njobs = static_cast<std::size_t>(njobs);

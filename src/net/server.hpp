@@ -18,10 +18,11 @@
 //   DONE <sweep> <index>        -> OK | ERR <msg>
 //   STATS <sweep>               -> STATS\n<id> <jobs-pulled>\n...
 //
-// <sweep> is the grid fingerprint in hex (exec::grid_fingerprint); <key>
-// and <result> are the exact cache-entry texts (exec::cache_key /
-// encode_result), so the server never decodes results — it is a durability
-// and scheduling layer, not a simulator.
+// <sweep> is the grid fingerprint in hex (exec::grid_fingerprint) and
+// <njobs> lies in [1, kMaxSweepJobs]; <key> and <result> are the exact
+// cache-entry texts (exec::cache_key / encode_result), so the server never
+// decodes results — it is a durability and scheduling layer, not a
+// simulator.
 //
 // Crash safety: GET/PUT go straight to the fsync-rename ResultCache, so
 // results survive a server SIGKILL. Lease state is in memory and dies with
@@ -37,6 +38,12 @@
 #include "net/frame.hpp"
 
 namespace vcsteer::net {
+
+/// Largest job count a LEASE may open a sweep with. The count comes from
+/// the client and the queue holds one entry per job, so without a ceiling
+/// one frame could make the daemon allocate until it dies. The largest grid
+/// in the repository has a few thousand (trace, machine) jobs.
+inline constexpr std::uint64_t kMaxSweepJobs = 1u << 20;
 
 struct ServerOptions {
   /// Listen address: `unix:/path` or `[tcp:]host:port`.

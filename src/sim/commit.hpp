@@ -173,9 +173,8 @@ class CommitUnit {
 
   /// Conservative head_completed(): false proves the head is not completed;
   /// true means a completion landed since commit() last recomputed. The
-  /// idle-cycle probe and the transposed lane block use this flag — one
-  /// byte, gatherable into a lane-major plane — instead of the ROB ring
-  /// probe; a stale-true merely steps one extra cycle (bit-identical).
+  /// idle-cycle probe uses this flag instead of the ROB ring probe; a
+  /// stale-true merely steps one extra cycle (bit-identical).
   bool maybe_commit() const { return maybe_commit_; }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "sim/kernels.hpp"
 #include "steer/policy.hpp"
 
 namespace vcsteer::sim {
@@ -42,8 +41,8 @@ void CoreState::reset() {
   waiter_nodes.clear();
   waiter_free.clear();
   copy_ties = 0;
-  kern::ops().fill_u32(rename.data(), rename.size(), kNoTag);
-  kern::ops().fill_i32(stale_home.data(), stale_home.size(), steer::kNoHome);
+  rename.fill(kNoTag);
+  stale_home.fill(steer::kNoHome);
   renamed_regs.clear();
   completions.reset();
   cycle = 0;

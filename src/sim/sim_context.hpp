@@ -34,11 +34,11 @@ class SimContext {
   ClusteredCore& core() { return core_; }
 
   /// Lane arena for batched runs: lane `lane` owns a private copy of the
-  /// program (schemes annotate hints in place, so concurrent lanes cannot
-  /// share one Program) and a core bound to that copy. Both persist across
-  /// batches — the program contents are copy-assigned per call (the copy's
-  /// address, which the core references, is stable on the heap) and the
-  /// core is reset in place by the next begin_run, exactly like core().
+  /// program (schemes annotate hints in place, so lanes armed together
+  /// cannot share one Program) and a core bound to that copy. Both persist
+  /// across batches — the program contents are copy-assigned per call (the
+  /// copy's address, which the core references, is stable on the heap) and
+  /// the core is reset in place by the next begin_run, exactly like core().
   ClusteredCore& lane_core(std::size_t lane, const prog::Program& annotated) {
     if (lanes_.size() <= lane) lanes_.resize(lane + 1);
     if (!lanes_[lane]) {

@@ -20,7 +20,6 @@
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
 #include "scratch_dir.hpp"
-#include "sim/sim_batch.hpp"
 #include "steer/mod_policy.hpp"
 #include "workload/profiles.hpp"
 
@@ -717,14 +716,14 @@ TEST(ResolveBatchLanes, ExplicitRequestWinsOverEnv) {
   EXPECT_EQ(resolve_batch_lanes(3), 3u);
   // Explicit requests above the lane maximum clamp.
   EXPECT_EQ(resolve_batch_lanes(1000),
-            static_cast<std::uint32_t>(sim::kMaxBatchLanes));
+            static_cast<std::uint32_t>(harness::kMaxBatchLanes));
 }
 
 TEST(ResolveBatchLanes, EnvOffAndNumericAndUnset) {
   {
     BatchEnv env(nullptr);
     EXPECT_EQ(resolve_batch_lanes(0),
-              static_cast<std::uint32_t>(sim::kMaxBatchLanes));
+              static_cast<std::uint32_t>(harness::kMaxBatchLanes));
   }
   {
     BatchEnv env("off");
@@ -737,7 +736,7 @@ TEST(ResolveBatchLanes, EnvOffAndNumericAndUnset) {
   {
     BatchEnv env("9999");  // over-max clamps, no warning needed
     EXPECT_EQ(resolve_batch_lanes(0),
-              static_cast<std::uint32_t>(sim::kMaxBatchLanes));
+              static_cast<std::uint32_t>(harness::kMaxBatchLanes));
   }
 }
 
@@ -892,7 +891,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.uops = 1500000;
   s.lane_groups = 3;
   s.batched_points = 12;
-  s.kernel = "scalar";
   s.schemes["MOD3"] = {750000, 0.25};
   s.schemes["VC-STEER"] = {750000, 0.5};
   s.launch_workers = 2;
@@ -927,7 +925,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
             std::string::npos);
   EXPECT_NE(json.find("\"VC-STEER\":{\"uops\":750000,\"simulate_s\":0.5}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"kernel\":\"scalar\""), std::string::npos);
   EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"max_retries\":2,"
                       "\"ok\":true,\"failed_shards\":0"),
             std::string::npos);

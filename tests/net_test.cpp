@@ -318,6 +318,36 @@ TEST(SweepService, NetworkedSweepBitIdenticalToLocal) {
   EXPECT_EQ(total, njobs);
 }
 
+// Regression: the server took a LEASE's job count on trust and queued one
+// entry per job, so one frame with a huge count (sscanf reads "-1" as
+// 2^64-1) made the daemon allocate until it died. Counts above the ceiling
+// get ERR, and the same server goes on serving.
+TEST(SweepService, LeaseRefusesJobCountAboveCeiling) {
+  ScratchDir dir;
+  const std::string sock = dir.path() + "/sweep.sock";
+  ServerHandle server(server_options(sock, dir.path() + "/cache"));
+  StoreClient client(client_options(sock));
+
+  std::size_t job = 999;
+  // ASSERT, so a server that grants this one is never sent the next.
+  ASSERT_EQ(client.lease(0x51, kMaxSweepJobs + 1, "w0", &job),
+            StoreClient::LeaseReply::kError);
+  EXPECT_EQ(client.lease(0x52, SIZE_MAX, "w0", &job),
+            StoreClient::LeaseReply::kError);
+  EXPECT_TRUE(client.ping());
+
+  const exec::SweepGrid grid = tiny_grid();
+  const std::size_t njobs = grid.profiles.size() * grid.machines.size();
+  NetResultStore store(&client);
+  NetJobQueue queue(&client, exec::grid_fingerprint(grid, 0), njobs, "w0");
+  exec::SweepOptions opt;
+  opt.store = &store;
+  opt.queue = &queue;
+  const exec::SweepResult sweep = run_sweep(grid, opt);
+  EXPECT_EQ(sweep.jobs_pulled, njobs);
+  EXPECT_EQ(sweep.simulated, sweep.num_points());
+}
+
 TEST(SweepService, GarbledStoredResultReadsAsCorrupt) {
   ScratchDir dir;
   const std::string sock = dir.path() + "/sweep.sock";
