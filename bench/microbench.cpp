@@ -1,5 +1,6 @@
 // Microbenchmarks of the infrastructure itself (google-benchmark):
-// simulator throughput (simulated micro-ops per second), trace generation,
+// simulator throughput (simulated micro-ops per second), the analytical
+// model's walk (micro-ops walked per second), trace generation,
 // PinPoints analysis, the multilevel partitioner, the software passes, and
 // the exec layer (thread-pool dispatch, cache-key construction).
 // These guard against performance regressions that would make the figure
@@ -16,6 +17,7 @@
 #include "exec/thread_pool.hpp"
 #include "graph/partition.hpp"
 #include "harness/experiment.hpp"
+#include "model/critpath.hpp"
 #include "sim/core.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/value_table.hpp"
@@ -90,6 +92,30 @@ void BM_SimulatorThroughputTimelineObserver(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorThroughputTimelineObserver)
     ->Unit(benchmark::kMillisecond);
+
+// Analytical-model walk on the same 50k-uop trace as the simulator benches,
+// so the two per-uop rates compare directly. A 4-cluster bus with 2-cycle
+// links and one copy per link per cycle keeps every constraint pool in use
+// (an ideal fabric would leave the link pools unconfigured). The memory
+// replay is scheme-independent and runs once, outside the timed loop, as
+// in eval::ModelEvaluator.
+void BM_ModelEstimateInterval(benchmark::State& state) {
+  const workload::GeneratedWorkload wl = workload::generate(bench_profile());
+  workload::TraceSource trace(wl);
+  const auto entries = trace.take(50'000);
+  MachineConfig cfg = MachineConfig::four_cluster();
+  cfg.interconnect.kind = Topology::kBus;
+  cfg.interconnect.link_latency = 2;
+  cfg.interconnect.copies_per_link_cycle = 1;
+  const auto extra = model::memory_latencies(wl.program, entries, {}, cfg);
+  for (auto _ : state) {
+    const model::IntervalEstimate est = model::estimate_interval(
+        wl.program, entries, extra, cfg, steer::Scheme::kOp);
+    benchmark::DoNotOptimize(est.cycles);
+  }
+  state.SetItemsProcessed(state.iterations() * 50'000);  // uops walked
+}
+BENCHMARK(BM_ModelEstimateInterval);
 
 /// Minimal one-uop program for the kernel microbenches: CoreState needs a
 /// program reference but the isolated loops never fetch from it.

@@ -41,8 +41,8 @@
 #             rewrites BENCH_perf.json at the repo root (warning, never
 #             failing, on a >10% drop vs the committed baseline). When the
 #             microbench binary exists, the wakeup/select, value-table-
-#             churn and arena-reuse kernels are recorded alongside as
-#             3-repetition medians. Run it from a Release tree
+#             churn and arena-reuse kernels and the analytical model's walk
+#             are recorded alongside as 3-repetition medians. Run it from a Release tree
 #             (cmake --preset release) — any other build type only
 #             measures assert overhead.
 #
@@ -184,7 +184,7 @@ gate_perf() {
   if [[ -x "$BUILD_DIR/microbench" ]]; then
     microbench_json="$GATE_OUT/perf_microbench.json"
     "$BUILD_DIR/microbench" \
-      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused' \
+      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_ModelEstimateInterval' \
       --benchmark_repetitions=3 \
       --benchmark_format=json > "$microbench_json"
   fi

@@ -32,10 +32,10 @@ to the median. Output schema:
 run actually spent its time — trace generation vs. the cycle loop).
 MICROBENCH_JSON, when given, is a google-benchmark --benchmark_format=json
 report; the gate records the wakeup/select and value-table kernels (through
-CoreState and on the SoA table directly) and arena reuse — see
-TRACKED_KERNELS — so the committed baseline tracks kernel-level
-trajectories alongside the end-to-end rate. Run the microbench with
---benchmark_repetitions=3: the gate prefers each kernel's "median"
+CoreState and on the SoA table directly), arena reuse and the analytical
+model's walk — see TRACKED_KERNELS — so the committed baseline tracks
+kernel-level trajectories alongside the end-to-end rate. Run the microbench
+with --benchmark_repetitions=3: the gate prefers each kernel's "median"
 aggregate over single-repetition samples, the same wobble defence as the
 multi-summary median.
 
@@ -68,7 +68,8 @@ def host_id() -> str:
 
 # Microbench kernels tracked in the baseline (bench/microbench.cpp).
 TRACKED_KERNELS = ("BM_WakeupSelect", "BM_ValueTableChurn",
-                   "BM_SoAValueTableChurn", "BM_ArenaRunReused")
+                   "BM_SoAValueTableChurn", "BM_ArenaRunReused",
+                   "BM_ModelEstimateInterval")
 
 
 def read_microbench(path: str) -> dict:

@@ -6,8 +6,9 @@
 //
 //   SimEvaluator    cycle-accurate TraceExperiment, bit-identical to the
 //                   historical direct run path; results tagged source "sim".
-//   ModelEvaluator  src/model/ critical-path estimator, orders of magnitude
-//                   cheaper; results tagged source "model".
+//   ModelEvaluator  src/model/ critical-path estimator, a ranking proxy
+//                   that lets a search simulate only its frontier; results
+//                   tagged source "model".
 //
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across

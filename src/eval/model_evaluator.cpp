@@ -14,30 +14,30 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Trace data is a function of (profile, budget) only — TraceExperiment's
-// machine argument affects simulation, not workload generation, PinPoints
-// selection or interval replay — so the memoisation key ignores machine.
-std::string trace_key(const workload::WorkloadProfile& profile,
-                      const harness::SimBudget& budget) {
-  return profile.name + '#' + std::to_string(profile.seed_salt) + '#' +
-         std::to_string(budget.total_uops) + '#' +
-         std::to_string(budget.interval_uops) + '#' +
-         std::to_string(budget.max_phases);
-}
-
 }  // namespace
 
 const char* source_name(Source s) {
   return s == Source::kSim ? "sim" : "model";
 }
 
+// Trace data is a function of (profile, budget) only — TraceExperiment's
+// machine argument affects simulation, not workload generation, PinPoints
+// selection or interval replay — so the memo ignores the machine. It
+// matches every field of both: workload generation reads every profile
+// field, so two profiles sharing a name can still differ in their traces.
 ModelEvaluator::TraceData& ModelEvaluator::trace_data_for(
     const EvalRequest& request) {
-  const std::string key = trace_key(request.profile, request.budget);
-  std::lock_guard<std::mutex> lock(map_mutex_);
-  std::unique_ptr<TraceData>& slot = traces_[key];
-  if (!slot) slot = std::make_unique<TraceData>();
-  return *slot;
+  std::lock_guard<std::mutex> lock(traces_mutex_);
+  for (const std::unique_ptr<TraceData>& data : traces_) {
+    if (data->profile == request.profile && data->budget == request.budget) {
+      return *data;
+    }
+  }
+  const std::unique_ptr<TraceData>& data =
+      traces_.emplace_back(std::make_unique<TraceData>());
+  data->profile = request.profile;
+  data->budget = request.budget;
+  return *data;
 }
 
 EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {

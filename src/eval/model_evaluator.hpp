@@ -2,10 +2,9 @@
 // behind the Evaluator interface.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <vector>
 
 #include "eval/evaluator.hpp"
 
@@ -25,6 +24,8 @@ class ModelEvaluator final : public Evaluator {
 
  private:
   struct TraceData {
+    workload::WorkloadProfile profile;  ///< memo key, with `budget`.
+    harness::SimBudget budget;
     std::mutex build_mutex;
     std::unique_ptr<harness::TraceExperiment> experiment;
     bool billed = false;  ///< trace_build_s already reported to a response.
@@ -32,8 +33,8 @@ class ModelEvaluator final : public Evaluator {
 
   TraceData& trace_data_for(const EvalRequest& request);
 
-  std::mutex map_mutex_;
-  std::map<std::string, std::unique_ptr<TraceData>> traces_;
+  std::mutex traces_mutex_;
+  std::vector<std::unique_ptr<TraceData>> traces_;
 };
 
 }  // namespace vcsteer::eval

@@ -41,6 +41,8 @@ struct SimBudget {
   std::uint32_t max_phases = 6;          ///< paper uses up to 10.
 
   static SimBudget smoke() { return {120'000, 20'000, 3}; }
+
+  bool operator==(const SimBudget&) const = default;
 };
 
 /// One steering configuration of the paper's Table 3 (plus VC(v->n) forms).

@@ -5,7 +5,7 @@
 #include <cstddef>
 #include <functional>
 #include <queue>
-#include <unordered_map>
+#include <vector>
 
 #include "common/check.hpp"
 #include "isa/uop.hpp"
@@ -79,96 +79,131 @@ class Stream {
 /// out-of-order core exists to avoid.
 ///
 /// Monotone in C by construction: a larger capacity selects a smaller order
-/// statistic, which is never later. Maintained as the classic two-heap
-/// split (max-heap of the k smallest, min-heap of the rest) at O(log n)
-/// per push.
+/// statistic, which is never later. The (n-C+1)-th smallest of n times is
+/// the C-th largest, so the pool keeps only a min-heap of the C largest
+/// times seen and answers with its root: O(log C) per push, O(C) memory.
+/// The heap grows as times arrive, never to a reserved C — configurations
+/// with 2^20-entry queues walk intervals far shorter than that.
 class FreePool {
  public:
   void configure(std::uint64_t capacity) {
-    // ~0u marks an unlimited resource; 0 keeps the Stream convention of
-    // "no constraint" (no real machine has a zero-entry queue).
-    unlimited_ = capacity == 0 || capacity >= 0xffffffffull;
-    cap_ = capacity;
+    // 0 and ~0u both mark an unlimited resource (0 keeps the Stream
+    // convention of "no constraint": no real machine has a zero-entry
+    // queue); cap_ == 0 stands for both from here on.
+    cap_ = capacity >= 0xffffffffull ? 0 : capacity;
   }
 
   /// Earliest time a slot is free for the next acquirer (0: a slot is
   /// already free, or the resource is unlimited).
-  std::uint64_t window_bound() const { return low_.empty() ? 0 : low_.top(); }
+  std::uint64_t window_bound() const {
+    return cap_ != 0 && largest_.size() == cap_ ? largest_.top() : 0;
+  }
 
   void push(std::uint64_t t) {
-    if (unlimited_) return;
-    if (!low_.empty() && t <= low_.top()) {
-      low_.push(t);
-    } else {
-      high_.push(t);
-    }
-    ++size_;
-    const std::uint64_t k = size_ >= cap_ ? size_ - cap_ + 1 : 0;
-    while (low_.size() > k) {
-      high_.push(low_.top());
-      low_.pop();
-    }
-    while (low_.size() < k) {
-      low_.push(high_.top());
-      high_.pop();
+    if (cap_ == 0) return;
+    if (largest_.size() < cap_) {
+      largest_.push(t);
+    } else if (t > largest_.top()) {
+      largest_.pop();
+      largest_.push(t);
     }
   }
 
  private:
   std::uint64_t cap_ = 0;
-  std::uint64_t size_ = 0;
-  bool unlimited_ = true;
-  std::priority_queue<std::uint64_t> low_;  ///< the k smallest free times.
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                       std::greater<std::uint64_t>>
-      high_;  ///< everything above them.
+      largest_;  ///< the C largest free times; root = C-th largest.
 };
 
 /// Per-cycle capacity for *rate* resources — issue ports, copy-queue issue
 /// slots, link bandwidth: at most `width` events in any single cycle, with
 /// requests arriving in arbitrary time order (a dependent of a slow load
 /// asks for a slot hundreds of cycles after younger, independent ops took
-/// theirs). place(ready) returns the earliest cycle >= ready with a free
-/// slot and books it — the same greedy oldest-first select the simulator's
-/// back-end performs. Full cycles forward to their successor through a
-/// path-compressed next-free map, so placement stays near O(1) even when
-/// thousands of ready times pile onto the same region.
+/// theirs). place(ready, floor) returns the earliest cycle >= ready with a
+/// free slot and books it — the same greedy oldest-first select the
+/// simulator's back-end performs. Full cycles forward to a later cycle
+/// through path-compressed next-free links, so placement stays near O(1)
+/// even when thousands of ready times pile onto the same region.
+///
+/// `floor` is a cycle no present or future request can precede (callers pass
+/// the current dispatch cycle + 1: dispatch never moves backwards and every
+/// booking is for issue or later). Only cycles from the floor upward are
+/// live, so the per-cycle state is a power-of-two ring indexed by cycle:
+/// slots below an advancing floor are zeroed and recycled as the cycles
+/// past the ring's end, and a placement or link that lands at or past the
+/// end doubles the ring. The ring spans the deepest backlog ahead of
+/// dispatch, not the whole walk.
 class RatePool {
  public:
   void configure(std::uint64_t width) {
-    unlimited_ = width == 0 || width >= 0xffffffffull;
-    width_ = width;
+    // Same unlimited convention as FreePool: width_ == 0 for 0 and ~0u.
+    width_ = width >= 0xffffffffull ? 0 : width;
   }
 
-  std::uint64_t place(std::uint64_t ready) {
-    if (unlimited_) return ready;
+  std::uint64_t place(std::uint64_t ready, std::uint64_t floor) {
+    if (width_ == 0) return ready;
+    advance(floor);
+    // The ring holds no cycle below the highest floor seen so far.
+    VCSTEER_CHECK(ready >= base_);
+    cover(ready);
     const std::uint64_t t = find(ready);
-    if (++count_[t] >= width_) next_[t] = t + 1;
+    if (++slot(t).count >= width_) {
+      cover(t + 1);
+      slot(t).next = t + 1;
+    }
     return t;
   }
 
  private:
+  struct Slot {
+    std::uint64_t next = 0;   ///< absolute cycle to try instead; 0: not full.
+    std::uint32_t count = 0;  ///< events booked in this cycle (< 2^32 - 1).
+  };
+
+  Slot& slot(std::uint64_t cycle) { return ring_[cycle & (ring_.size() - 1)]; }
+
+  /// Moves the first live cycle up to `floor`, zeroing the slots of the
+  /// cycles it leaves behind so they can stand for cycles past the end.
+  void advance(std::uint64_t floor) {
+    if (floor <= base_) return;
+    const std::uint64_t end = std::min(floor, base_ + ring_.size());
+    for (std::uint64_t c = base_; c < end; ++c) slot(c) = Slot{};
+    base_ = floor;
+  }
+
+  /// Grows the ring (doubling) until it holds `cycle`, moving every live
+  /// slot to its position under the larger mask; links are absolute cycles
+  /// and need no rewriting.
+  void cover(std::uint64_t cycle) {
+    if (cycle - base_ < ring_.size()) return;
+    std::size_t size = ring_.empty() ? kMinRing : ring_.size();
+    while (cycle - base_ >= size) size *= 2;
+    std::vector<Slot> grown(size);
+    for (std::uint64_t c = base_; c < base_ + ring_.size(); ++c) {
+      grown[c & (size - 1)] = slot(c);
+    }
+    ring_.swap(grown);
+  }
+
   /// Earliest cycle >= t that may still have a free slot, with path
   /// compression (iterative: chase, then repoint the chain at the root).
   std::uint64_t find(std::uint64_t t) {
     std::uint64_t root = t;
-    for (auto it = next_.find(root); it != next_.end();
-         it = next_.find(root)) {
-      root = it->second;
-    }
+    while (slot(root).next != 0) root = slot(root).next;
     while (t != root) {
-      auto it = next_.find(t);
-      const std::uint64_t n = it->second;
-      it->second = root;
-      t = n;
+      Slot& s = slot(t);
+      t = s.next;
+      s.next = root;
     }
     return root;
   }
 
+  static constexpr std::size_t kMinRing = 64;
+
   std::uint64_t width_ = 0;
-  bool unlimited_ = true;
-  std::unordered_map<std::uint64_t, std::uint64_t> count_;
-  std::unordered_map<std::uint64_t, std::uint64_t> next_;
+  std::uint64_t base_ = 0;  ///< lowest live cycle (the last floor seen).
+  std::vector<Slot> ring_;  ///< slot(c) for c in [base_, base_ + size).
 };
 
 /// Where a register value lives: the producing uop's completion time at its
@@ -256,7 +291,7 @@ class Walker {
         issue = std::max(
             issue, operand_ready(isa::flat_reg(uop.srcs[s]), c, disp, &est));
       }
-      issue = iq_rate_[c][q].place(issue);
+      issue = iq_rate_[c][q].place(issue, disp + 1);
 
       std::uint64_t done = issue + isa::latency(uop.op);
       if (uop.is_load()) done += load_extra[i];
@@ -311,8 +346,8 @@ class Walker {
     if (r.mask & (1u << c)) return r.avail[c];
     const std::uint32_t src = r.home;
     const std::uint64_t start = std::max(r.avail[src], disp + 1);
-    std::uint64_t t = copy_rate_[src].place(start);
-    if (limited_bw_) t = link_[src][c].place(t);
+    std::uint64_t t = copy_rate_[src].place(start, disp + 1);
+    if (limited_bw_) t = link_[src][c].place(t, disp + 1);
     copy_window_[src].push(t);
     const std::uint32_t hops = topology_distance(
         machine_.interconnect.kind, machine_.num_clusters, src, c);

@@ -1,13 +1,16 @@
 // Analytical critical-path IPC estimator.
 //
 // The cycle simulator answers "how fast is this config" by replaying every
-// micro-op through an event-driven pipeline; this model answers the same
-// question orders of magnitude cheaper by walking the dynamic dependence
-// graph once, in program order, and propagating *resource-constraint edges*
-// instead of simulating cycles — the technique of the PolyArch/prism
-// critical-path tools (compcp.hh / cp_dg_builder.hh): every pipeline
-// resource becomes a "k-back" edge tying micro-op i to the completion of
-// the micro-op whose departure frees the resource, e.g.
+// micro-op through an event-driven pipeline; this model estimates the same
+// answer by walking the dynamic dependence graph once, in program order,
+// and propagating *resource-constraint edges* instead of simulating cycles.
+// Per micro-op the walk costs about as much as simulation (README
+// "Analytical model & pruned search" has both rates); a pruned search
+// saves its time by simulating only the model's frontier. The technique is
+// that of the PolyArch/prism critical-path tools (compcp.hh /
+// cp_dg_builder.hh): every pipeline resource becomes a "k-back" edge tying
+// micro-op i to the completion of the micro-op whose departure frees the
+// resource, e.g.
 //
 //   dispatch[i] >= issue[ same-queue op (iq_entries) back ]      (IQ window)
 //   issue[i]    >= issue[ same-queue op (issue_width) back ] + 1 (issue rate)
@@ -23,12 +26,17 @@
 //   FreePool  — order statistics for OUT-OF-ORDER windows (issue-queue
 //               entries, LSQ, producer copy queues): with capacity C the
 //               next acquirer waits for the (n-C+1)-th smallest recorded
-//               free time. A prefix-max here would serialise every micro-op
-//               behind one dependent of a cache miss — an in-order machine.
+//               free time, i.e. the C-th largest, kept as a min-heap of
+//               the C largest times (O(C) memory). A prefix-max here would
+//               serialise every micro-op behind one dependent of a cache
+//               miss — an in-order machine.
 //   RatePool  — first-fit per-cycle placement for issue ports, copy-select
 //               slots and link bandwidth: earliest cycle >= ready with a
 //               free slot, the same greedy oldest-first select the
-//               simulator's back-end performs.
+//               simulator's back-end performs. Per-cycle counts and
+//               next-free links live in a power-of-two ring spanning the
+//               cycles from the current dispatch cycle + 1 upward, which no
+//               later request can precede.
 //
 // Stream and FreePool bounds are monotone in their resource size by
 // construction, so predicted cycles cannot exhibit Graham-style anomalies

@@ -57,6 +57,8 @@ struct WorkloadProfile {
   std::uint64_t seed_salt = 0;         ///< extra salt mixed into the seed.
 
   std::uint64_t seed(std::uint64_t stream = 0) const;
+
+  bool operator==(const WorkloadProfile&) const = default;
 };
 
 /// All 40 trace profiles of the paper's Figure 5 (26 SPECint + 14 SPECfp).

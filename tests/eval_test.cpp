@@ -122,6 +122,30 @@ TEST(Evaluator, ModelBackendEstimatesAndMemoisesTraces) {
   }
 }
 
+// The trace memo matches the whole profile and budget, not just the name:
+// a variant that shares a profile's name but changes its memory behaviour
+// generates a different trace, so a shared evaluator must not serve it the
+// first profile's trace.
+TEST(Evaluator, ModelMemoSeparatesProfilesSharingAName) {
+  const EvalRequest req = smoke_request();
+  EvalRequest variant = smoke_request();
+  variant.profile.working_set_kb *= 64;
+  variant.profile.pointer_chase = 0.5;
+
+  ModelEvaluator shared;
+  const EvalResponse first = shared.evaluate(req);
+  const EvalResponse second = shared.evaluate(variant);
+  EXPECT_EQ(second.experiments, 1u);
+  ModelEvaluator fresh;
+  const EvalResponse expect = fresh.evaluate(variant);
+  ASSERT_EQ(second.results.size(), expect.results.size());
+  for (std::size_t i = 0; i < expect.results.size(); ++i) {
+    EXPECT_EQ(second.results[i].cycles, expect.results[i].cycles);
+    EXPECT_EQ(second.results[i].ipc, expect.results[i].ipc);
+    EXPECT_NE(second.results[i].ipc, first.results[i].ipc);
+  }
+}
+
 exec::SweepGrid small_grid() {
   exec::SweepGrid grid;
   const auto smoke = workload::smoke_profiles();

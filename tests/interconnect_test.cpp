@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "exec/sweep.hpp"
 #include "program/program.hpp"
@@ -57,6 +58,7 @@ MicroOp alu(ArchReg dst, std::initializer_list<ArchReg> srcs,
   u.op = OpClass::kIntAlu;
   u.has_dst = true;
   u.dst = dst;
+  VCSTEER_CHECK(srcs.size() <= 2);
   for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
   u.hint.static_cluster = cluster;
   return u;

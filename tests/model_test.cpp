@@ -1,14 +1,16 @@
 // Property tests for the analytical critical-path model (src/model/).
 //
 // The model's whole value proposition is that it is safe to *rank* design
-// points with: every resource constraint is a k-back lookup into a
-// prefix-maximum stream, so widening any single resource can only move the
-// lookup earlier and never increase the bound. These tests pin that
-// monotonicity over a real generated trace, plus the zero-cost-interconnect
+// points with: every resource constraint — a prefix-max stream lookup for
+// the in-order stages, an order statistic over free times for the
+// out-of-order windows, a first-fit cycle placement for the rate resources —
+// can only move earlier when that resource widens. These tests pin that
+// monotonicity over a real generated trace, the zero-cost-interconnect
 // collapse that anchors the model's communication charges to zero when the
-// fabric is free.
+// fabric is free, and the exact estimates on a set of corner-case machines.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -32,23 +34,32 @@ const harness::TraceExperiment& shared_trace() {
   return *exp;
 }
 
-// Total predicted cycles over every simulation point of the shared trace,
-// annotated for `scheme` under `machine` (the same software passes the
-// simulator would run).
-std::uint64_t predicted_cycles(const MachineConfig& machine,
-                               steer::Scheme scheme) {
+// (cycles, copies, copy_hops) summed over every simulation point of the
+// shared trace, annotated for `spec` under `machine` (the same software
+// passes the simulator would run).
+using Totals = std::array<std::uint64_t, 3>;
+
+Totals predicted_totals(const MachineConfig& machine,
+                        const harness::SchemeSpec& spec) {
   const harness::TraceExperiment& exp = shared_trace();
   prog::Program program = exp.workload().program;
-  harness::annotate_for_scheme(program, {scheme, 0}, machine);
-  std::uint64_t cycles = 0;
+  harness::annotate_for_scheme(program, spec, machine);
+  Totals totals{};
   for (std::size_t i = 0; i < exp.intervals().size(); ++i) {
     const auto extra = memory_latencies(program, exp.intervals()[i],
                                         exp.warm_addrs()[i], machine);
-    cycles +=
-        estimate_interval(program, exp.intervals()[i], extra, machine, scheme)
-            .cycles;
+    const IntervalEstimate est = estimate_interval(
+        program, exp.intervals()[i], extra, machine, spec.scheme);
+    totals[0] += est.cycles;
+    totals[1] += est.copies;
+    totals[2] += est.copy_hops;
   }
-  return cycles;
+  return totals;
+}
+
+std::uint64_t predicted_cycles(const MachineConfig& machine,
+                               steer::Scheme scheme) {
+  return predicted_totals(machine, {scheme, 0})[0];
 }
 
 TEST(CritPath, Deterministic) {
@@ -89,6 +100,32 @@ TEST(CritPath, SingleClusterChargesNoCopies) {
   EXPECT_EQ(est.copy_hops, 0u);
 }
 
+// A narrow ring machine, so every resource constraint actually binds
+// somewhere (an ideal fabric would make the bandwidth knobs no-ops).
+MachineConfig binding_ring() {
+  MachineConfig m = MachineConfig::four_cluster();
+  m.interconnect.kind = Topology::kRing;
+  m.interconnect.link_latency = 2;
+  m.interconnect.copies_per_link_cycle = 1;
+  m.iq_int_entries = 16;
+  m.iq_fp_entries = 16;
+  m.lsq_entries = 64;
+  return m;
+}
+
+// Cluster and front-end resources too large to bind anywhere in the trace.
+MachineConfig huge_queues(MachineConfig m) {
+  m.iq_int_entries = 1u << 20;
+  m.iq_fp_entries = 1u << 20;
+  m.iq_copy_entries = 1u << 20;
+  m.issue_width_int = 1u << 10;
+  m.issue_width_fp = 1u << 10;
+  m.issue_width_copy = 1u << 10;
+  m.decode_width_int = 1u << 10;
+  m.decode_width_fp = 1u << 10;
+  return m;
+}
+
 // Widening any single resource never increases the predicted cycles — for
 // every scheme whose steering the model approximates. Each lambda widens
 // exactly one knob.
@@ -111,15 +148,7 @@ TEST(CritPath, WideningAnySingleResourceNeverIncreasesCycles) {
   };
   for (const steer::Scheme scheme :
        {steer::Scheme::kOp, steer::Scheme::kOb, steer::Scheme::kVc}) {
-    // A narrow ring machine, so every constraint above actually binds
-    // somewhere (an ideal fabric would make the bandwidth knobs no-ops).
-    MachineConfig base = MachineConfig::four_cluster();
-    base.interconnect.kind = Topology::kRing;
-    base.interconnect.link_latency = 2;
-    base.interconnect.copies_per_link_cycle = 1;
-    base.iq_int_entries = 16;
-    base.iq_fp_entries = 16;
-    base.lsq_entries = 64;
+    const MachineConfig base = binding_ring();
     const std::uint64_t baseline = predicted_cycles(base, scheme);
     int knob = 0;
     for (const auto widen : widenings) {
@@ -140,24 +169,86 @@ TEST(CritPath, WideningAnySingleResourceNeverIncreasesCycles) {
 // oversized too: copies consume decode slots (in the simulator and the
 // model alike) even when the fabric itself is free.
 TEST(CritPath, ZeroCostInterconnectCollapsesToSingleClusterBound) {
-  auto huge = [](MachineConfig m) {
-    m.iq_int_entries = 1u << 20;
-    m.iq_fp_entries = 1u << 20;
-    m.iq_copy_entries = 1u << 20;
-    m.issue_width_int = 1u << 10;
-    m.issue_width_fp = 1u << 10;
-    m.issue_width_copy = 1u << 10;
-    m.decode_width_int = 1u << 10;
-    m.decode_width_fp = 1u << 10;
-    return m;
-  };
-  MachineConfig clustered = huge(MachineConfig::four_cluster());
+  MachineConfig clustered = huge_queues(MachineConfig::four_cluster());
   clustered.interconnect.link_latency = 0;
   clustered.interconnect.copies_per_link_cycle = ~0u;
-  MachineConfig single = huge(MachineConfig::four_cluster());
+  MachineConfig single = huge_queues(MachineConfig::four_cluster());
   single.num_clusters = 1;
   EXPECT_EQ(predicted_cycles(clustered, steer::Scheme::kOp),
             predicted_cycles(single, steer::Scheme::kOneCluster));
+}
+
+// Exact estimates, recorded from the model and pinned so that a change to
+// the constraint primitives' storage or evaluation order cannot move a
+// single cycle unnoticed. The machines cover the corners of that storage:
+// presets, a binding ring, every capacity and width at 1, unlimited
+// resources, and a 5000-cycle memory that books issue and copy slots far
+// beyond the dispatch frontier.
+TEST(CritPath, EstimatesMatchRecordedValues) {
+  MachineConfig minimal = MachineConfig::two_cluster();
+  minimal.fetch_width = 1;
+  minimal.decode_width_int = 1;
+  minimal.decode_width_fp = 1;
+  minimal.rob_int_entries = 1;
+  minimal.rob_fp_entries = 1;
+  minimal.commit_width_int = 1;
+  minimal.commit_width_fp = 1;
+  minimal.iq_int_entries = 1;
+  minimal.iq_fp_entries = 1;
+  minimal.iq_copy_entries = 1;
+  minimal.issue_width_int = 1;
+  minimal.issue_width_fp = 1;
+  minimal.issue_width_copy = 1;
+  minimal.lsq_entries = 1;
+  minimal.interconnect.kind = Topology::kBus;
+  minimal.interconnect.copies_per_link_cycle = 1;
+
+  MachineConfig unlimited = huge_queues(binding_ring());
+  unlimited.lsq_entries = ~0u;
+  unlimited.interconnect.copies_per_link_cycle = ~0u;
+
+  MachineConfig far_memory = MachineConfig::four_cluster();
+  far_memory.memory_latency = 5000;
+  far_memory.issue_width_int = 1;
+  far_memory.issue_width_fp = 1;
+  far_memory.issue_width_copy = 1;
+  far_memory.interconnect.kind = Topology::kBus;
+  far_memory.interconnect.copies_per_link_cycle = 1;
+
+  const harness::SchemeSpec schemes[] = {
+      {steer::Scheme::kOneCluster, 0}, {steer::Scheme::kOp, 0},
+      {steer::Scheme::kParallelOp, 0}, {steer::Scheme::kOb, 0},
+      {steer::Scheme::kRhop, 0},       {steer::Scheme::kVc, 2},
+  };
+  struct Pinned {
+    const char* name;
+    MachineConfig machine;
+    std::array<Totals, std::size(schemes)> totals;  ///< per scheme above.
+  };
+  const Pinned pinned[] = {
+      {"two_cluster", MachineConfig::two_cluster(),
+       {{{71904, 0, 0}, {60461, 5201, 5201}, {60461, 5201, 5201},
+         {67724, 2876, 2876}, {60798, 5191, 5191}, {61291, 10577, 10577}}}},
+      {"binding_ring", binding_ring(),
+       {{{102159, 0, 0}, {81339, 10565, 21265}, {81339, 10565, 21265},
+         {98015, 5768, 11235}, {83709, 9519, 18840}, {89190, 12749, 25798}}}},
+      {"minimal", minimal,
+       {{{449451, 0, 0}, {464510, 5201, 5201}, {464510, 5201, 5201},
+         {457715, 2876, 2876}, {464796, 5191, 5191}, {479259, 10250, 10250}}}},
+      {"unlimited", unlimited,
+       {{{56860, 0, 0}, {60604, 10565, 21265}, {60604, 10565, 21265},
+         {57401, 5768, 11235}, {60852, 9519, 18840}, {60443, 13861, 28157}}}},
+      {"far_memory", far_memory,
+       {{{484491, 0, 0}, {415218, 10565, 10565}, {415218, 10565, 10565},
+         {454737, 5768, 5768}, {414887, 9519, 9519}, {417193, 16320, 16320}}}},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(p.machine.validate(), "") << p.name;
+    for (std::size_t s = 0; s < std::size(schemes); ++s) {
+      EXPECT_EQ(predicted_totals(p.machine, schemes[s]), p.totals[s])
+          << p.name << " / " << schemes[s].label(p.machine);
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "harness/experiment.hpp"
 #include "program/program.hpp"
 #include "sim/core.hpp"
@@ -39,6 +40,7 @@ MicroOp op_on(OpClass op, ArchReg dst, std::initializer_list<ArchReg> srcs,
   u.op = op;
   u.has_dst = true;
   u.dst = dst;
+  VCSTEER_CHECK(srcs.size() <= 2);
   for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
   u.hint.static_cluster = cluster;
   return u;

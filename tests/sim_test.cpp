@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "program/program.hpp"
 #include "sim/core.hpp"
 #include "steer/op_policy.hpp"
@@ -58,6 +59,7 @@ MicroOp alu(ArchReg dst, std::initializer_list<ArchReg> srcs,
   u.op = OpClass::kIntAlu;
   u.has_dst = true;
   u.dst = dst;
+  VCSTEER_CHECK(srcs.size() <= 2);
   for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
   u.hint.static_cluster = cluster;
   return u;

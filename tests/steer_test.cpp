@@ -5,6 +5,7 @@
 // the static follower and the factory.
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "fake_steer_view.hpp"
 #include "steer/mod_policy.hpp"
 #include "steer/op_policy.hpp"
@@ -27,6 +28,7 @@ MicroOp alu(std::initializer_list<ArchReg> srcs, ArchReg dst = r(15)) {
   u.op = OpClass::kIntAlu;
   u.has_dst = true;
   u.dst = dst;
+  VCSTEER_CHECK(srcs.size() <= 2);
   for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
   return u;
 }
@@ -183,7 +185,7 @@ TEST(TopologyAwareOp, MatchesFlatOnUniformQuietFabric) {
   OpPolicy flat(MachineConfig::four_cluster());
 
   const MicroOp uops[] = {alu({r(1)}), alu({r(1), r(2)}), alu({}),
-                          alu({r(1), r(2), r(3)})};
+                          alu({r(1), r(3)})};
   for (int scenario = 0; scenario < 3; ++scenario) {
     MockView view(4);
     view.set_inflight(0, 5).set_inflight(1, 2).set_inflight(2, 9);
