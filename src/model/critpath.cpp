@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/check.hpp"
@@ -34,37 +34,49 @@ constexpr std::uint32_t kBalanceWindow = 64;
 // signal without touching any machine resource.
 constexpr std::uint64_t kInFlightWindow = 64;
 
-/// Append-only stream of event times for IN-ORDER pipeline stages (decode,
-/// commit, ROB release): entries free in stream order, so the k-back
-/// constraint is a prefix-maximum lookup. Non-decreasing in the stream
-/// index, so a larger k (a wider resource) can only yield an earlier,
-/// never-larger time.
+/// Stream of event times for an IN-ORDER pipeline stage (decode, commit,
+/// ROB release) with one k-back constraint, `back` entries behind the next
+/// push: entries free in stream order, so the constraint is a prefix-maximum
+/// lookup. Non-decreasing in the stream index, so a larger `back` (a wider
+/// resource) can only yield an earlier, never-larger time.
+///
+/// Only the last `back` prefix maxima can still be read, so they live in a
+/// power-of-two ring of at least `back` entries (a 100-entry ROB keeps 128).
 class Stream {
  public:
+  void configure(std::uint64_t back) {
+    // 0 and ~0u both mark an unlimited resource (~0u never binds because
+    // streams stay far below 2^32 entries); back_ == 0 stands for both.
+    back_ = back >= 0xffffffffull ? 0 : back;
+    if (back_ != 0) ring_.assign(std::bit_ceil(back_), 0);
+  }
+
   void push(std::uint64_t t) {
     max_ = std::max(max_, t);
-    pmax_.push_back(max_);
+    if (back_ == 0) return;
+    ring_[n_ & (ring_.size() - 1)] = max_;
+    ++n_;
   }
 
-  /// Prefix-max time of the entry `back` positions before the next push
-  /// (back == size() is the oldest entry). 0 — no constraint — when the
-  /// stream is shorter than `back` or the resource is unlimited (back==~0u
-  /// never binds because streams stay far below 2^32 entries).
-  std::uint64_t window_bound(std::uint64_t back) const {
-    if (back == 0 || pmax_.size() < back) return 0;
-    return pmax_[pmax_.size() - back];
-  }
+  /// Prefix-max time of the entry `back` positions before the next push.
+  /// 0 — no constraint — while the stream is shorter than `back` or the
+  /// resource is unlimited.
+  std::uint64_t window_bound() const { return binds() ? at_back() : 0; }
 
-  /// Rate constraint: at most `width` stream events per cycle, so the next
-  /// event lands strictly after the one `width` back.
-  std::uint64_t rate_bound(std::uint64_t width) const {
-    if (width == 0 || pmax_.size() < width) return 0;
-    return pmax_[pmax_.size() - width] + 1;
-  }
+  /// Rate constraint: at most `back` stream events per cycle, so the next
+  /// event lands strictly after the one `back` back.
+  std::uint64_t rate_bound() const { return binds() ? at_back() + 1 : 0; }
 
  private:
-  std::vector<std::uint64_t> pmax_;
+  bool binds() const { return back_ != 0 && n_ >= back_; }
+  std::uint64_t at_back() const {
+    return ring_[(n_ - back_) & (ring_.size() - 1)];
+  }
+
+  std::uint64_t back_ = 0;
+  std::uint64_t n_ = 0;  ///< entries pushed; entry j is ring_[j & mask].
   std::uint64_t max_ = 0;
+  std::vector<std::uint64_t> ring_;
 };
 
 /// Order-statistic pool for *window* resources whose slots free OUT of
@@ -81,9 +93,10 @@ class Stream {
 /// Monotone in C by construction: a larger capacity selects a smaller order
 /// statistic, which is never later. The (n-C+1)-th smallest of n times is
 /// the C-th largest, so the pool keeps only a min-heap of the C largest
-/// times seen and answers with its root: O(log C) per push, O(C) memory.
-/// The heap grows as times arrive, never to a reserved C — configurations
-/// with 2^20-entry queues walk intervals far shorter than that.
+/// times seen and answers with its root: O(C) memory, O(log C) per push,
+/// and a time that evicts the root replaces it with one sift-down. The heap
+/// grows as times arrive, never to a reserved C — configurations with
+/// 2^20-entry queues walk intervals far shorter than that.
 class FreePool {
  public:
   void configure(std::uint64_t capacity) {
@@ -96,24 +109,36 @@ class FreePool {
   /// Earliest time a slot is free for the next acquirer (0: a slot is
   /// already free, or the resource is unlimited).
   std::uint64_t window_bound() const {
-    return cap_ != 0 && largest_.size() == cap_ ? largest_.top() : 0;
+    return cap_ != 0 && largest_.size() == cap_ ? largest_[0] : 0;
   }
 
   void push(std::uint64_t t) {
     if (cap_ == 0) return;
     if (largest_.size() < cap_) {
-      largest_.push(t);
-    } else if (t > largest_.top()) {
-      largest_.pop();
-      largest_.push(t);
+      largest_.push_back(t);
+      std::push_heap(largest_.begin(), largest_.end(), std::greater<>{});
+    } else if (t > largest_[0]) {
+      replace_root(t);
     }
   }
 
  private:
+  /// Drops the root for `t`, which is larger: the hole left at the root
+  /// moves down to its smaller child for as long as that child is below t.
+  void replace_root(std::uint64_t t) {
+    const std::size_t n = largest_.size();
+    std::size_t hole = 0;
+    for (std::size_t child; (child = 2 * hole + 1) < n; hole = child) {
+      if (child + 1 < n) child += largest_[child + 1] < largest_[child];
+      if (largest_[child] >= t) break;
+      largest_[hole] = largest_[child];
+    }
+    largest_[hole] = t;
+  }
+
   std::uint64_t cap_ = 0;
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<std::uint64_t>>
-      largest_;  ///< the C largest free times; root = C-th largest.
+  std::vector<std::uint64_t> largest_;  ///< min-heap of the C largest free
+                                        ///< times; root = C-th largest.
 };
 
 /// Per-cycle capacity for *rate* resources — issue ports, copy-queue issue
@@ -129,11 +154,13 @@ class FreePool {
 /// `floor` is a cycle no present or future request can precede (callers pass
 /// the current dispatch cycle + 1: dispatch never moves backwards and every
 /// booking is for issue or later). Only cycles from the floor upward are
-/// live, so the per-cycle state is a power-of-two ring indexed by cycle:
-/// slots below an advancing floor are zeroed and recycled as the cycles
-/// past the ring's end, and a placement or link that lands at or past the
-/// end doubles the ring. The ring spans the deepest backlog ahead of
-/// dispatch, not the whole walk.
+/// live, so the per-cycle state is a power-of-two ring indexed by cycle.
+/// Each slot records the absolute cycle it holds; a slot tagged with any
+/// other cycle of its residue is left over from an earlier lap and reads as
+/// empty, so a rising floor costs nothing and no slot is ever cleared. A
+/// placement or link that lands at or past the ring's end doubles the ring,
+/// moving only the slots whose tag is still live. The ring spans the
+/// deepest backlog ahead of dispatch, not the whole walk.
 class RatePool {
  public:
   void configure(std::uint64_t width) {
@@ -143,45 +170,49 @@ class RatePool {
 
   std::uint64_t place(std::uint64_t ready, std::uint64_t floor) {
     if (width_ == 0) return ready;
-    advance(floor);
+    base_ = std::max(base_, floor);
     // The ring holds no cycle below the highest floor seen so far.
     VCSTEER_CHECK(ready >= base_);
     cover(ready);
     const std::uint64_t t = find(ready);
-    if (++slot(t).count >= width_) {
+    Slot& s = slot(t);
+    if (s.cycle != t) s = Slot{t, 0, 0};
+    if (++s.count >= width_) {
       cover(t + 1);
-      slot(t).next = t + 1;
+      slot(t).skip = 1;
     }
     return t;
   }
 
  private:
+  // A link is an offset from the slot's own cycle, which keeps a slot at 16
+  // bytes: the offset fits 32 bits because a link never reaches past the
+  // ring's end and no ring reaches 2^32 slots.
   struct Slot {
-    std::uint64_t next = 0;   ///< absolute cycle to try instead; 0: not full.
+    std::uint64_t cycle = ~0ull;  ///< the cycle held; ~0: none yet.
+    std::uint32_t skip = 0;   ///< full: try cycle + skip instead; 0: not full.
     std::uint32_t count = 0;  ///< events booked in this cycle (< 2^32 - 1).
   };
 
   Slot& slot(std::uint64_t cycle) { return ring_[cycle & (ring_.size() - 1)]; }
 
-  /// Moves the first live cycle up to `floor`, zeroing the slots of the
-  /// cycles it leaves behind so they can stand for cycles past the end.
-  void advance(std::uint64_t floor) {
-    if (floor <= base_) return;
-    const std::uint64_t end = std::min(floor, base_ + ring_.size());
-    for (std::uint64_t c = base_; c < end; ++c) slot(c) = Slot{};
-    base_ = floor;
+  /// The cycle to try after full `cycle`; 0 when `cycle` has a free slot,
+  /// which is also what a slot holding another cycle of the residue says.
+  std::uint64_t next_of(std::uint64_t cycle) {
+    const Slot& s = slot(cycle);
+    return s.cycle == cycle && s.skip != 0 ? cycle + s.skip : 0;
   }
 
-  /// Grows the ring (doubling) until it holds `cycle`, moving every live
-  /// slot to its position under the larger mask; links are absolute cycles
-  /// and need no rewriting.
+  /// Grows the ring (doubling) until it holds `cycle`, moving every slot
+  /// whose tag is live to its position under the larger mask; links are
+  /// relative to their slot's cycle and need no rewriting.
   void cover(std::uint64_t cycle) {
     if (cycle - base_ < ring_.size()) return;
     std::size_t size = ring_.empty() ? kMinRing : ring_.size();
     while (cycle - base_ >= size) size *= 2;
     std::vector<Slot> grown(size);
-    for (std::uint64_t c = base_; c < base_ + ring_.size(); ++c) {
-      grown[c & (size - 1)] = slot(c);
+    for (const Slot& s : ring_) {
+      if (s.cycle - base_ < ring_.size()) grown[s.cycle & (size - 1)] = s;
     }
     ring_.swap(grown);
   }
@@ -190,11 +221,12 @@ class RatePool {
   /// compression (iterative: chase, then repoint the chain at the root).
   std::uint64_t find(std::uint64_t t) {
     std::uint64_t root = t;
-    while (slot(root).next != 0) root = slot(root).next;
+    for (std::uint64_t n; (n = next_of(root)) != 0;) root = n;
     while (t != root) {
       Slot& s = slot(t);
-      t = s.next;
-      s.next = root;
+      const std::uint64_t next = t + s.skip;
+      s.skip = static_cast<std::uint32_t>(root - t);
+      t = next;
     }
     return root;
   }
@@ -202,7 +234,7 @@ class RatePool {
   static constexpr std::size_t kMinRing = 64;
 
   std::uint64_t width_ = 0;
-  std::uint64_t base_ = 0;  ///< lowest live cycle (the last floor seen).
+  std::uint64_t base_ = 0;  ///< lowest live cycle (the highest floor seen).
   std::vector<Slot> ring_;  ///< slot(c) for c in [base_, base_ + size).
 };
 
@@ -223,11 +255,20 @@ class Walker {
   Walker(const prog::Program& program, const MachineConfig& machine,
          steer::Scheme scheme)
       : program_(program), machine_(machine), scheme_(scheme) {
+    VCSTEER_CHECK_MSG(machine.num_clusters >= 1,
+                      "model needs num_clusters >= 1");
     VCSTEER_CHECK_MSG(machine.num_clusters <= kMaxModelClusters,
                       "model supports at most 16 clusters");
+    VCSTEER_CHECK_MSG(machine.fetch_width >= 1, "model needs fetch_width >= 1");
     limited_bw_ = machine.interconnect.kind != Topology::kIdeal &&
                   machine.interconnect.copies_per_link_cycle != ~0u;
     const std::uint32_t n = machine.num_clusters;
+    decode_[0].configure(machine.decode_width_int);
+    decode_[1].configure(machine.decode_width_fp);
+    rob_[0].configure(machine.rob_int_entries);
+    rob_[1].configure(machine.rob_fp_entries);
+    commit_[0].configure(machine.commit_width_int);
+    commit_[1].configure(machine.commit_width_fp);
     lsq_.configure(machine.lsq_entries);
     for (std::uint32_t c = 0; c < n; ++c) {
       iq_window_[c][0].configure(machine.iq_int_entries);
@@ -258,10 +299,8 @@ class Walker {
       // --- dispatch: in-order, behind fetch and every window resource ---
       std::uint64_t disp = i / machine_.fetch_width + machine_.fetch_to_dispatch;
       disp = std::max(disp, last_disp);
-      disp = std::max(disp, decode_[q].rate_bound(q ? machine_.decode_width_fp
-                                                    : machine_.decode_width_int));
-      disp = std::max(disp, rob_[q].window_bound(q ? machine_.rob_fp_entries
-                                                   : machine_.rob_int_entries));
+      disp = std::max(disp, decode_[q].rate_bound());
+      disp = std::max(disp, rob_[q].window_bound());
       if (uop.is_mem()) {
         disp = std::max(disp, lsq_.window_bound());
       }
@@ -298,8 +337,7 @@ class Walker {
 
       // --- commit: in-order, per-file commit width ---
       std::uint64_t commit = std::max(done, last_commit);
-      commit = std::max(commit, commit_[q].rate_bound(q ? machine_.commit_width_fp
-                                                        : machine_.commit_width_int));
+      commit = std::max(commit, commit_[q].rate_bound());
 
       decode_[q].push(disp);
       for (std::uint32_t k = 0; k < 2; ++k) {

@@ -4,13 +4,13 @@
 // micro-op through an event-driven pipeline; this model estimates the same
 // answer by walking the dynamic dependence graph once, in program order,
 // and propagating *resource-constraint edges* instead of simulating cycles.
-// Per micro-op the walk costs about as much as simulation (README
+// Per micro-op the walk takes about half the simulator's time (README
 // "Analytical model & pruned search" has both rates); a pruned search
-// saves its time by simulating only the model's frontier. The technique is
-// that of the PolyArch/prism critical-path tools (compcp.hh /
-// cp_dg_builder.hh): every pipeline resource becomes a "k-back" edge tying
-// micro-op i to the completion of the micro-op whose departure frees the
-// resource, e.g.
+// saves most of its time by simulating only the model's frontier.
+// The technique is that of the PolyArch/prism critical-path tools
+// (compcp.hh / cp_dg_builder.hh): every pipeline resource becomes a
+// "k-back" edge tying micro-op i to the completion of the micro-op whose
+// departure frees the resource, e.g.
 //
 //   dispatch[i] >= issue[ same-queue op (iq_entries) back ]      (IQ window)
 //   issue[i]    >= issue[ same-queue op (issue_width) back ] + 1 (issue rate)
@@ -19,15 +19,19 @@
 // Three constraint mechanisms, matched to how each resource actually frees
 // (critpath.cpp):
 //
-//   Stream    — prefix-maximum k-back arrays for IN-ORDER stages (decode
+//   Stream    — prefix-maximum k-back lookups for IN-ORDER stages (decode
 //               rate, ROB window over in-order commits, commit rate): slots
 //               free in stream order, so the k-back lookup is exact, and a
-//               wider resource reads an earlier, never-larger entry.
+//               wider resource reads an earlier, never-larger entry. Only
+//               the last k prefix maxima are kept, in a power-of-two ring of
+//               at least k entries (k: the ROB size or the decode/commit
+//               width).
 //   FreePool  — order statistics for OUT-OF-ORDER windows (issue-queue
 //               entries, LSQ, producer copy queues): with capacity C the
 //               next acquirer waits for the (n-C+1)-th smallest recorded
 //               free time, i.e. the C-th largest, kept as a min-heap of
-//               the C largest times (O(C) memory). A prefix-max here would
+//               the C largest times (O(C) memory) whose root a later time
+//               replaces with one sift-down. A prefix-max here would
 //               serialise every micro-op behind one dependent of a cache
 //               miss — an in-order machine.
 //   RatePool  — first-fit per-cycle placement for issue ports, copy-select
@@ -36,7 +40,12 @@
 //               simulator's back-end performs. Per-cycle counts and
 //               next-free links live in a power-of-two ring spanning the
 //               cycles from the current dispatch cycle + 1 upward, which no
-//               later request can precede.
+//               later request can precede; each slot is tagged with the
+//               cycle it holds, so slots the dispatch floor has passed read
+//               as empty without being cleared.
+//
+// Each primitive pays per event it records or looks up, not per cycle the
+// walk advances or per micro-op the interval holds.
 //
 // Stream and FreePool bounds are monotone in their resource size by
 // construction, so predicted cycles cannot exhibit Graham-style anomalies

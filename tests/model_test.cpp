@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
@@ -178,12 +179,33 @@ TEST(CritPath, ZeroCostInterconnectCollapsesToSingleClusterBound) {
             predicted_cycles(single, steer::Scheme::kOneCluster));
 }
 
+// The walker refuses the machines the simulator refuses and it cannot walk:
+// no cluster to steer to, or no fetch bandwidth to pace dispatch by. It does
+// not demand MachineConfig::validate() as a whole — a zero link latency is a
+// machine the model walks (the collapse test above).
+TEST(CritPath, RejectsMachinesItCannotWalk) {
+  const harness::TraceExperiment& exp = shared_trace();
+  const prog::Program& program = exp.workload().program;
+  const auto& interval = exp.intervals()[0];
+  const std::vector<std::uint32_t> extra(interval.size(), 0);
+  MachineConfig no_clusters = MachineConfig::two_cluster();
+  no_clusters.num_clusters = 0;
+  EXPECT_DEATH(estimate_interval(program, interval, extra, no_clusters,
+                                 steer::Scheme::kOp),
+               "model needs num_clusters >= 1");
+  MachineConfig no_fetch = MachineConfig::two_cluster();
+  no_fetch.fetch_width = 0;
+  EXPECT_DEATH(estimate_interval(program, interval, extra, no_fetch,
+                                 steer::Scheme::kOp),
+               "model needs fetch_width >= 1");
+}
+
 // Exact estimates, recorded from the model and pinned so that a change to
 // the constraint primitives' storage or evaluation order cannot move a
 // single cycle unnoticed. The machines cover the corners of that storage:
 // presets, a binding ring, every capacity and width at 1, unlimited
-// resources, and a 5000-cycle memory that books issue and copy slots far
-// beyond the dispatch frontier.
+// resources, a 5000-cycle memory that books issue and copy slots far
+// beyond the dispatch frontier, and ROB sizes that are not powers of two.
 TEST(CritPath, EstimatesMatchRecordedValues) {
   MachineConfig minimal = MachineConfig::two_cluster();
   minimal.fetch_width = 1;
@@ -215,6 +237,15 @@ TEST(CritPath, EstimatesMatchRecordedValues) {
   far_memory.interconnect.kind = Topology::kBus;
   far_memory.interconnect.copies_per_link_cycle = 1;
 
+  // ROB sizes that are not powers of two, so each ROB stream's ring (128 /
+  // 64) is larger than its back distance; and one-copy-per-cycle link pools
+  // per cluster pair, some booked so rarely that the dispatch floor passes
+  // the pool's whole ring between two placements — slots of the same
+  // residue left from the earlier lap must read as empty.
+  MachineConfig odd_sizes = binding_ring();
+  odd_sizes.rob_int_entries = 100;
+  odd_sizes.rob_fp_entries = 60;
+
   const harness::SchemeSpec schemes[] = {
       {steer::Scheme::kOneCluster, 0}, {steer::Scheme::kOp, 0},
       {steer::Scheme::kParallelOp, 0}, {steer::Scheme::kOb, 0},
@@ -241,6 +272,9 @@ TEST(CritPath, EstimatesMatchRecordedValues) {
       {"far_memory", far_memory,
        {{{484491, 0, 0}, {415218, 10565, 10565}, {415218, 10565, 10565},
          {454737, 5768, 5768}, {414887, 9519, 9519}, {417193, 16320, 16320}}}},
+      {"odd_sizes", odd_sizes,
+       {{{109955, 0, 0}, {92816, 10565, 21265}, {92816, 10565, 21265},
+         {106339, 5768, 11235}, {94620, 9519, 18840}, {100503, 12749, 25798}}}},
   };
   for (const Pinned& p : pinned) {
     EXPECT_EQ(p.machine.validate(), "") << p.name;
