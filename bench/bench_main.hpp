@@ -74,6 +74,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -240,6 +242,22 @@ struct Options {
   std::exit(2);
 }
 
+/// The value of integer flag `flag`: unsigned decimal digits only, within
+/// 64 bits. An empty, signed, non-numeric or trailing-garbage value is a
+/// parse error, never a half-parsed number.
+inline std::uint64_t parse_uint(const Options& opt, const char* flag,
+                                const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      errno == ERANGE) {
+    parse_fail(opt, std::string(flag) +
+                        " expects an unsigned integer, got '" + v + "'");
+  }
+  return n;
+}
+
 /// One command-line flag of the shared bench driver. A single table of
 /// these (option_table()) drives everything that used to be maintained in
 /// triplicate: the parse loop, the generated --help text, and the "options"
@@ -265,10 +283,10 @@ inline const std::vector<OptionSpec>& option_table() {
        "worker threads for the sweep (default: all cores); results are "
        "bit-identical for every N",
        [](Options& o, const char* v) {
-         const long jobs = std::strtol(v, nullptr, 10);
-         // Clamp: negatives/0 mean serial, and there is no point spawning
-         // more workers than any realistic grid has jobs.
-         o.jobs = static_cast<unsigned>(std::clamp(jobs, 1L, 512L));
+         // Clamp: 0 means serial, and there is no point spawning more
+         // workers than any realistic grid has jobs.
+         o.jobs = static_cast<unsigned>(std::clamp<std::uint64_t>(
+             parse_uint(o, "--jobs", v), 1, 512));
        },
        [](const Options& o) { return std::to_string(o.jobs); }},
       {"--smoke", "--quick", nullptr, "smoke budget + reduced trace set",
@@ -277,9 +295,7 @@ inline const std::vector<OptionSpec>& option_table() {
          return o.smoke ? "true" : "false";
        }},
       {"--seed", nullptr, "S", "extra salt mixed into every workload seed",
-       [](Options& o, const char* v) {
-         o.seed = std::strtoull(v, nullptr, 10);
-       },
+       [](Options& o, const char* v) { o.seed = parse_uint(o, "--seed", v); },
        [](const Options& o) { return std::to_string(o.seed); }},
       {"--shard", nullptr, "I/N",
        "run only this process's 1/N of the job list (0 <= I < N); requires "
@@ -309,7 +325,7 @@ inline const std::vector<OptionSpec>& option_table() {
        "re-exec this binary as N shard workers over --cache-dir, then run "
        "the assembly pass",
        [](Options& o, const char* v) {
-         const long n = std::strtol(v, nullptr, 10);
+         const std::uint64_t n = parse_uint(o, "--launch", v);
          // 1 worker would just be the plain run with extra process overhead.
          if (n < 2 || n > 512) {
            parse_fail(o, "--launch expects 2..512 workers, got " +
@@ -339,9 +355,8 @@ inline const std::vector<OptionSpec>& option_table() {
        "two-stage pruned search: model-score every point, simulate only the "
        "top-K (machine, scheme) configs",
        [](Options& o, const char* v) {
-         char* end = nullptr;
-         const long k = std::strtol(v, &end, 10);
-         if (end == v || *end != '\0' || k < 1) {
+         const std::uint64_t k = parse_uint(o, "--prune-model", v);
+         if (k < 1) {
            parse_fail(o, "--prune-model expects a frontier size K >= 1, "
                          "got '" +
                              std::string(v) + "'");
@@ -741,8 +756,6 @@ class Output {
     cache_hits_ += sweep.cache_hits;
     corrupt_ += sweep.cache_corrupt;
     experiments_ += sweep.experiments;
-    lane_groups_ += sweep.lane_groups;
-    batched_points_ += sweep.batched_points;
     phases_ += sweep.phases;
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
       schemes_[label].simulate_s += span;
@@ -767,8 +780,6 @@ class Output {
       schemes_[label].simulate_s += span;
     }
     experiments_ += sweep.experiments;
-    lane_groups_ += sweep.lane_groups;
-    batched_points_ += sweep.batched_points;
     phases_ += sweep.phases;
     if (sweep.model.enabled) {
       // Counters sum across sweeps; the rank-agreement stats describe one
@@ -816,8 +827,6 @@ class Output {
     summary.uops = uops_;
     summary.cycles = cycles_;
     summary.experiments = experiments_;
-    summary.lane_groups = lane_groups_;
-    summary.batched_points = batched_points_;
     summary.phases = phases_;
     summary.schemes = schemes_;
     if (launch_report_) {
@@ -854,8 +863,6 @@ class Output {
   std::uint64_t uops_ = 0;
   std::uint64_t cycles_ = 0;
   std::size_t experiments_ = 0;
-  std::size_t lane_groups_ = 0;
-  std::size_t batched_points_ = 0;
   exec::PhaseSeconds phases_;
   std::map<std::string, exec::RunSummary::SchemeSummary> schemes_;
   bool first_ = true;

@@ -19,7 +19,6 @@
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_context.hpp"
 #include "sim/value_table.hpp"
 #include "workload/pinpoints.hpp"
 #include "workload/profiles.hpp"
@@ -212,19 +211,19 @@ void BM_SoAValueTableChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SoAValueTableChurn);
 
-// Arena reuse (SimContext) vs per-run core reconstruction: the same short
-// trace simulated in a reused reset-in-place core and in a freshly built
-// one. The gap is the allocation/initialisation cost a sweep pays per
-// (trace, machine, scheme) point without the arena.
+// Core reuse vs per-run core reconstruction: the same short trace simulated
+// in one reset-in-place core (what harness::TraceExperiment does for all
+// its runs) and in a freshly built one. The gap is the allocation and
+// initialisation cost a sweep would pay per run without reuse.
 void BM_ArenaRunReused(benchmark::State& state) {
   const workload::GeneratedWorkload wl = workload::generate(bench_profile());
   workload::TraceSource trace(wl);
   const auto entries = trace.take(5'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
-  sim::SimContext ctx(cfg, wl.program);
+  sim::ClusteredCore core(cfg, wl.program);
   const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
   for (auto _ : state) {
-    const sim::SimStats stats = ctx.core().run(entries, *policy);
+    const sim::SimStats stats = core.run(entries, *policy);
     benchmark::DoNotOptimize(stats.cycles);
   }
   state.SetItemsProcessed(state.iterations() * 5'000);

@@ -31,10 +31,6 @@
 #             per-phase timing spans and event counts, and the
 #             pipeline_viewer's event counts reconcile exactly with the
 #             simulator's own SimStats counters
-#   batch     batched evaluation: fig5 AND fig7 smoke sweeps with lane
-#             groups sharing one warm pass per simulation point must write
-#             results JSON byte-identical to the batching-off
-#             (VCSTEER_BATCH=off) run, with lane groups actually formed
 #   perf      NON-BLOCKING perf trajectory: runs fig5_twocluster --smoke
 #             --jobs 1 three times, takes the median run's kuops/s via
 #             scripts/perf_gate.py (±7% single-core-VM wobble defence), and
@@ -203,29 +199,6 @@ gate_perf() {
     "$GATE_OUT/perf_results_r1.json" "$perf_out" ${microbench_json:+"$microbench_json"}
 }
 
-gate_batch() {
-  # Batched evaluation must be invisible in the output: on both figure
-  # smokes, the default run (lane groups share one warm pass per simulation
-  # point) must write results JSON byte-identical to VCSTEER_BATCH=off. The
-  # off run's summary proves it really ran unbatched, so the cmp compares
-  # two different paths. The sanitize CI job runs this gate too, for
-  # ASan/UBSan coverage of the lane arenas and the warm-state adoption.
-  local fig
-  for fig in fig5_twocluster fig7_fourcluster; do
-    VCSTEER_BATCH=off "$BUILD_DIR/$fig" --smoke --jobs 2 \
-      --json "$GATE_OUT/batch_${fig}_off.json" \
-      --summary-json "$GATE_OUT/batch_${fig}_off_summary.json"
-    assert_summary "$GATE_OUT/batch_${fig}_off_summary.json" \
-      'ok' 'sweep["lane_groups"] == 0' 'sweep["batched_points"] == 0'
-    "$BUILD_DIR/$fig" --smoke --jobs 2 \
-      --json "$GATE_OUT/batch_${fig}_on.json" \
-      --summary-json "$GATE_OUT/batch_${fig}_on_summary.json"
-    assert_summary "$GATE_OUT/batch_${fig}_on_summary.json" \
-      'ok' 'sweep["lane_groups"] > 0'
-    cmp "$GATE_OUT/batch_${fig}_off.json" "$GATE_OUT/batch_${fig}_on.json"
-  done
-}
-
 gate_ablation() {
   warn_if_not_release
   "$BUILD_DIR/ablation_interconnect" --smoke --jobs 2 \
@@ -298,7 +271,7 @@ gate_launch() {
     'ok' 'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
 }
 
-ALL_GATES=(tier1 golden batch ablation smoke shard launch service observe model perf)
+ALL_GATES=(tier1 golden ablation smoke shard launch service observe model perf)
 if [[ $# -eq 0 ]]; then
   GATES=("${ALL_GATES[@]}")
 else

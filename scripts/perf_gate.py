@@ -40,8 +40,8 @@ aggregate over single-repetition samples, the same wobble defence as the
 multi-summary median.
 
 Per-scheme rates come from the summary's "schemes" map when present: the
-bench times each scheme's own simulate span (batched lanes included), so
-the rates differ per scheme. With an older summary the gate falls back to
+bench times each scheme's own simulate span, so the rates differ per
+scheme. With an older summary the gate falls back to
 splitting the
 per-point uops over the shared wall clock.
 Wall-clock numbers are only comparable run-over-run on one machine, so the

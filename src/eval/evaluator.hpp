@@ -12,9 +12,9 @@
 //
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across
-// schemes: the simulator coalesces schemes into batched lanes sharing one
-// functional warm pass per simulation point, the model shares one
-// materialised trace and one functional memory replay. exec::run_sweep's
+// schemes: the simulator shares one functional warm pass per simulation
+// point among the schemes, the model shares one materialised trace and one
+// functional memory replay. exec::run_sweep's
 // two-stage pruned mode (--prune-model K) estimates every grid point with
 // ModelEvaluator and spends SimEvaluator only on the top-K frontier.
 #pragma once
@@ -43,8 +43,7 @@ struct EvalRequest {
   MachineConfig machine;
   harness::SimBudget budget;
   std::vector<harness::SchemeRequest> schemes;
-  /// Lane width for backends that coalesce schemes (SimEvaluator); 1
-  /// disables coalescing. Results are bit-identical for every value.
+  // Ignored; kept because perfbench/ still sets it as the 5th field.
   std::uint32_t batch_lanes = 1;
 };
 
@@ -56,7 +55,6 @@ struct EvalResponse {
   harness::PhaseTimes phases;
   /// Per-scheme-label simulate/walk span.
   std::map<std::string, double> scheme_simulate_s;
-  harness::EvalCounters counters;
   /// Trace experiments constructed serving this call (0 when the backend
   /// reused a memoised trace).
   std::size_t experiments = 0;

@@ -65,8 +65,8 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
   const MachineConfig& machine = request.machine;
 
   // Functional memory replay is scheme-independent: one pass per cell,
-  // shared by every scheme's walk (mirrors the simulator's shared warming
-  // in batched lane groups).
+  // shared by every scheme's walk (mirrors the simulator, which warms each
+  // simulation point once for all of a cell's schemes).
   const Clock::time_point warm_t0 = Clock::now();
   std::vector<std::vector<std::uint32_t>> load_extra(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {

@@ -70,20 +70,20 @@ std::string encode_result(const harness::RunResult& result);
 /// absorbed as a zero.
 bool decode_result(const std::string& text, harness::RunResult* out);
 
-/// Abstract key -> RunResult store the sweep runner talks to: backed by an
-/// on-disk ResultCache locally, or by a net::StoreClient when the sweep
-/// leases its jobs from a vcsteer-sweepd (src/net/). Implementations must
-/// be safe to call from multiple sweep threads.
+/// Abstract key -> RunResult store the sweep runner talks to: the on-disk
+/// ResultCache locally, or a net::StoreClient when the sweep leases its jobs
+/// from a vcsteer-sweepd (src/net/). Implementations must be safe to call
+/// from multiple sweep threads.
 class ResultStore {
  public:
   virtual ~ResultStore() = default;
   virtual CacheLookup lookup(const std::string& key,
-                             harness::RunResult* out) = 0;
+                             harness::RunResult* out) const = 0;
   virtual void store(const std::string& key,
-                     const harness::RunResult& result) = 0;
+                     const harness::RunResult& result) const = 0;
 };
 
-class ResultCache {
+class ResultCache : public ResultStore {
  public:
   /// Creates `dir` (and parents) if missing. `hash_fn` overrides the
   /// filename hash — production uses hash_seed; tests inject a colliding
@@ -97,7 +97,8 @@ class ResultCache {
   /// Keys whose 64-bit filename hash collides with a different stored key
   /// are probed through collision-suffixed paths, so two colliding keys
   /// coexist instead of alternately evicting each other.
-  CacheLookup lookup(const std::string& key, harness::RunResult* out) const;
+  CacheLookup lookup(const std::string& key,
+                     harness::RunResult* out) const override;
 
   /// lookup() == kHit; corrupt entries read as a miss.
   bool load(const std::string& key, harness::RunResult* out) const {
@@ -109,7 +110,8 @@ class ResultCache {
   /// writer killed at any instant — including SIGKILL mid-write — either
   /// publishes the complete entry or nothing; concurrent writers of the
   /// same point cannot interleave.
-  void store(const std::string& key, const harness::RunResult& result) const;
+  void store(const std::string& key,
+             const harness::RunResult& result) const override;
 
   /// Raw-text layer the sweep service server runs on: the same probe /
   /// atomic-publish semantics, but the result payload stays an opaque

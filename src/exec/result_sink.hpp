@@ -50,10 +50,6 @@ struct RunSummary {
   std::uint64_t cycles = 0;
   /// TraceExperiments constructed across all sweeps of this run.
   std::size_t experiments = 0;
-  /// Batched lane groups executed and the simulated points they covered
-  /// (exec::SweepResult counters, summed over sweeps).
-  std::size_t lane_groups = 0;
-  std::size_t batched_points = 0;
   /// Per-phase spans summed over all sweeps (see exec::PhaseSeconds).
   PhaseSeconds phases;
   /// Per-scheme committed uops and simulate spans, for honest per-scheme
@@ -106,7 +102,7 @@ struct RunSummary {
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
 ///    "sweep":{"points","simulated","cache_hits","skipped","corrupt_recovered",
-///             "uops","lane_groups","batched_points"},
+///             "uops"},
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "common/check.hpp"
 #include "compiler/ob_pass.hpp"
 #include "compiler/rhop_pass.hpp"
 #include "compiler/vc_pass.hpp"
-#include "sim/core.hpp"
-#include "sim/sim_context.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
 
@@ -33,10 +32,8 @@ workload::GeneratedWorkload timed_generate(
 }
 
 // PinPoints-weighted accumulation of one scheme's simulation points into a
-// RunResult. Shared by the singleton (run_annotated) and batched
-// (eval_batch) paths so both produce bit-identical aggregates: the
-// floating-point operations and their order are exactly the historical
-// run_annotated loop's.
+// RunResult. The floating-point operations and their order are part of the
+// cached bits: reordering them changes every stored result.
 class WeightedAccum {
  public:
   WeightedAccum(std::string trace, std::string scheme,
@@ -230,134 +227,61 @@ TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
   phases_.trace_build_s += seconds_since(t0);
 }
 
-TraceExperiment::~TraceExperiment() = default;  // ctx_ needs SimContext here
-
-RunResult TraceExperiment::eval_spec(const SchemeSpec& spec) {
-  const Clock::time_point t0 = Clock::now();
-  annotate_for_scheme(wl_.program, spec, machine_);
-  phases_.annotate_s += seconds_since(t0);
-  const auto policy = policy_for_scheme(spec, machine_);
-  return run_annotated(*policy, spec.label(machine_));
-}
-
-RunResult TraceExperiment::eval_custom(steer::SteeringPolicy& policy,
-                                       const std::string& label) {
-  wl_.program.clear_hints();
-  return run_annotated(policy, label);
-}
+TraceExperiment::~TraceExperiment() = default;
 
 std::vector<RunResult> TraceExperiment::evaluate(
-    std::span<const SchemeRequest> requests, std::uint32_t batch_lanes,
-    EvalCounters* counters) {
+    std::span<const SchemeRequest> requests, std::uint32_t /*batch_lanes*/) {
   VCSTEER_CHECK(!requests.empty());
-  std::vector<RunResult> results(requests.size());
-  // Coalesce the built-in requests into lane groups of batch_lanes: a group
-  // warms each simulation point once instead of once per scheme,
-  // bit-identically. Custom-policy requests stay singleton (a SchemeSpec
-  // cannot describe them), as do leftover groups of one (nothing to share).
-  std::vector<std::size_t> singleton;
-  std::vector<std::size_t> batchable;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    (requests[i].is_custom() || batch_lanes <= 1 ? singleton : batchable)
-        .push_back(i);
-  }
-  for (std::size_t begin = 0; begin < batchable.size(); begin += batch_lanes) {
-    const std::size_t end = std::min(batchable.size(), begin + batch_lanes);
-    if (end - begin == 1) {
-      singleton.push_back(batchable[begin]);
-      continue;
-    }
-    std::vector<SchemeSpec> specs;
-    specs.reserve(end - begin);
-    for (std::size_t g = begin; g < end; ++g) {
-      specs.push_back(requests[batchable[g]].spec);
-    }
-    std::vector<RunResult> outs = eval_batch(specs);
-    if (counters != nullptr) {
-      ++counters->lane_groups;
-      counters->batched_points += end - begin;
-    }
-    for (std::size_t g = begin; g < end; ++g) {
-      results[batchable[g]] = std::move(outs[g - begin]);
-    }
-  }
-  for (const std::size_t i : singleton) {
-    const SchemeRequest& req = requests[i];
-    if (req.is_custom()) {
-      const auto policy = req.make_policy(machine_);
-      VCSTEER_CHECK_MSG(policy != nullptr, "custom factory returned null");
-      results[i] = eval_custom(*policy, req.custom_tag);
-    } else {
-      results[i] = eval_spec(req.spec);
-    }
-  }
-  return results;
-}
+  prog::Program& program = wl_.program;
 
-RunResult TraceExperiment::run_annotated(steer::SteeringPolicy& policy,
-                                         std::string label) {
-  // One arena for the experiment's lifetime: every scheme and simulation
-  // point reuses the same core, reset in place per run.
-  if (!ctx_) ctx_ = std::make_unique<sim::SimContext>(machine_, wl_.program);
-  sim::ClusteredCore& core = ctx_->core();
-  WeightedAccum acc(wl_.profile.name, std::move(label), points_.size(),
-                    machine_.num_clusters);
-  sim::RunPhases run_phases;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const sim::SimStats stats =
-        core.run(intervals_[i], policy, warm_addrs_[i], &run_phases);
-    // Harvest the run's observer sink before the next run() re-arms it.
-    acc.add_point(points_[i].weight, stats, core.observer(),
-                  machine_.num_clusters);
-  }
-  phases_.warmup_s += run_phases.warmup_s;
-  phases_.simulate_s += run_phases.simulate_s;
-  RunResult result = acc.finalize(machine_.num_clusters);
-  scheme_simulate_s_[result.scheme] += run_phases.simulate_s;
-  return result;
-}
-
-std::vector<RunResult> TraceExperiment::eval_batch(
-    std::span<const SchemeSpec> specs) {
-  VCSTEER_CHECK(!specs.empty());
-  VCSTEER_CHECK_MSG(specs.size() <= kMaxBatchLanes,
-                    "more schemes than batch lanes");
-  if (!ctx_) ctx_ = std::make_unique<sim::SimContext>(machine_, wl_.program);
-
-  // Annotate each scheme into its lane's private program copy (the passes
-  // mutate hints in place, so lanes cannot share wl_.program) and build
-  // its hardware policy.
-  std::vector<sim::ClusteredCore*> cores;
+  // Annotate each request once, keeping its hardware policy and the hints
+  // its software pass wrote (custom policies keep cleared hints).
   std::vector<std::unique_ptr<steer::SteeringPolicy>> policies;
+  std::vector<std::vector<isa::SteerHint>> hints;
   std::vector<WeightedAccum> accs;
-  cores.reserve(specs.size());
-  policies.reserve(specs.size());
-  accs.reserve(specs.size());
-  for (std::size_t k = 0; k < specs.size(); ++k) {
-    const Clock::time_point t0 = Clock::now();
-    annotate_for_scheme(wl_.program, specs[k], machine_);
-    phases_.annotate_s += seconds_since(t0);
-    cores.push_back(&ctx_->lane_core(k, wl_.program));
-    policies.push_back(policy_for_scheme(specs[k], machine_));
-    accs.emplace_back(wl_.profile.name, specs[k].label(machine_),
-                      points_.size(), machine_.num_clusters);
+  policies.reserve(requests.size());
+  hints.reserve(requests.size());
+  accs.reserve(requests.size());
+  for (const SchemeRequest& req : requests) {
+    std::vector<isa::SteerHint>& saved = hints.emplace_back(program.num_uops());
+    if (req.is_custom()) {
+      policies.push_back(req.make_policy(machine_));
+      VCSTEER_CHECK_MSG(policies.back() != nullptr,
+                        "custom factory returned null");
+    } else {
+      const Clock::time_point t0 = Clock::now();
+      annotate_for_scheme(program, req.spec, machine_);
+      phases_.annotate_s += seconds_since(t0);
+      for (prog::UopId u = 0; u < saved.size(); ++u) {
+        saved[u] = program.uop(u).hint;
+      }
+      policies.push_back(policy_for_scheme(req.spec, machine_));
+    }
+    accs.emplace_back(wl_.profile.name, req.label(machine_), points_.size(),
+                      machine_.num_clusters);
   }
 
-  // One functional warm pass per simulation point: lane 0 warms, the other
-  // lanes adopt its caches. Every lane is armed before any runs, because a
-  // lane armed after lane 0 had run would adopt post-run cache contents.
-  std::vector<double> simulate_s(specs.size(), 0.0);
+  // One core for the experiment's lifetime: every request and simulation
+  // point reuses it, reset in place per run.
+  if (!core_) core_ = std::make_unique<sim::ClusteredCore>(machine_, program);
+  sim::ClusteredCore& core = *core_;
+  // The point's warmed caches, copied before the first run steps them.
+  std::optional<mem::MemoryHierarchy> warmed;
+  std::vector<double> simulate_s(requests.size(), 0.0);
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    const Clock::time_point t0 = Clock::now();
-    cores[0]->begin_run(intervals_[i], *policies[0], warm_addrs_[i]);
-    for (std::size_t k = 1; k < specs.size(); ++k) {
-      cores[k]->begin_run_prewarmed(intervals_[i], *policies[k],
-                                    cores[0]->memory());
-    }
-    phases_.warmup_s += seconds_since(t0);
-    for (std::size_t k = 0; k < specs.size(); ++k) {
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      const Clock::time_point t0 = Clock::now();
+      for (prog::UopId u = 0; u < hints[k].size(); ++u) {
+        program.mutable_uop(u).hint = hints[k][u];
+      }
+      if (k == 0) {
+        core.begin_run(intervals_[i], *policies[k], warm_addrs_[i]);
+        if (requests.size() > 1) warmed = core.memory();
+      } else {
+        core.begin_run_prewarmed(intervals_[i], *policies[k], *warmed);
+      }
       const Clock::time_point t1 = Clock::now();
-      sim::ClusteredCore& core = *cores[k];
+      phases_.warmup_s += std::chrono::duration<double>(t1 - t0).count();
       while (!core.done()) core.step();
       const sim::SimStats stats = core.finish_run();
       simulate_s[k] += seconds_since(t1);
@@ -365,9 +289,10 @@ std::vector<RunResult> TraceExperiment::eval_batch(
                         machine_.num_clusters);
     }
   }
+
   std::vector<RunResult> results;
-  results.reserve(specs.size());
-  for (std::size_t k = 0; k < specs.size(); ++k) {
+  results.reserve(requests.size());
+  for (std::size_t k = 0; k < requests.size(); ++k) {
     RunResult result = accs[k].finalize(machine_.num_clusters);
     phases_.simulate_s += simulate_s[k];
     scheme_simulate_s_[result.scheme] += simulate_s[k];

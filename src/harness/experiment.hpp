@@ -21,14 +21,11 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "sim/core.hpp"
 #include "sim/stats.hpp"
 #include "steer/policy.hpp"
 #include "workload/generator.hpp"
 #include "workload/pinpoints.hpp"
-
-namespace vcsteer::sim {
-class SimContext;
-}
 
 namespace vcsteer::harness {
 
@@ -134,7 +131,7 @@ struct RunResult {
 struct PhaseTimes {
   double trace_build_s = 0;  ///< workload generation + PinPoints + replay.
   double annotate_s = 0;     ///< software passes (OB/RHOP/VC).
-  double warmup_s = 0;       ///< functional cache warming.
+  double warmup_s = 0;       ///< cache warming and arming each run.
   double simulate_s = 0;     ///< the cycle loops.
 
   PhaseTimes& operator+=(const PhaseTimes& o) {
@@ -146,18 +143,6 @@ struct PhaseTimes {
   }
 };
 
-/// Most schemes one batched lane group may hold: each lane keeps its own
-/// core arena, and eight lanes already cover every figure sweep's scheme
-/// count.
-inline constexpr std::size_t kMaxBatchLanes = 8;
-
-/// Batch/singleton execution tallies of one TraceExperiment::evaluate call
-/// (surfaced through exec::SweepResult and --summary-json).
-struct EvalCounters {
-  std::size_t lane_groups = 0;    ///< batched groups executed.
-  std::size_t batched_points = 0; ///< results produced by those groups.
-};
-
 class TraceExperiment {
  public:
   TraceExperiment(const workload::WorkloadProfile& profile,
@@ -165,16 +150,19 @@ class TraceExperiment {
   ~TraceExperiment();
 
   /// THE evaluation entry point: every request — built-in scheme or custom
-  /// policy — of one (trace, machine) cell in one call. Built-in requests
-  /// are coalesced into batched lane groups of up to `batch_lanes` (at most
-  /// kMaxBatchLanes), which warm each simulation point once for the whole
-  /// group; custom-policy requests and leftover groups of one run
-  /// singleton. Results come back in request order and are bit-identical
-  /// for every `batch_lanes`, including 1. `counters` (optional) receives
-  /// the batch-execution tallies.
-  std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests,
-                                  std::uint32_t batch_lanes = 1,
-                                  EvalCounters* counters = nullptr);
+  /// policy — of one (trace, machine) cell in one call, on one core. Each
+  /// request is annotated once, keeping its policy and its SteerHints
+  /// (custom policies get cleared hints); then every simulation point runs
+  /// each request in turn from its restored hints. The first run warms the
+  /// caches from the point's warm addresses, and when more requests follow,
+  /// a copy of the warmed hierarchy taken before that run steps is where
+  /// every later run starts: one functional warm pass per point,
+  /// bit-identical to warming each run locally. Results come back in
+  /// request order.
+  std::vector<RunResult> evaluate(
+      std::span<const SchemeRequest> requests,
+      // Ignored; kept because perfbench/ still passes a lane count.
+      std::uint32_t batch_lanes = 1);
 
   const workload::GeneratedWorkload& workload() const { return wl_; }
   const std::vector<workload::SimPoint>& simpoints() const { return points_; }
@@ -192,33 +180,24 @@ class TraceExperiment {
   /// Wall-clock spans accumulated over this experiment's lifetime
   /// (construction + every run so far).
   const PhaseTimes& phases() const { return phases_; }
-  /// Simulate span per scheme label: each run's own cycle-loop span,
-  /// batched or not. Lets callers derive honest per-scheme throughput
-  /// instead of dividing one shared wall clock evenly.
+  /// Simulate span per scheme label: each run's own cycle-loop span. Lets
+  /// callers derive honest per-scheme throughput instead of dividing one
+  /// shared wall clock evenly.
   const std::map<std::string, double>& scheme_simulate_s() const {
     return scheme_simulate_s_;
   }
 
  private:
-  /// Weighted simulation of all points under an already-annotated program.
-  RunResult run_annotated(steer::SteeringPolicy& policy, std::string label);
-  /// The three execution shapes behind evaluate(): one built-in scheme, a
-  /// batched lane group, a custom policy.
-  RunResult eval_spec(const SchemeSpec& spec);
-  std::vector<RunResult> eval_batch(std::span<const SchemeSpec> specs);
-  RunResult eval_custom(steer::SteeringPolicy& policy,
-                        const std::string& label);
-
   MachineConfig machine_;
   SimBudget budget_;
   PhaseTimes phases_;
   std::map<std::string, double> scheme_simulate_s_;
   workload::GeneratedWorkload wl_;
-  /// Reusable simulation arena (sim/sim_context.hpp): one core whose pools,
-  /// value table and cache arrays persist across every run() of this
-  /// experiment, reset in place instead of reconstructed. Lazily built on
-  /// the first run so cache-served experiments never allocate it.
-  std::unique_ptr<sim::SimContext> ctx_;
+  /// The one core every run of this experiment uses: its pools, value
+  /// table and cache arrays persist across runs, reset in place instead of
+  /// reconstructed. Built on the first evaluate() so cache-served
+  /// experiments never allocate it.
+  std::unique_ptr<sim::ClusteredCore> core_;
   std::vector<workload::SimPoint> points_;
   std::vector<std::vector<workload::TraceEntry>> intervals_;
   /// Per simulation point: addresses of all memory operations preceding it

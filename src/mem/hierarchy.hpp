@@ -50,10 +50,11 @@ class MemoryHierarchy {
   bool warm_compatible(const MemoryHierarchy& other) const;
 
   /// Adopt `other`'s cache contents in place of replaying warm() over the
-  /// same address stream (batched lanes sharing a simulation point). The
-  /// caller guarantees warm_compatible(other) and that this hierarchy is
-  /// freshly reset; port state and stats are untouched, exactly as after
-  /// local warming.
+  /// same address stream (every run of a simulation point after the first
+  /// starts from a copy of the first run's warmed hierarchy). The caller
+  /// guarantees warm_compatible(other) and that this hierarchy is freshly
+  /// reset; port state and stats are untouched, exactly as after local
+  /// warming.
   void adopt_warm_state(const MemoryHierarchy& other);
 
   const HierarchyStats& stats() const { return stats_; }

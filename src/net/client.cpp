@@ -235,7 +235,7 @@ StoreClient::Counters StoreClient::counters() const {
 }
 
 exec::CacheLookup NetResultStore::lookup(const std::string& key,
-                                         harness::RunResult* out) {
+                                         harness::RunResult* out) const {
   std::string text;
   const exec::CacheLookup looked = client_->get(key, &text);
   if (looked != exec::CacheLookup::kHit) return looked;
@@ -245,7 +245,7 @@ exec::CacheLookup NetResultStore::lookup(const std::string& key,
 }
 
 void NetResultStore::store(const std::string& key,
-                           const harness::RunResult& result) {
+                           const harness::RunResult& result) const {
   if (!client_->put(key, exec::encode_result(result))) {
     VCSTEER_LOG_WARN(
         "store client: PUT failed; the point stays local to this worker");

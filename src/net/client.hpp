@@ -87,9 +87,9 @@ class NetResultStore final : public exec::ResultStore {
  public:
   explicit NetResultStore(StoreClient* client) : client_(client) {}
   exec::CacheLookup lookup(const std::string& key,
-                           harness::RunResult* out) override;
+                           harness::RunResult* out) const override;
   void store(const std::string& key,
-             const harness::RunResult& result) override;
+             const harness::RunResult& result) const override;
 
  private:
   StoreClient* client_;

@@ -28,7 +28,6 @@
 // occupancy histograms and steer provenance that RunResult surfaces.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,14 +48,6 @@
 #include "workload/trace.hpp"
 
 namespace vcsteer::sim {
-
-/// Wall-clock spans of one run(), filled only when the caller asks for them
-/// (a null pointer skips the clock reads entirely). Timing never enters
-/// SimStats — those are cached and bit-identical across hosts.
-struct RunPhases {
-  double warmup_s = 0;    ///< functional cache warming before cycle 0.
-  double simulate_s = 0;  ///< the cycle loop itself.
-};
 
 template <Observer Obs = StatsObserver>
 class ClusteredCoreT : public steer::SteerView {
@@ -83,34 +74,19 @@ class ClusteredCoreT : public steer::SteerView {
   /// The core is fully reset between runs. `warm_addrs` (addresses of the
   /// memory operations preceding the segment in the full trace) functionally
   /// warm the cache hierarchy first, as the SimPoint methodology requires.
-  /// `phases`, when non-null, receives the wall-clock warmup/simulate spans.
   SimStats run(std::span<const workload::TraceEntry> trace,
                steer::SteeringPolicy& policy,
-               std::span<const std::uint64_t> warm_addrs = {},
-               RunPhases* phases = nullptr) {
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point t0;
-    if (phases != nullptr) t0 = Clock::now();
+               std::span<const std::uint64_t> warm_addrs = {}) {
     begin_run(trace, policy, warm_addrs);
-    Clock::time_point t1;
-    if (phases != nullptr) {
-      t1 = Clock::now();
-      phases->warmup_s += std::chrono::duration<double>(t1 - t0).count();
-    }
     while (!done()) step();
-    const SimStats stats = finish_run();
-    if (phases != nullptr) {
-      phases->simulate_s +=
-          std::chrono::duration<double>(Clock::now() - t1).count();
-    }
-    return stats;
+    return finish_run();
   }
 
   // ----- stepwise run API ------------------------------------------------
 
   /// Reset the core and the policy, warm the cache hierarchy, and arm the
-  /// run. Pair with step()-until-done() and finish_run(). run() is this
-  /// sequence with wall-clock bookkeeping; results are identical.
+  /// run. Pair with step()-until-done() and finish_run(); run() is exactly
+  /// this sequence.
   void begin_run(std::span<const workload::TraceEntry> trace,
                  steer::SteeringPolicy& policy,
                  std::span<const std::uint64_t> warm_addrs = {}) {
@@ -123,9 +99,9 @@ class ClusteredCoreT : public steer::SteerView {
     if constexpr (Obs::enabled) obs_.on_run_begin(state_);
   }
 
-  /// begin_run for a core that shares another core's simulation point:
-  /// adopts `warmed`'s cache contents (the donor must satisfy
-  /// memory().warm_compatible and must not have run since it warmed)
+  /// begin_run from caches already warmed for this simulation point:
+  /// adopts `warmed`'s contents (a warm_compatible hierarchy, e.g. a copy of
+  /// memory() taken right after begin_run and before the first step)
   /// instead of replaying the warm addresses — bit-identical, since
   /// functional warming is deterministic.
   void begin_run_prewarmed(std::span<const workload::TraceEntry> trace,
@@ -168,7 +144,8 @@ class ClusteredCoreT : public steer::SteerView {
     return state_.stats;
   }
 
-  /// The run's cache hierarchy (warm-state donor for begin_run_prewarmed).
+  /// The run's cache hierarchy; copied right after begin_run, it is the
+  /// warm snapshot begin_run_prewarmed starts later runs from.
   const mem::MemoryHierarchy& memory() const { return memory_; }
 
   // --- SteerView (what the steering unit can inspect) ---

@@ -315,8 +315,8 @@ struct CoreState {
   CoreState(const MachineConfig& config, const prog::Program& program);
 
   /// Back to the post-construction state (a fresh run). Keeps every pool's
-  /// storage, so a reused CoreState (see sim/sim_context.hpp) runs without
-  /// reallocating.
+  /// storage, so a reused CoreState (harness::TraceExperiment keeps one
+  /// core for all its runs) runs without reallocating.
   void reset();
 
   // ----- value tracking -----

@@ -83,7 +83,7 @@ TEST(Evaluator, SimBackendIsBitIdenticalToDirectPath) {
 
   harness::TraceExperiment direct(req.profile, req.machine, req.budget);
   const std::vector<harness::RunResult> expect =
-      direct.evaluate(req.schemes, req.batch_lanes);
+      direct.evaluate(req.schemes);
   ASSERT_EQ(resp.results.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(exec::encode_result(resp.results[i]),

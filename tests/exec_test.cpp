@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -15,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "../bench/bench_main.hpp"
 #include "exec/cache.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
@@ -683,78 +683,6 @@ TEST(Sweep, PartialCacheSimulatesOnlyMissing) {
   EXPECT_EQ(mixed.simulated, grid.profiles.size());
 }
 
-// -------------------------------------------------- batch-lane resolution ---
-
-/// RAII VCSTEER_BATCH override (restores the previous value on scope exit).
-class BatchEnv {
- public:
-  explicit BatchEnv(const char* value) {
-    const char* old = std::getenv("VCSTEER_BATCH");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv("VCSTEER_BATCH", value, 1);
-    } else {
-      ::unsetenv("VCSTEER_BATCH");
-    }
-  }
-  ~BatchEnv() {
-    if (had_) {
-      ::setenv("VCSTEER_BATCH", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("VCSTEER_BATCH");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(ResolveBatchLanes, ExplicitRequestWinsOverEnv) {
-  BatchEnv env("2");
-  EXPECT_EQ(resolve_batch_lanes(3), 3u);
-  // Explicit requests above the lane maximum clamp.
-  EXPECT_EQ(resolve_batch_lanes(1000),
-            static_cast<std::uint32_t>(harness::kMaxBatchLanes));
-}
-
-TEST(ResolveBatchLanes, EnvOffAndNumericAndUnset) {
-  {
-    BatchEnv env(nullptr);
-    EXPECT_EQ(resolve_batch_lanes(0),
-              static_cast<std::uint32_t>(harness::kMaxBatchLanes));
-  }
-  {
-    BatchEnv env("off");
-    EXPECT_EQ(resolve_batch_lanes(0), 1u);
-  }
-  {
-    BatchEnv env("4");
-    EXPECT_EQ(resolve_batch_lanes(0), 4u);
-  }
-  {
-    BatchEnv env("9999");  // over-max clamps, no warning needed
-    EXPECT_EQ(resolve_batch_lanes(0),
-              static_cast<std::uint32_t>(harness::kMaxBatchLanes));
-  }
-}
-
-// Regression: garbage in VCSTEER_BATCH used to half-parse via a lenient
-// strtol ("4x" -> 4, "nonsense" -> silently 1) with no diagnostic at all.
-// It must fall back to 1 lane AND say so on stderr.
-TEST(ResolveBatchLanes, GarbageWarnsLoudlyAndRunsUnbatched) {
-  const char* garbage[] = {"4x", "nonsense", "", "-2", "0"};
-  for (const char* value : garbage) {
-    BatchEnv env(value);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(resolve_batch_lanes(0), 1u) << "VCSTEER_BATCH=" << value;
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("VCSTEER_BATCH"), std::string::npos)
-        << "no warning for VCSTEER_BATCH=" << value;
-  }
-}
-
 // ------------------------------------------------------ queue / pull mode ---
 
 /// In-process JobQueue: a fixed list of job indices handed out in order.
@@ -889,8 +817,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.simulated = 0;
   s.cache_hits = 25;
   s.uops = 1500000;
-  s.lane_groups = 3;
-  s.batched_points = 12;
   s.schemes["MOD3"] = {750000, 0.25};
   s.schemes["VC-STEER"] = {750000, 0.5};
   s.launch_workers = 2;
@@ -915,8 +841,7 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
                       "\"cache_hits\":25,\"skipped\":0,"
-                      "\"corrupt_recovered\":0,\"uops\":1500000,"
-                      "\"lane_groups\":3,\"batched_points\":12}"),
+                      "\"corrupt_recovered\":0,\"uops\":1500000}"),
             std::string::npos);
   // Per-scheme attribution: each label carries its own uop count and
   // simulate span so perf tooling stops dividing by one shared wall clock.
@@ -987,6 +912,56 @@ TEST(RunSummary, FailedShardSurfacesInJson) {
   EXPECT_NE(json.find("{\"shard\":1,\"attempts\":3,\"ok\":false,"
                       "\"exit_code\":-1,\"signal\":9}"),
             std::string::npos);
+}
+
+// ----------------------------------------------------- bench flag parsing ---
+
+/// bench::parse_args over `args`, with argv[0] supplied.
+bench::Options parse_bench_args(std::vector<std::string> args) {
+  args.insert(args.begin(), "fig5_twocluster");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return bench::parse_args(static_cast<int>(argv.size()), argv.data(),
+                           "fig5_twocluster");
+}
+
+// Regression: the integer flags used a lenient strtol/strtoull, so
+// "--jobs 2x" ran 2 jobs, "--seed -1" ran seed 2^64-1 and "--launch 2x"
+// launched 2 workers. An empty, signed, non-numeric, out-of-range or
+// trailing-garbage value must be a usage error instead.
+TEST(BenchArgsDeathTest, MalformedIntegerFlagsExitWithUsageError) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--jobs", "2x"},
+      {"--jobs", ""},
+      {"--jobs", "-1"},
+      {"--jobs", "+4"},
+      {"--seed", "12abc"},
+      {"--seed", "-1"},
+      {"--seed", " 7"},
+      {"--seed", "18446744073709551616"},
+      {"--launch", "2x", "--cache-dir", "d"},
+      {"--launch", "+3", "--cache-dir", "d"},
+      {"--prune-model", "+3"},
+      {"--prune-model", "3 "}};
+  for (const std::vector<std::string>& args : bad) {
+    EXPECT_EXIT(parse_bench_args(args), ::testing::ExitedWithCode(2),
+                "expects")
+        << args[0] << " '" << args[1] << "'";
+  }
+}
+
+TEST(BenchArgsDeathTest, IntegerFlagsKeepTheirRanges) {
+  EXPECT_EQ(parse_bench_args({"--jobs", "0"}).jobs, 1u);
+  EXPECT_EQ(parse_bench_args({"--jobs", "9999"}).jobs, 512u);
+  EXPECT_EQ(parse_bench_args({"--seed", "18446744073709551615"}).seed,
+            18446744073709551615ull);
+  EXPECT_EQ(parse_bench_args({"--launch", "3", "--cache-dir", "d"}).launch,
+            3u);
+  EXPECT_EQ(parse_bench_args({"--prune-model", "8"}).prune_model, 8u);
+  EXPECT_EXIT(parse_bench_args({"--launch", "1", "--cache-dir", "d"}),
+              ::testing::ExitedWithCode(2), "2..512");
+  EXPECT_EXIT(parse_bench_args({"--prune-model", "0"}),
+              ::testing::ExitedWithCode(2), "K >= 1");
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // shapes (1-entry queues, width 1, the kMaxClusters ceiling) that force the
 // slot pools to wrap through their free lists every few cycles and push
 // every waiter-list edge path (copy wakeups, dual-source waits, copy-queue
-// back-pressure), plus bit-identity of the reusable SimContext arena: runs
-// served by one reused context, or batched through its lane arenas, must
-// match fresh singleton runs exactly.
+// back-pressure), plus bit-identity of the experiment's one reused core:
+// runs on it, whether they warm locally or start from the shared warm
+// snapshot of their simulation point, must match fresh lone runs exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,9 +17,8 @@
 #include "harness/experiment.hpp"
 #include "program/program.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_context.hpp"
-#include "steer/mod_policy.hpp"
 #include "steer/simple_policies.hpp"
+#include "steer/vc_policy.hpp"
 #include "workload/profiles.hpp"
 #include "workload/trace.hpp"
 
@@ -149,7 +149,7 @@ TEST(SimStress, TinyCopyQueueBackpressure) {
   EXPECT_GT(stats.copyq_stalls, 0u);
 }
 
-// ----- SimContext arena bit-identity ---------------------------------------
+// ----- reused-core bit-identity --------------------------------------------
 
 void expect_results_equal(const harness::RunResult& a,
                           const harness::RunResult& b) {
@@ -172,7 +172,7 @@ void expect_results_equal(const harness::RunResult& a,
 
 harness::SimBudget tiny_budget() { return {60'000, 15'000, 2}; }
 
-// One scheme through the evaluation entry point, singleton (batch_lanes 1).
+// One scheme through the evaluation entry point, alone: it warms locally.
 harness::RunResult run_one(harness::TraceExperiment& experiment,
                            const harness::SchemeSpec& spec) {
   const std::vector<harness::SchemeRequest> requests = {spec};
@@ -220,55 +220,50 @@ TEST(SimContextReuse, SchemeInterleavingLeaksNoState) {
   expect_results_equal(vc_between, run_one(fresh, vc));
 }
 
-// ----- batched evaluate() bit-identity ------------------------------------
+// ----- shared warm pass ----------------------------------------------------
 
-// Batched evaluate() must fan every result out bit-identical to a singleton
-// evaluate() of the same request, for every lane count. The seven built-in
-// requests outnumber most group sizes, so multi-lane groups (one shared
-// warm pass per simulation point), leftover groups of one and the
-// custom-policy request all run. One experiment serves every lane count, so
-// later calls reuse the lane arenas that earlier ones built, and each
-// scheme lands in a different lane position from one lane count to the
-// next.
-TEST(BatchedEvaluate, EveryLaneCountMatchesSingletonRuns) {
+// Every request of an evaluate() call after the first starts its runs from
+// the copy of the first run's warmed caches, with its own hints restored;
+// a lone request only ever warms locally. Both must give the same bits, in
+// either request order. The custom request wraps the VC hardware policy
+// right after a VC request, so a run that kept the previous request's
+// hints instead of its own cleared ones would differ.
+TEST(SharedWarmPass, MatchesLocalWarmingInEitherOrder) {
   const workload::WorkloadProfile& profile =
       *workload::find_profile("186.crafty");
   const MachineConfig machine = MachineConfig::four_cluster();
   std::vector<harness::SchemeRequest> requests = {
       harness::SchemeSpec{steer::Scheme::kOp, 0},
-      harness::SchemeSpec{steer::Scheme::kVc, 2},
-      harness::SchemeSpec{steer::Scheme::kOb, 0}};
-  requests.emplace_back("MOD3", [](const MachineConfig&) {
-    return std::make_unique<steer::ModNPolicy>(3);
+      harness::SchemeSpec{steer::Scheme::kVc, 2}};
+  requests.emplace_back("VCPOLICY2", [](const MachineConfig& m) {
+    return std::make_unique<steer::VcPolicy>(m, 2);
   });
   for (const steer::Scheme scheme :
-       {steer::Scheme::kRhop, steer::Scheme::kVc, steer::Scheme::kParallelOp,
-        steer::Scheme::kOneCluster}) {
+       {steer::Scheme::kOb, steer::Scheme::kRhop, steer::Scheme::kVc,
+        steer::Scheme::kParallelOp, steer::Scheme::kOneCluster}) {
     requests.emplace_back(harness::SchemeSpec{scheme, 0});
   }
-  // Lane groups and leftover built-in singletons for lanes = 1..8 over the
-  // seven built-in requests.
-  const std::size_t kGroups[] = {0, 3, 2, 2, 2, 1, 1, 1};
-  const std::size_t kLeftover[] = {7, 1, 1, 0, 0, 1, 0, 0};
 
-  harness::TraceExperiment singleton(profile, machine, tiny_budget());
+  harness::TraceExperiment lone(profile, machine, tiny_budget());
   std::vector<harness::RunResult> alone;
   for (const harness::SchemeRequest& request : requests) {
-    alone.push_back(singleton.evaluate({&request, 1})[0]);
+    alone.push_back(lone.evaluate({&request, 1})[0]);
   }
 
-  harness::TraceExperiment batched(profile, machine, tiny_budget());
-  for (std::uint32_t lanes = 1; lanes <= harness::kMaxBatchLanes; ++lanes) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    harness::EvalCounters counters;
-    const std::vector<harness::RunResult> results =
-        batched.evaluate(requests, lanes, &counters);
-    EXPECT_EQ(counters.lane_groups, kGroups[lanes - 1]);
-    EXPECT_EQ(counters.batched_points, 7 - kLeftover[lanes - 1]);
-    ASSERT_EQ(results.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      SCOPED_TRACE("request=" + std::to_string(i));
-      expect_results_equal(results[i], alone[i]);
+  harness::TraceExperiment shared(profile, machine, tiny_budget());
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reversed" : "forward");
+    std::vector<harness::SchemeRequest> order = requests;
+    std::vector<harness::RunResult> expect = alone;
+    if (reversed) {
+      std::reverse(order.begin(), order.end());
+      std::reverse(expect.begin(), expect.end());
+    }
+    const std::vector<harness::RunResult> results = shared.evaluate(order);
+    ASSERT_EQ(results.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      SCOPED_TRACE("request=" + order[i].label(machine));
+      expect_results_equal(results[i], expect[i]);
     }
   }
 }
