@@ -5,7 +5,7 @@
 // remaps, worst balance). DESIGN.md calls this knob out as the key design
 // choice of the software side.
 //
-// Usage: ablation_chains [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: ablation_chains [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table table(
       "VC chain-granularity sweep (2 clusters, 2 VCs): min chain size for a "

@@ -16,7 +16,7 @@
 // non-uniform; on uniform fabrics only the cost-based divert/remap
 // tiebreaks differ, so the gap stays near zero.
 //
-// Usage: ablation_interconnect [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: ablation_interconnect [--jobs N] [--smoke] [--launch n]
 //                              [--cache-dir D] [--json F] [--csv]
 #include <utility>
 #include <vector>
@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   const auto n = static_cast<double>(grid.profiles.size());
   const auto num_topos = topologies.size();

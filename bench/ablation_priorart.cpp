@@ -8,7 +8,7 @@
 // policy factories (exec::SweepScheme with a tag), which is the same path
 // user-defined policies from examples/custom_policy take.
 //
-// Usage: ablation_priorart [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: ablation_priorart [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <memory>
 
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table table(
       "Prior-art hardware heuristics, 2 clusters: slowdown vs OP (%)");

@@ -6,7 +6,7 @@
 // implement at cycle time — this ablation quantifies the performance gap
 // the hybrid scheme closes without the serialization.
 //
-// Usage: ablation_seqpar [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: ablation_seqpar [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table table(
       "Sequential vs parallel dependence-based steering (2 clusters)");

@@ -6,7 +6,7 @@
 // free) and reproduces the papers' observation that some stalling beats
 // blind steering.
 //
-// Usage: ablation_stall [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: ablation_stall [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table table(
       "OP stall-over-steer threshold sweep (2 clusters): avg IPC and stalls");

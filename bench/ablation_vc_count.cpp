@@ -7,7 +7,7 @@
 // partitions spread critical dependent pairs over independently-mapped VCs.
 // This bench sweeps the VC count on both machines over a workload subset.
 //
-// Usage: ablation_vc_count [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: ablation_vc_count [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   for (std::size_t m = 0; m < grid.machines.size(); ++m) {
     stats::Table table(

@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   // This bench is the pruned-search consumer: default to a top-8 frontier
   // unless the caller picked their own K or a distributed mode (where
   // pruning cannot run — the frontier needs the whole grid's estimates).
-  if (opt.prune_model == 0 && opt.shard_count == 1 && opt.launch < 2 &&
-      opt.connect.empty() && opt.serve.empty()) {
+  if (opt.prune_model == 0 && !opt.distributed()) {
     opt.prune_model = 8;
   }
 
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   // Rank every (machine, scheme) configuration by mean IPC across traces.
   // Frontier configs carry simulated numbers; everything else carries the

@@ -3,7 +3,7 @@
 // Every bench used to hand-roll the same flag loop; they now share one
 // parser and one output path:
 //
-//   bench [--jobs N] [--smoke|--quick] [--seed S] [--shard I/N] [--launch N]
+//   bench [--jobs N] [--smoke|--quick] [--seed S] [--launch N]
 //         [--connect ADDR] [--serve ADDR] [--client-id ID]
 //         [--cache-dir DIR] [--json FILE] [--summary-json FILE] [--csv]
 //
@@ -11,29 +11,21 @@
 //                  Results are bit-identical for every N (see src/exec/).
 //   --smoke        smoke budget + reduced trace set (alias: --quick).
 //   --seed S       extra salt mixed into every workload seed.
-//   --shard I/N    run only this process's 1/N of the job list (0 <= I < N).
-//                  Launch N processes sharing --cache-dir to split a sweep
-//                  across them, then one unsharded run to assemble the
-//                  tables from the warm cache. Sharded runs skip the
-//                  derived tables (their grid is incomplete by design).
-//   --launch N     own that whole lifecycle instead: re-exec this binary as
-//                  N shard workers (--shard i/N --cache-dir ...), stream
-//                  their progress, retry a crashed/killed shard (bounded),
-//                  then run the in-process assembly pass — which is a pure
-//                  cache read when every shard succeeded. --jobs becomes
-//                  the total thread budget, split across the workers.
-//   --connect ADDR lease jobs from a vcsteer-sweepd at ADDR (unix:/path or
-//                  [tcp:]host:port) instead of static sharding: this process
-//                  pulls (trace, machine) jobs until the sweep drains, then
-//                  assembles the full result set from the server's store, so
-//                  every client writes byte-identical --json output. Results
-//                  live server-side: no --cache-dir, --shard, or --launch.
-//   --serve ADDR   own the service lifecycle: spawn a vcsteer-sweepd sibling
-//                  binary on ADDR (over --cache-dir), optionally spawn
-//                  --launch N re-exec'd `--connect` workers, pull jobs
-//                  itself, and shut the daemon down at the end. The summary
-//                  JSON's `net.workers` carries the per-worker jobs-pulled
-//                  tallies from the server.
+//   --launch N     spread the sweep over N worker processes: spawn a private
+//                  vcsteer-sweepd over --cache-dir on a unix socket, re-exec
+//                  this binary as N `--connect` workers, retry a crashed
+//                  worker (bounded), then assemble the grid from the
+//                  daemon's store. --jobs is the total thread budget, split
+//                  across the workers.
+//   --connect ADDR lease (trace, machine) jobs from a vcsteer-sweepd at ADDR
+//                  (unix:/path or [tcp:]host:port) until the sweep drains,
+//                  then assemble the whole grid from its store, so every
+//                  client writes byte-identical --json. No --cache-dir or
+//                  --launch: jobs and results live on the server.
+//   --serve ADDR   --launch's daemon on ADDR instead, so other machines can
+//                  --connect too (--launch optional); this process leases
+//                  alongside the workers. The summary JSON's `net.workers`
+//                  carries the server's per-worker jobs-pulled tallies.
 //   --client-id ID this worker's name in lease stats (default: wpid<pid>).
 //   --cache-dir D  on-disk result cache; warm re-runs skip simulation.
 //   --progress     per-job heartbeat lines on stderr (done/total, elapsed,
@@ -48,11 +40,11 @@
 //                  frontier is byte-identical to an unpruned run; the rest of
 //                  the grid carries model estimates tagged source == "model".
 //                  Needs the whole grid in one process, so it cannot be
-//                  combined with --shard/--launch/--connect/--serve.
+//                  combined with --launch/--connect/--serve.
 //   --json FILE    write raw results + all tables as one JSON document.
 //   --summary-json FILE
 //                  machine-readable run summary (sweep counters, wall time,
-//                  per-shard status, parsed-option echo) for CI gates — see
+//                  per-worker status, parsed-option echo) for CI gates — see
 //                  exec::RunSummary.
 //   --csv          print tables as CSV instead of aligned text.
 //
@@ -70,6 +62,7 @@
 #pragma once
 
 #include <signal.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -83,7 +76,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,7 +90,7 @@
 
 namespace vcsteer::bench {
 
-/// Retries per shard worker beyond its first attempt (--launch).
+/// Retries per worker beyond its first attempt (--launch).
 inline constexpr unsigned kLaunchMaxRetries = 2;
 
 struct Options {
@@ -109,9 +101,7 @@ struct Options {
   bool csv = false;
   bool progress = false;  // --progress: per-job heartbeat on stderr
   std::uint64_t seed = 0;
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
-  unsigned launch = 0;  // >= 2: spawn that many shard workers first
+  unsigned launch = 0;  // >= 2: spawn that many leasing workers
   std::string cache_dir;
   std::string connect;    // --connect: lease jobs from this sweepd address
   std::string serve;      // --serve: spawn a sweepd on this address first
@@ -124,30 +114,25 @@ struct Options {
     return smoke ? harness::SimBudget::smoke() : harness::SimBudget{};
   }
 
-  /// Derived tables need the whole grid; a shard only computes its slice.
-  bool tables_enabled() const { return shard_count == 1; }
+  /// The sweep leases its jobs from a vcsteer-sweepd instead of running
+  /// them all in this process.
+  bool distributed() const {
+    return launch >= 2 || !connect.empty() || !serve.empty();
+  }
 
-  /// Command line for shard worker `i` of a --launch run: the bench's own
-  /// sweep-shaping flags plus either the static shard assignment or — under
-  /// --serve — the service connection (workers lease jobs instead of owning
-  /// a fixed slice). Output flags (--json, --summary-json, --csv) stay with
-  /// the parent — workers publish results only through the shared cache or
-  /// the server's store. --jobs is the run's *total* thread budget, split
-  /// across the workers: forwarding it verbatim would oversubscribe the
-  /// machine N-fold under the all-cores default.
-  std::vector<std::string> worker_argv(unsigned i) const {
+  /// Command line for worker `i` of a --launch run: a --connect to the
+  /// daemon at `server` under client id w<i>, plus the bench's own
+  /// sweep-shaping flags. Output flags (--json, --summary-json, --csv) stay
+  /// with the parent — workers publish results only through the server's
+  /// store. --jobs is the run's *total* thread budget, split across the
+  /// workers: forwarding it verbatim would oversubscribe the machine N-fold
+  /// under the all-cores default.
+  std::vector<std::string> worker_argv(unsigned i,
+                                       const std::string& server) const {
     const unsigned worker_jobs = std::max(1u, jobs / std::max(launch, 1u));
-    std::vector<std::string> argv = {exe};
-    if (!serve.empty()) {
-      argv.insert(argv.end(),
-                  {"--connect", serve, "--client-id", "w" + std::to_string(i)});
-    } else {
-      argv.insert(argv.end(),
-                  {"--shard",
-                   std::to_string(i) + "/" + std::to_string(launch),
-                   "--cache-dir", cache_dir});
-    }
-    argv.insert(argv.end(), {"--jobs", std::to_string(worker_jobs)});
+    std::vector<std::string> argv = {
+        exe,      "--connect", server, "--client-id", "w" + std::to_string(i),
+        "--jobs", std::to_string(worker_jobs)};
     if (smoke) argv.push_back("--smoke");
     if (seed != 0) {
       argv.push_back("--seed");
@@ -162,23 +147,25 @@ struct Options {
                              : client_id;
   }
 
-  /// Path of the vcsteer-sweepd binary --serve spawns: a sibling of the
-  /// bench executable (both live in the build directory).
+  /// Path of the vcsteer-sweepd binary --serve/--launch spawn: a sibling of
+  /// the bench executable (both live in the build directory).
   std::string sweepd_path() const {
     const std::size_t slash = exe.rfind('/');
     return slash == std::string::npos ? "vcsteer-sweepd"
                                       : exe.substr(0, slash + 1) + "vcsteer-sweepd";
   }
 
-  /// Test-only crash injection for the launcher's recovery path: when this
-  /// process is shard VCSTEER_TEST_CRASH_SHARD of a multi-shard run, it
-  /// SIGKILLs itself after VCSTEER_TEST_CRASH_AFTER (default 1) finished
-  /// jobs — on its first launch attempt only, unless
-  /// VCSTEER_TEST_CRASH_ALWAYS is set. Returns 0 when inactive.
+  /// Test-only crash injection for the launcher's recovery path: a worker
+  /// whose --client-id equals VCSTEER_TEST_CRASH_CLIENT SIGKILLs itself
+  /// after VCSTEER_TEST_CRASH_AFTER (default 1) finished jobs — on its
+  /// first launch attempt only, unless VCSTEER_TEST_CRASH_ALWAYS is set.
+  /// Returns 0 when inactive.
   std::size_t crash_after_jobs() const {
-    const char* shard_env = std::getenv("VCSTEER_TEST_CRASH_SHARD");
-    if (shard_env == nullptr || shard_count <= 1) return 0;
-    if (std::strtoul(shard_env, nullptr, 10) != shard_index) return 0;
+    const char* crash_client = std::getenv("VCSTEER_TEST_CRASH_CLIENT");
+    if (crash_client == nullptr || client_id.empty() ||
+        client_id != crash_client) {
+      return 0;
+    }
     if (std::getenv("VCSTEER_TEST_CRASH_ALWAYS") == nullptr) {
       const char* attempt = std::getenv("VCSTEER_LAUNCH_ATTEMPT");
       if (attempt != nullptr && std::strtoul(attempt, nullptr, 10) > 1) {
@@ -199,8 +186,6 @@ struct Options {
     opt.jobs = jobs;
     opt.cache_dir = cache_dir;
     opt.seed_salt = seed;
-    opt.shard_index = shard_index;
-    opt.shard_count = shard_count;
     opt.prune_top_k = prune_model;
     opt.progress = [crash_after = crash_after_jobs(),
                     t0 = std::chrono::steady_clock::now()](std::size_t done,
@@ -297,33 +282,9 @@ inline const std::vector<OptionSpec>& option_table() {
       {"--seed", nullptr, "S", "extra salt mixed into every workload seed",
        [](Options& o, const char* v) { o.seed = parse_uint(o, "--seed", v); },
        [](const Options& o) { return std::to_string(o.seed); }},
-      {"--shard", nullptr, "I/N",
-       "run only this process's 1/N of the job list (0 <= I < N); requires "
-       "--cache-dir",
-       [](Options& o, const char* v) {
-         char* end = nullptr;
-         const unsigned long index = std::strtoul(v, &end, 10);
-         unsigned long count = 0;
-         if (end != v && *end == '/') {
-           const char* count_str = end + 1;
-           count = std::strtoul(count_str, &end, 10);
-           if (end == count_str) count = 0;
-         }
-         if (count == 0 || index >= count || *end != '\0') {
-           parse_fail(o, std::string("--shard expects I/N with 0 <= I < N, "
-                                     "got '") +
-                             v + "'");
-         }
-         o.shard_index = static_cast<std::uint32_t>(index);
-         o.shard_count = static_cast<std::uint32_t>(count);
-       },
-       [](const Options& o) {
-         return std::to_string(o.shard_index) + "/" +
-                std::to_string(o.shard_count);
-       }},
       {"--launch", nullptr, "N",
-       "re-exec this binary as N shard workers over --cache-dir, then run "
-       "the assembly pass",
+       "spread the sweep over N worker processes leasing jobs from a "
+       "private vcsteer-sweepd over --cache-dir",
        [](Options& o, const char* v) {
          const std::uint64_t n = parse_uint(o, "--launch", v);
          // 1 worker would just be the plain run with extra process overhead.
@@ -343,8 +304,8 @@ inline const std::vector<OptionSpec>& option_table() {
        [](Options& o, const char* v) { o.connect = v; },
        [](const Options& o) { return o.connect; }},
       {"--serve", nullptr, "ADDR",
-       "spawn a vcsteer-sweepd on ADDR, lease jobs from it, shut it down "
-       "at the end",
+       "spawn the vcsteer-sweepd on ADDR (so others can --connect), lease "
+       "jobs from it, shut it down at the end",
        [](Options& o, const char* v) { o.serve = v; },
        [](const Options& o) { return o.serve; }},
       {"--client-id", nullptr, "ID",
@@ -459,62 +420,49 @@ inline Options parse_args(int argc, char** argv, std::string bench_name) {
     }
     spec->apply(opt, value);
   }
-  // Cross-flag validation. A sharded run produces no tables; without the
-  // shared cache its results would be simulated and then thrown away.
-  if (opt.shard_count > 1 && opt.cache_dir.empty()) {
-    parse_fail(opt, "--shard requires --cache-dir (shards publish their "
-                    "results through the shared cache)");
-  }
-  if (opt.launch >= 2) {
-    if (opt.cache_dir.empty()) {
-      parse_fail(opt, "--launch requires --cache-dir (workers hand results "
-                      "to the assembly run through it)");
-    }
-    if (opt.shard_count > 1) {
-      parse_fail(opt, "--launch spawns the shards itself; it cannot be "
-                      "combined with --shard");
-    }
-  }
+  // Cross-flag validation.
   if (!opt.connect.empty() && !opt.serve.empty()) {
     parse_fail(opt, "--connect and --serve are mutually exclusive");
   }
-  if (!opt.connect.empty() &&
-      (opt.shard_count > 1 || opt.launch >= 2 || !opt.cache_dir.empty())) {
-    parse_fail(opt, "--connect replaces --shard/--launch/--cache-dir (jobs "
-                    "and results live on the server)");
+  if (!opt.connect.empty() && (opt.launch >= 2 || !opt.cache_dir.empty())) {
+    parse_fail(opt, "--connect replaces --launch/--cache-dir (jobs and "
+                    "results live on the server)");
   }
-  if (!opt.serve.empty()) {
-    if (opt.cache_dir.empty()) {
-      parse_fail(opt, "--serve requires --cache-dir (the daemon's durable "
-                      "result store)");
-    }
-    if (opt.shard_count > 1) {
-      parse_fail(opt, "--serve cannot be combined with --shard");
-    }
+  if ((opt.launch >= 2 || !opt.serve.empty()) && opt.cache_dir.empty()) {
+    parse_fail(opt, std::string(opt.serve.empty() ? "--launch" : "--serve") +
+                        " requires --cache-dir (the daemon's durable result "
+                        "store)");
   }
   // The frontier ranking needs every grid point's model score in one
   // process; distributed modes see only a slice.
-  if (opt.prune_model > 0 &&
-      (opt.shard_count > 1 || opt.launch >= 2 || !opt.connect.empty() ||
-       !opt.serve.empty())) {
+  if (opt.prune_model > 0 && opt.distributed()) {
     parse_fail(opt, "--prune-model needs the whole grid in one process; it "
-                    "cannot be combined with --shard/--launch/--connect/"
-                    "--serve");
+                    "cannot be combined with --launch/--connect/--serve");
   }
   return opt;
 }
 
-/// A spawned vcsteer-sweepd under --serve: fork/exec'd on construction via
-/// start(), SIGTERM'd and reaped on stop(). The daemon must already be
-/// accepting connections when start() returns (its listen socket is bound
-/// inside the SweepServer constructor, so one successful PING suffices).
+/// The vcsteer-sweepd a --serve or --launch run spawns: fork/exec'd by
+/// start(), SIGTERM'd and reaped by stop(). Without --serve it listens on a
+/// unix socket in a private mkdtemp directory, which stop() removes. The
+/// daemon must already be accepting connections when start() returns (its
+/// listen socket is bound inside the SweepServer constructor, so one
+/// successful PING suffices).
 class ServerProcess {
  public:
+  ServerProcess() = default;
   ~ServerProcess() { stop(); }
+  ServerProcess(const ServerProcess&) = delete;
+  ServerProcess& operator=(const ServerProcess&) = delete;
+
+  /// The address the daemon listens on, once start() has chosen it.
+  const std::string& address() const { return address_; }
 
   bool start(const Options& opt) {
+    address_ = opt.serve;
+    if (address_.empty() && !make_private_socket()) return false;
     const std::string path = opt.sweepd_path();
-    std::vector<std::string> argv = {path,        "--listen", opt.serve,
+    std::vector<std::string> argv = {path,        "--listen", address_,
                                      "--cache-dir", opt.cache_dir};
     pid_ = ::fork();
     if (pid_ < 0) {
@@ -534,34 +482,65 @@ class ServerProcess {
     // Readiness probe: the daemon binds before serving, so the first PING
     // that gets through (the client reconnect-retries) proves liveness.
     net::ClientOptions co;
-    co.connect = opt.serve;
+    co.connect = address_;
     co.reconnect_window_s = 10;
     net::StoreClient probe(co);
     if (!probe.ping()) {
       std::fprintf(stderr, "vcsteer-sweepd on %s never answered PING\n",
-                   opt.serve.c_str());
-      stop();
+                   address_.c_str());
       return false;
     }
     return true;
   }
 
   void stop() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGTERM);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
+    if (pid_ > 0) {
+      ::kill(pid_, SIGTERM);
+      int status = 0;
+      ::waitpid(pid_, &status, 0);
+      pid_ = -1;
+    }
+    if (!private_dir_.empty()) {
+      // A daemon that stopped cleanly unlinked its socket; one that died
+      // (or was stopped before it could) left it behind.
+      ::unlink((private_dir_ + kSocketName).c_str());
+      ::rmdir(private_dir_.c_str());
+      private_dir_.clear();
+    }
   }
 
  private:
+  static constexpr const char* kSocketName = "/sweepd.sock";
+
+  /// A unix socket in a fresh mkdtemp directory under $TMPDIR, or under
+  /// /tmp when that path would not fit sockaddr_un::sun_path.
+  bool make_private_socket() {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string dir = tmp != nullptr && *tmp != '\0' ? tmp : "/tmp";
+    dir += "/vcsteer-XXXXXX";
+    if (dir.size() + std::strlen(kSocketName) >=
+        sizeof(sockaddr_un::sun_path)) {
+      dir = "/tmp/vcsteer-XXXXXX";
+    }
+    if (::mkdtemp(dir.data()) == nullptr) {
+      std::fprintf(stderr, "mkdtemp %s: %s\n", dir.c_str(),
+                   std::strerror(errno));
+      return false;
+    }
+    private_dir_ = dir;
+    address_ = "unix:" + dir + kSocketName;
+    return true;
+  }
+
   pid_t pid_ = -1;
+  std::string address_;
+  std::string private_dir_;  ///< empty unless start() made one
 };
 
-/// Runs the sweep (spawning/monitoring --launch shard workers first when
-/// requested), prints tables as they are added (text or CSV per --csv),
-/// accumulates everything into a ResultSink, and writes the --json and
-/// --summary-json files on finish().
+/// Runs the sweep (through a vcsteer-sweepd and --launch workers when
+/// distributed), prints tables as they are added (text or CSV per --csv),
+/// accumulates results into a ResultSink and counters into one RunSummary,
+/// and writes the --json and --summary-json files on finish().
 class Output {
  public:
   explicit Output(const Options& opt)
@@ -569,27 +548,11 @@ class Output {
         sink_(opt.bench_name),
         start_(std::chrono::steady_clock::now()) {}
 
-  /// The whole execution phase of a bench. With --launch N this first runs
-  /// the shard workers to completion (with retries); a shard that fails
-  /// persistently writes the --summary-json (ok:false) and exits non-zero
-  /// without an assembly pass. Then the in-process sweep runs — the
-  /// assembly pass in launch mode, the only pass otherwise.
+  /// The whole execution phase of a bench. The returned sweep always holds
+  /// the whole grid; a distributed run that cannot assemble it writes the
+  /// --summary-json (ok:false) and exits non-zero instead of returning.
   exec::SweepResult run(const exec::SweepGrid& grid) {
-    if (!opt_.serve.empty() || !opt_.connect.empty()) {
-      return run_networked(grid);
-    }
-    if (opt_.launch >= 2) {
-      launch_report_ = run_workers();
-      if (!launch_report_->ok) {
-        std::fprintf(stderr,
-                     "%s: %zu of %u shard worker(s) failed after %u attempts"
-                     " each; skipping the assembly run\n",
-                     opt_.bench_name.c_str(), launch_report_->failed_workers(),
-                     opt_.launch, 1 + kLaunchMaxRetries);
-        finish_summary(/*ok=*/false);
-        std::exit(1);
-      }
-    }
+    if (opt_.distributed()) return run_networked(grid);
     exec::SweepResult sweep = exec::run_sweep(grid, opt_.sweep_options());
     record(sweep);
     return sweep;
@@ -626,41 +589,36 @@ class Output {
   }
 
  private:
-  /// The sweep-service execution phase, both roles:
-  ///   --serve:   spawn the daemon (and optionally --launch N --connect
-  ///              workers), lease jobs alongside them, shut the daemon down.
+  /// The distributed execution phase, every role:
+  ///   --launch N: spawn a private daemon and N leasing workers, then lease
+  ///              alongside them (nothing is left once they succeed);
+  ///   --serve:   the same with the daemon on ADDR (--launch optional);
   ///   --connect: lease jobs from an already-running daemon.
   /// Either way the run ends with an assembly pass that reads the complete
   /// grid back from the server's store, so every participant emits
   /// byte-identical results JSON — the same shape as a local --jobs 1 run.
   exec::SweepResult run_networked(const exec::SweepGrid& grid) {
-    net_.enabled = true;
-    net_.role = opt_.serve.empty() ? "connect" : "serve";
-    net_.server = opt_.serve.empty() ? opt_.connect : opt_.serve;
-
-    if (!opt_.serve.empty()) {
-      if (!server_.start(opt_)) {
-        finish_summary(/*ok=*/false);
-        std::exit(1);
-      }
-      if (opt_.launch >= 2) {
-        launch_report_ = run_workers();
-        if (!launch_report_->ok) {
-          std::fprintf(stderr,
-                       "%s: %zu of %u service worker(s) failed after %u "
-                       "attempts each; skipping the assembly run\n",
-                       opt_.bench_name.c_str(),
-                       launch_report_->failed_workers(), opt_.launch,
-                       1 + kLaunchMaxRetries);
-          finish_summary(/*ok=*/false);
-          server_.stop();
-          std::exit(1);
-        }
+    if (opt_.connect.empty() && !server_.start(opt_)) fail();
+    exec::RunSummary::NetSummary& net = summary_.net;
+    net.enabled = true;
+    net.role = opt_.connect.empty() ? "serve" : "connect";
+    net.server = opt_.connect.empty() ? server_.address() : opt_.connect;
+    if (opt_.launch >= 2) {
+      const exec::LaunchReport report = run_workers(net.server);
+      summary_.shards = report.workers;
+      summary_.launch_max_retries = kLaunchMaxRetries;
+      if (!report.ok) {
+        std::fprintf(stderr,
+                     "%s: %zu of %u worker(s) failed after %u attempts each;"
+                     " skipping the assembly run\n",
+                     opt_.bench_name.c_str(), report.failed_workers(),
+                     opt_.launch, 1 + kLaunchMaxRetries);
+        fail();
       }
     }
 
     net::ClientOptions co;
-    co.connect = net_.server;
+    co.connect = net.server;
     net::StoreClient client(co);
     net::NetResultStore store(&client);
     const std::uint64_t sweep_id = exec::grid_fingerprint(grid, opt_.seed);
@@ -669,17 +627,19 @@ class Output {
                            opt_.effective_client_id());
 
     // Pull pass: lease and simulate jobs until the whole sweep drains
-    // (jobs other workers pulled are theirs; expired leases come to us).
+    // (jobs other workers pulled are theirs; lost leases come to us). Its
+    // results are not recorded — the assembly pass records every point
+    // exactly once, so the JSON and point totals stay a pure function of
+    // the grid.
     exec::SweepOptions pull_opt = opt_.sweep_options();
     pull_opt.cache_dir.clear();
     pull_opt.store = &store;
     pull_opt.queue = &queue;
     const exec::SweepResult pulled = exec::run_sweep(grid, pull_opt);
-    record_execution(pulled);
-    net_.jobs_pulled = pulled.jobs_pulled;
+    summary_.sweep += pulled;
     std::fprintf(stderr, "%s: pulled %zu/%zu jobs from %s\n",
                  opt_.bench_name.c_str(), pulled.jobs_pulled, njobs,
-                 net_.server.c_str());
+                 net.server.c_str());
 
     // Assembly pass: the full grid from the server's store. Cells another
     // worker simulated arrive as hits; if the server is unreachable the
@@ -690,28 +650,29 @@ class Output {
     exec::SweepResult sweep = exec::run_sweep(grid, assemble);
     record(sweep);
 
-    client.stats(sweep_id, &net_.workers);
+    client.stats(sweep_id, &net.workers);
     const net::StoreClient::Counters counters = client.counters();
-    net_.gets = counters.gets;
-    net_.puts = counters.puts;
-    net_.reconnects = counters.reconnects;
+    net.gets = counters.gets;
+    net.puts = counters.puts;
+    net.reconnects = counters.reconnects;
     server_.stop();  // no-op in connect mode
     return sweep;
   }
 
-  /// Spawns the --launch shard workers and relays their stderr line by
-  /// line under a "[shard i]" prefix (each worker's progress dots arrive
-  /// as one line: sweeps only newline-terminate them at the end).
-  exec::LaunchReport run_workers() {
+  /// Spawns the --launch workers against the daemon at `server` and relays
+  /// their stderr line by line under a "[w<i>]" prefix, their client id
+  /// (each worker's progress dots arrive as one line: sweeps only
+  /// newline-terminate them at the end).
+  exec::LaunchReport run_workers(const std::string& server) {
     exec::LaunchOptions lo;
     lo.max_retries = kLaunchMaxRetries;
     for (unsigned i = 0; i < opt_.launch; ++i) {
-      lo.worker_argv.push_back(opt_.worker_argv(i));
+      lo.worker_argv.push_back(opt_.worker_argv(i, server));
     }
     std::vector<std::string> buffered(opt_.launch);
     auto flush_line = [](std::uint32_t w, std::string_view line) {
-      std::fprintf(stderr, "[shard %u] %.*s\n", w,
-                   static_cast<int>(line.size()), line.data());
+      std::fprintf(stderr, "[w%u] %.*s\n", w, static_cast<int>(line.size()),
+                   line.data());
     };
     lo.on_output = [&](std::uint32_t w, std::string_view chunk) {
       std::string& buf = buffered[w];
@@ -724,23 +685,16 @@ class Output {
     };
     lo.on_attempt = [&](const exec::WorkerStatus& s, bool will_retry) {
       if (s.ok) return;
-      char reason[64];
-      if (s.term_signal != 0) {
-        std::snprintf(reason, sizeof(reason), "died to signal %d",
-                      s.term_signal);
-      } else if (s.exit_code < 0) {
-        std::snprintf(reason, sizeof(reason), "could not be spawned");
-      } else {
-        std::snprintf(reason, sizeof(reason), "exited with code %d",
-                      s.exit_code);
-      }
-      std::fprintf(stderr, "[shard %u] attempt %u/%u %s%s\n", s.index,
-                   s.attempts, 1 + kLaunchMaxRetries, reason,
+      const std::string reason =
+          s.term_signal != 0 ? "died to signal " + std::to_string(s.term_signal)
+          : s.exit_code < 0  ? "could not be spawned"
+                             : "exited with code " + std::to_string(s.exit_code);
+      std::fprintf(stderr, "[w%u] attempt %u/%u %s%s\n", s.index, s.attempts,
+                   1 + kLaunchMaxRetries, reason.c_str(),
                    will_retry ? "; retrying" : "; giving up");
     };
-    std::fprintf(stderr, "%s: launching %u shard workers (cache %s)\n",
-                 opt_.bench_name.c_str(), opt_.launch,
-                 opt_.cache_dir.c_str());
+    std::fprintf(stderr, "%s: launching %u workers leasing from %s\n",
+                 opt_.bench_name.c_str(), opt_.launch, server.c_str());
     exec::LaunchReport report = exec::launch_workers(lo);
     for (std::uint32_t w = 0; w < buffered.size(); ++w) {
       if (!buffered[w].empty()) flush_line(w, buffered[w]);
@@ -748,56 +702,18 @@ class Output {
     return report;
   }
 
-  /// Execution-only counters of a pull-pass sweep. Its *results* are not
-  /// recorded — the assembly pass records every point exactly once, so the
-  /// JSON output and point totals stay a pure function of the grid.
-  void record_execution(const exec::SweepResult& sweep) {
-    simulated_ += sweep.simulated;
-    cache_hits_ += sweep.cache_hits;
-    corrupt_ += sweep.cache_corrupt;
-    experiments_ += sweep.experiments;
-    phases_ += sweep.phases;
-    for (const auto& [label, span] : sweep.scheme_simulate_s) {
-      schemes_[label].simulate_s += span;
-    }
-  }
-
+  /// Adds a sweep that holds the whole grid: its points go to the sink and
+  /// the summary's result totals, its counters into the summary's.
   void record(const exec::SweepResult& sweep) {
     sink_.add_sweep(sweep);
-    points_ += sweep.num_points();
-    simulated_ += sweep.simulated;
-    cache_hits_ += sweep.cache_hits;
-    skipped_ += sweep.skipped;
-    corrupt_ += sweep.cache_corrupt;
+    summary_.sweep += sweep;
+    summary_.points += sweep.num_points();
     for (const harness::RunResult& r : sweep.points()) {
-      if (!r.trace.empty()) {
-        uops_ += r.committed_uops;
-        cycles_ += r.cycles;
-        schemes_[r.scheme].uops += r.committed_uops;
-      }
+      summary_.uops += r.committed_uops;
+      summary_.cycles += r.cycles;
+      summary_.scheme_uops[r.scheme] += r.committed_uops;
     }
-    for (const auto& [label, span] : sweep.scheme_simulate_s) {
-      schemes_[label].simulate_s += span;
-    }
-    experiments_ += sweep.experiments;
-    phases_ += sweep.phases;
-    if (sweep.model.enabled) {
-      // Counters sum across sweeps; the rank-agreement stats describe one
-      // frontier, so the last pruned sweep's values stand for the run.
-      model_.enabled = true;
-      model_.top_k = sweep.model.top_k;
-      model_.estimated += sweep.model.estimated;
-      model_.pruned += sweep.model.pruned;
-      model_.spearman = sweep.model.spearman;
-      model_.top3_overlap = sweep.model.top3_overlap;
-    }
-    if (sweep.skipped > 0) {
-      std::fprintf(stderr,
-                   "%s: %zu points (%zu simulated, %zu cache hits, "
-                   "%zu other-shard)\n",
-                   opt_.bench_name.c_str(), sweep.num_points(),
-                   sweep.simulated, sweep.cache_hits, sweep.skipped);
-    } else if (!opt_.cache_dir.empty()) {
+    if (!opt_.cache_dir.empty()) {
       std::fprintf(stderr, "%s: %zu points (%zu simulated, %zu cache hits)\n",
                    opt_.bench_name.c_str(), sweep.num_points(),
                    sweep.simulated, sweep.cache_hits);
@@ -810,36 +726,27 @@ class Output {
     }
   }
 
-  void finish_summary(bool ok) const {
+  /// A distributed run that cannot assemble its grid: the summary says why
+  /// (ok:false), the spawned daemon and its private socket directory go,
+  /// and the bench exits 1.
+  [[noreturn]] void fail() {
+    finish_summary(/*ok=*/false);
+    server_.stop();
+    std::exit(1);
+  }
+
+  void finish_summary(bool ok) {
     if (opt_.summary_json_path.empty()) return;
-    exec::RunSummary summary;
-    summary.bench = opt_.bench_name;
-    summary.ok = ok;
-    summary.wall_seconds =
+    summary_.bench = opt_.bench_name;
+    summary_.ok = ok;
+    summary_.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    summary.points = points_;
-    summary.simulated = simulated_;
-    summary.cache_hits = cache_hits_;
-    summary.skipped = skipped_;
-    summary.corrupt_recovered = corrupt_;
-    summary.uops = uops_;
-    summary.cycles = cycles_;
-    summary.experiments = experiments_;
-    summary.phases = phases_;
-    summary.schemes = schemes_;
-    if (launch_report_) {
-      summary.launch_workers = opt_.launch;
-      summary.launch_max_retries = kLaunchMaxRetries;
-      summary.shards = launch_report_->workers;
-    }
-    summary.net = net_;
-    summary.model = model_;
-    summary.options = echo_options(opt_);
+    summary_.options = echo_options(opt_);
     std::ofstream os(opt_.summary_json_path);
     if (os) {
-      exec::write_summary_json(os, summary);
+      exec::write_summary_json(os, summary_);
       os.flush();
     }
     if (!os) {
@@ -851,20 +758,8 @@ class Output {
   const Options& opt_;
   exec::ResultSink sink_;
   std::chrono::steady_clock::time_point start_;
-  std::optional<exec::LaunchReport> launch_report_;
   ServerProcess server_;
-  exec::RunSummary::NetSummary net_;
-  exec::RunSummary::ModelSummary model_;
-  std::size_t points_ = 0;
-  std::size_t simulated_ = 0;
-  std::size_t cache_hits_ = 0;
-  std::size_t skipped_ = 0;
-  std::size_t corrupt_ = 0;
-  std::uint64_t uops_ = 0;
-  std::uint64_t cycles_ = 0;
-  std::size_t experiments_ = 0;
-  exec::PhaseSeconds phases_;
-  std::map<std::string, exec::RunSummary::SchemeSummary> schemes_;
+  exec::RunSummary summary_;
   bool first_ = true;
 };
 

@@ -6,7 +6,7 @@
 // VC 2.62 (% slowdown vs OP). We reproduce the *shape*: the ordering and
 // rough magnitudes, not the absolute SPEC numbers (see EXPERIMENTS.md).
 //
-// Usage: fig5_twocluster [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: fig5_twocluster [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table int_table("Fig 5(a): SPECint 2000 slowdown vs OP, 2 clusters (%)");
   stats::Table fp_table("Fig 5(b): SPECfp 2000 slowdown vs OP, 2 clusters (%)");

@@ -14,7 +14,7 @@
 // traces; VC beats RHOP mainly via fewer/cheaper cut dependences while RHOP
 // balances better; VC generates *more* copies than OP but balances better.
 //
-// Usage: fig6_scatter [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: fig6_scatter [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <string>
 #include <vector>
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   struct Comparison {
     const char* name;

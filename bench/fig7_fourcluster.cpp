@@ -8,7 +8,7 @@
 // copies than VC(2->4) because pairs of critical dependent instructions get
 // spread across virtual clusters that the hardware may map apart.
 //
-// Usage: fig7_fourcluster [--jobs N] [--smoke] [--shard i/n | --launch n]
+// Usage: fig7_fourcluster [--jobs N] [--smoke] [--launch n]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table int_table("Fig 7(a): SPECint 2000 slowdown vs OP, 4 clusters (%)");
   stats::Table fp_table("Fig 7(b): SPECfp 2000 slowdown vs OP, 4 clusters (%)");

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   stats::Table table("SPEC CPU2000 stand-in workloads under OP, 2 clusters");
   table.set_columns({"trace", "suite", "IPC", "L1 miss %", "L2 miss %",

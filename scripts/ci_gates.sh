@@ -10,10 +10,8 @@
 #   golden    golden-reference fixtures (fig5/fig7 + ablation smoke)
 #   ablation  topology-aware ablation smoke sweep produces a sane summary
 #   smoke     cold sweep simulates everything; warm re-run is 100% cache hits
-#   shard     two --shard processes partition a sweep; the unsharded
-#             assembly run is a pure cache read
-#   launch    --launch 2 owns the shard lifecycle end to end and its
-#             assembly pass never re-simulates
+#   launch    --launch 2 spawns a private vcsteer-sweepd and two leasing
+#             workers, and its assembly pass never re-simulates
 #   service   networked result store + work-stealing scheduler: two
 #             concurrent --connect clients leasing fig7 smoke jobs from one
 #             vcsteer-sweepd must emit results JSON byte-identical to a
@@ -225,26 +223,6 @@ gate_smoke() {
     'sweep["corrupt_recovered"] == 0'
 }
 
-gate_shard() {
-  warn_if_not_release
-  local cache="$GATE_OUT/shard-cache"
-  rm -rf "$cache"
-  # Two shards sharing a cache dir partition the job list; the unsharded
-  # assembly run must then be a pure cache read.
-  "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 --shard 0/2 \
-    --cache-dir "$cache" --summary-json "$GATE_OUT/shard0.json"
-  "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 --shard 1/2 \
-    --cache-dir "$cache" --summary-json "$GATE_OUT/shard1.json"
-  assert_summary "$GATE_OUT/shard0.json" 'ok' 'sweep["skipped"] > 0' \
-    'sweep["simulated"] + sweep["skipped"] == sweep["points"]'
-  assert_summary "$GATE_OUT/shard1.json" 'ok' 'sweep["skipped"] > 0'
-  "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 --cache-dir "$cache" \
-    --summary-json "$GATE_OUT/shard_assemble.json"
-  assert_summary "$GATE_OUT/shard_assemble.json" \
-    'ok' 'sweep["simulated"] == 0' 'sweep["skipped"] == 0' \
-    'sweep["cache_hits"] == sweep["points"]'
-}
-
 gate_service() {
   warn_if_not_release
   bash "$ROOT/scripts/service_crash_test.sh" \
@@ -255,8 +233,9 @@ gate_launch() {
   warn_if_not_release
   local cache="$GATE_OUT/launch-cache"
   rm -rf "$cache"
-  # The launcher owns the shard lifecycle: workers cover the whole grid, so
-  # the in-process assembly pass that follows them must be 100% cache hits.
+  # Two workers lease the whole grid from a private daemon, so the assembly
+  # pass that follows them must be 100% store hits. (launcher_crash_recovery
+  # cmps a launched run's JSON and stdout with a --jobs 1 run.)
   "$BUILD_DIR/fig7_fourcluster" --smoke --launch 2 --jobs 2 \
     --cache-dir "$cache" --summary-json "$GATE_OUT/launch.json"
   assert_summary "$GATE_OUT/launch.json" \
@@ -264,14 +243,14 @@ gate_launch() {
     'launch["failed_shards"] == 0' \
     'all(s["ok"] for s in launch["shards"])' \
     'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
-  # And a later single-process run over the same cache stays warm.
+  # And a later single-process run over the daemon's store stays warm.
   "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 --cache-dir "$cache" \
     --summary-json "$GATE_OUT/launch_assemble.json"
   assert_summary "$GATE_OUT/launch_assemble.json" \
     'ok' 'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
 }
 
-ALL_GATES=(tier1 golden ablation smoke shard launch service observe model perf)
+ALL_GATES=(tier1 golden ablation smoke launch service observe model perf)
 if [[ $# -eq 0 ]]; then
   GATES=("${ALL_GATES[@]}")
 else

@@ -462,8 +462,9 @@ void ResultCache::store_text(const std::string& key,
     }
   }
   const std::string path = path_for(key, target);
-  // Temp name unique per (process, thread): shard *processes* share the
-  // cache directory, so a thread id alone could collide across them and
+  // Temp name unique per (process, thread): several *processes* may share
+  // the cache directory (concurrent benches, or a bench beside the daemon
+  // that owns it), so a thread id alone could collide across them and
   // interleave two writers' bytes in one tmp file. The write is fsync'd
   // before the rename so the publish is all-or-nothing even if the writer
   // is SIGKILLed or the machine dies mid-store; rename is atomic within

@@ -31,8 +31,9 @@ struct Worker {
 constexpr int kReapPollMs = 50;
 
 /// Forks and execs one attempt with its stderr routed into a pipe whose
-/// read end lands in `w->fd`. Returns false when the pipe or fork itself
-/// fails (the attempt is still counted so retries stay bounded).
+/// read end lands in `w->fd` and its stdout discarded. Returns false when
+/// the pipe or fork itself fails (the attempt is still counted so retries
+/// stay bounded).
 bool spawn_attempt(const std::vector<std::string>& args, Worker* w) {
   int fds[2];
   if (::pipe(fds) != 0) {
@@ -50,6 +51,13 @@ bool spawn_attempt(const std::vector<std::string>& args, Worker* w) {
     ::close(fds[0]);
     ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[1]);
+    // Only stderr reaches the parent: output a worker prints on stdout
+    // (a bench's tables) would interleave with the parent's own.
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) {
+      ::dup2(null_fd, STDOUT_FILENO);
+      ::close(null_fd);
+    }
     char attempt[16];
     std::snprintf(attempt, sizeof(attempt), "%u", w->status.attempts + 1);
     ::setenv("VCSTEER_LAUNCH_ATTEMPT", attempt, 1);
@@ -78,7 +86,7 @@ bool spawn_attempt(const std::vector<std::string>& args, Worker* w) {
 /// themselves (pipe/fork exhaustion — most plausible exactly when launching
 /// many workers). Each failed spawn is reported through on_attempt like any
 /// other failed attempt (exit_code -1, no signal), so a worker that never
-/// managed to run still surfaces a per-shard diagnostic.
+/// managed to run still surfaces a per-worker diagnostic.
 bool spawn_with_budget(const LaunchOptions& opt, std::size_t slot, Worker* w) {
   for (;;) {
     if (spawn_attempt(opt.worker_argv[slot], w)) return true;

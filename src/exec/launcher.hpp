@@ -1,19 +1,20 @@
 // Multi-process worker launcher with crash recovery.
 //
-// The sweep layer shards a grid across processes (`--shard i/n` + a shared
-// `--cache-dir`), but until now the *user* owned the process lifecycle:
-// spawn every shard by hand, notice when one dies, re-run it, then run the
-// assembly pass. launch_workers() owns that lifecycle instead: it forks and
-// execs every worker with its stderr on a pipe, streams worker output back
-// through a callback as it arrives, reaps exited workers with a periodic
-// waitpid(WNOHANG) pass (never by waiting for pipe EOF, so a worker that
-// closes its stderr — or leaks the write end to a longer-lived grandchild —
-// cannot hang or starve the monitor), and respawns any worker that exits
-// non-zero or is killed by a signal, up to a bounded retry count per worker.
+// launch_workers() is the process supervisor behind `--launch N`: it forks
+// and execs every worker with its stderr on a pipe (stdout goes to
+// /dev/null, so a worker's rendered tables never mix into the parent's),
+// streams worker output back through a callback as it arrives, reaps
+// exited workers with a periodic waitpid(WNOHANG) pass (never by waiting
+// for pipe EOF, so a worker that closes its stderr — or leaks the write end
+// to a longer-lived grandchild — cannot hang or starve the monitor), and
+// respawns any worker that exits non-zero or is killed by a signal, up to a
+// bounded retry count per worker.
 //
-// Crash recovery composes with the result cache rather than duplicating it:
-// a respawned shard re-probes the shared cache, so work the dead attempt
-// already published is a cache hit and only the genuinely missing points are
+// Crash recovery composes with the sweep service rather than duplicating
+// it: the bench's workers lease jobs from one vcsteer-sweepd, a dead
+// worker's connection hands its leases back to the queue, and a respawned
+// worker re-probes the daemon's store, so work the dead attempt already
+// published is a store hit and only the genuinely missing points are
 // re-simulated. ResultCache::store() is fsync-and-rename atomic, so a
 // worker killed mid-write never publishes a truncated entry (see cache.hpp).
 //
@@ -30,8 +31,8 @@
 
 namespace vcsteer::exec {
 
-/// Final state of one worker slot. For sweep workers the slot index is the
-/// shard index.
+/// Final state of one worker slot. A bench's sweep worker i leases under
+/// client id `w<i>`.
 struct WorkerStatus {
   std::uint32_t index = 0;
   /// Spawns performed; 1 means the first attempt succeeded.

@@ -16,30 +16,37 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"ok\":" << boolean(s.ok)
      << ",\"wall_seconds\":" << num(s.wall_seconds)
      << ",\"sweep\":{\"points\":" << s.points
-     << ",\"simulated\":" << s.simulated
-     << ",\"cache_hits\":" << s.cache_hits
-     << ",\"skipped\":" << s.skipped
-     << ",\"corrupt_recovered\":" << s.corrupt_recovered
+     << ",\"simulated\":" << s.sweep.simulated
+     << ",\"cache_hits\":" << s.sweep.cache_hits
+     << ",\"corrupt_recovered\":" << s.sweep.cache_corrupt
      << ",\"uops\":" << s.uops << "}"
-     << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build)
-     << ",\"annotate_s\":" << num(s.phases.annotate)
-     << ",\"warmup_s\":" << num(s.phases.warmup)
-     << ",\"simulate_s\":" << num(s.phases.simulate)
-     << ",\"cache_io_s\":" << num(s.phases.cache_io) << "}"
+     << ",\"phases\":{\"trace_build_s\":" << num(s.sweep.phases.trace_build)
+     << ",\"annotate_s\":" << num(s.sweep.phases.annotate)
+     << ",\"warmup_s\":" << num(s.sweep.phases.warmup)
+     << ",\"simulate_s\":" << num(s.sweep.phases.simulate)
+     << ",\"cache_io_s\":" << num(s.sweep.phases.cache_io) << "}"
      << ",\"schemes\":{";
   {
+    // Every label that committed uops or spent simulate time, in order.
+    std::map<std::string, std::pair<std::uint64_t, double>> schemes;
+    for (const auto& [label, uops] : s.scheme_uops) {
+      schemes[label].first = uops;
+    }
+    for (const auto& [label, span] : s.sweep.scheme_simulate_s) {
+      schemes[label].second = span;
+    }
     bool first = true;
-    for (const auto& [label, sch] : s.schemes) {
+    for (const auto& [label, sch] : schemes) {
       if (!first) os << ',';
       first = false;
-      os << stats::json_quote(label) << ":{\"uops\":" << sch.uops
-         << ",\"simulate_s\":" << num(sch.simulate_s) << "}";
+      os << stats::json_quote(label) << ":{\"uops\":" << sch.first
+         << ",\"simulate_s\":" << num(sch.second) << "}";
     }
   }
   os << "}"
-     << ",\"events\":{\"experiments\":" << s.experiments
+     << ",\"events\":{\"experiments\":" << s.sweep.experiments
      << ",\"cycles\":" << s.cycles << "}";
-  if (s.launch_workers == 0) {
+  if (s.shards.empty()) {
     os << ",\"launch\":null";
   } else {
     bool launch_ok = true;
@@ -48,7 +55,7 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
       launch_ok = launch_ok && w.ok;
       failed += !w.ok;
     }
-    os << ",\"launch\":{\"workers\":" << s.launch_workers
+    os << ",\"launch\":{\"workers\":" << s.shards.size()
        << ",\"max_retries\":" << s.launch_max_retries
        << ",\"ok\":" << boolean(launch_ok) << ",\"failed_shards\":" << failed
        << ",\"shards\":[";
@@ -66,7 +73,7 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
   } else {
     os << ",\"net\":{\"server\":" << stats::json_quote(s.net.server)
        << ",\"role\":" << stats::json_quote(s.net.role)
-       << ",\"jobs_pulled\":" << s.net.jobs_pulled
+       << ",\"jobs_pulled\":" << s.sweep.jobs_pulled
        << ",\"gets\":" << s.net.gets << ",\"puts\":" << s.net.puts
        << ",\"reconnects\":" << s.net.reconnects << ",\"workers\":{";
     bool first = true;
@@ -77,14 +84,15 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
     }
     os << "}}";
   }
-  if (!s.model.enabled) {
+  const ModelStats& model = s.sweep.model;
+  if (!model.enabled) {
     os << ",\"model\":null";
   } else {
-    os << ",\"model\":{\"top_k\":" << s.model.top_k
-       << ",\"estimated\":" << s.model.estimated
-       << ",\"pruned\":" << s.model.pruned
-       << ",\"spearman\":" << num(s.model.spearman)
-       << ",\"top3_overlap\":" << s.model.top3_overlap << "}";
+    os << ",\"model\":{\"top_k\":" << model.top_k
+       << ",\"estimated\":" << model.estimated
+       << ",\"pruned\":" << model.pruned
+       << ",\"spearman\":" << num(model.spearman)
+       << ",\"top3_overlap\":" << model.top3_overlap << "}";
   }
   os << ",\"options\":{";
   {
@@ -100,12 +108,8 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
 }
 
 void ResultSink::add_sweep(const SweepResult& sweep) {
-  for (const harness::RunResult& r : sweep.points()) {
-    // Slots another shard owns stay default-initialised (empty trace);
-    // exporting them would masquerade as real zero-IPC results.
-    if (r.trace.empty()) continue;
-    results_.push_back(r);
-  }
+  results_.insert(results_.end(), sweep.points().begin(),
+                  sweep.points().end());
 }
 
 void ResultSink::add_table(stats::Table table) {
@@ -141,8 +145,8 @@ void ResultSink::write_json(std::ostream& os) const {
   // removed from the per-result records below (2: + per-result "source").
   os << "\"schema_version\":2,";
   // Deliberately no execution counters (simulated/cache hits) here: the
-  // document is a pure function of the grid, so a cached, sharded, or
-  // launched run emits the same bytes as a cold single-process one. The
+  // document is a pure function of the grid, so a cached, launched or
+  // networked run emits the same bytes as a cold single-process one. The
   // counters live in the --summary-json (RunSummary).
   os << "\"sweep\":{\"points\":" << results_.size() << "},";
   os << "\"results\":[";

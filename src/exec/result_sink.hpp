@@ -6,9 +6,9 @@
 //    "tables":[{title,columns,rows}...]}
 // so a single --json file carries both the full-precision raw points (for
 // plotting/regression-diffing) and the rendered figure tables. The document
-// is a pure function of the grid — cached, sharded, and launched runs all
+// is a pure function of the grid — cached, launched and networked runs all
 // emit identical bytes. Execution metadata (simulated/cache-hit counts,
-// wall time, shard status) goes in the separate --summary-json document
+// wall time, worker status) goes in the separate --summary-json document
 // (RunSummary below) that CI gates assert on.
 #pragma once
 
@@ -31,47 +31,35 @@ namespace vcsteer::exec {
 /// "the assembly run was a pure cache read".
 struct RunSummary {
   std::string bench;
-  /// False when a launched shard exhausted its retries (the process also
+  /// False when a launched worker exhausted its retries (the process also
   /// exits non-zero in that case, but the summary still explains why).
   bool ok = true;
   double wall_seconds = 0.0;
-  /// Sweep counters, straight from SweepResult.
-  std::size_t points = 0;
-  std::size_t simulated = 0;
-  std::size_t cache_hits = 0;
-  std::size_t skipped = 0;
-  std::size_t corrupt_recovered = 0;
-  /// Committed micro-ops summed over this run's available points (simulated
-  /// or cache-served). On a cold single-process run this is the simulated
+  /// Every sweep of the run, summed with SweepCounters::operator+=.
+  SweepCounters sweep;
+  /// What only the recorded results give: the points this run assembled,
+  /// and their committed micro-ops and simulated cycles (simulated or
+  /// cache-served). On a cold single-process run `uops` is the simulated
   /// uop volume, which the perf gate divides by wall_seconds for kuops/s
   /// (scripts/perf_gate.py).
+  std::size_t points = 0;
   std::uint64_t uops = 0;
-  /// Simulated cycles summed over this run's available points.
   std::uint64_t cycles = 0;
-  /// TraceExperiments constructed across all sweeps of this run.
-  std::size_t experiments = 0;
-  /// Per-phase spans summed over all sweeps (see exec::PhaseSeconds).
-  PhaseSeconds phases;
-  /// Per-scheme committed uops and simulate spans, for honest per-scheme
-  /// throughput (scripts/perf_gate.py) instead of one shared wall clock.
-  struct SchemeSummary {
-    std::uint64_t uops = 0;
-    double simulate_s = 0.0;
-  };
-  std::map<std::string, SchemeSummary> schemes;
-  /// Shard-process orchestration (`--launch N`); workers == 0 means the
-  /// bench ran single-process and the `launch` JSON field is null.
-  unsigned launch_workers = 0;
-  unsigned launch_max_retries = 0;
+  /// Committed uops per scheme label; beside sweep.scheme_simulate_s they
+  /// give honest per-scheme throughput (scripts/perf_gate.py) instead of
+  /// one shared wall clock.
+  std::map<std::string, std::uint64_t> scheme_uops;
+  /// Worker-process orchestration (`--launch N`): one status per worker
+  /// slot; none means the bench launched no workers and the `launch` JSON
+  /// field is null.
   std::vector<WorkerStatus> shards;
-  /// Sweep-service involvement (`--connect` / `--serve`); disabled means
-  /// the `net` JSON field is null.
+  unsigned launch_max_retries = 0;
+  /// Sweep-service involvement (`--connect` / `--serve` / `--launch`);
+  /// disabled means the `net` JSON field is null.
   struct NetSummary {
     bool enabled = false;
-    std::string server;  ///< the --connect/--serve address
+    std::string server;  ///< the daemon's address
     std::string role;    ///< "connect" or "serve"
-    /// Jobs this process leased from the server's work-stealing queue.
-    std::uint64_t jobs_pulled = 0;
     /// This process's wire traffic (StoreClient counters).
     std::uint64_t gets = 0;
     std::uint64_t puts = 0;
@@ -81,18 +69,6 @@ struct RunSummary {
     std::map<std::string, std::uint64_t> workers;
   };
   NetSummary net;
-  /// Two-stage pruned-search accounting (`--prune-model K`); disabled means
-  /// the `model` JSON field is null. Mirrors exec::SweepResult::ModelStats,
-  /// summed over sweeps (spearman/top3 taken from the last pruned sweep).
-  struct ModelSummary {
-    bool enabled = false;
-    std::size_t top_k = 0;
-    std::size_t estimated = 0;
-    std::size_t pruned = 0;
-    double spearman = 0.0;
-    std::size_t top3_overlap = 0;
-  };
-  ModelSummary model;
   /// Parsed command-line options echoed back verbatim (name -> final value,
   /// emitted by the declarative option table in bench/bench_main.hpp) so a
   /// summary is self-describing about the invocation that produced it.
@@ -101,8 +77,7 @@ struct RunSummary {
 
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
-///    "sweep":{"points","simulated","cache_hits","skipped","corrupt_recovered",
-///             "uops"},
+///    "sweep":{"points","simulated","cache_hits","corrupt_recovered","uops"},
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},
@@ -120,10 +95,10 @@ class ResultSink {
   explicit ResultSink(std::string bench_name)
       : bench_name_(std::move(bench_name)) {}
 
-  /// Record every point of `sweep` that carries a result (slots owned by
-  /// other shards are skipped). Execution counters are NOT recorded: the
-  /// JSON document stays a pure function of the grid (see write_json), and
-  /// run metadata goes through RunSummary instead.
+  /// Record every point of `sweep`, which must hold the whole grid (in a
+  /// pull pass, cells other workers pulled stay empty). Execution counters
+  /// are NOT recorded: the JSON document stays a pure function of the grid
+  /// (see write_json), and run metadata goes through RunSummary instead.
   void add_sweep(const SweepResult& sweep);
   void add_table(stats::Table table);
 

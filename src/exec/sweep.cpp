@@ -90,6 +90,27 @@ std::uint64_t grid_fingerprint(const SweepGrid& grid,
   return hash_seed(all);
 }
 
+SweepCounters& SweepCounters::operator+=(const SweepCounters& o) {
+  simulated += o.simulated;
+  cache_hits += o.cache_hits;
+  cache_corrupt += o.cache_corrupt;
+  experiments += o.experiments;
+  jobs_pulled += o.jobs_pulled;
+  if (o.model.enabled) {
+    model.enabled = true;
+    model.top_k = o.model.top_k;
+    model.spearman = o.model.spearman;
+    model.top3_overlap = o.model.top3_overlap;
+  }
+  model.estimated += o.model.estimated;
+  model.pruned += o.model.pruned;
+  phases += o.phases;
+  for (const auto& [label, span] : o.scheme_simulate_s) {
+    scheme_simulate_s[label] += span;
+  }
+  return *this;
+}
+
 SweepResult::SweepResult(std::size_t traces, std::size_t machines,
                          std::size_t schemes)
     : traces_(traces),
@@ -112,17 +133,12 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   VCSTEER_CHECK_MSG(!grid.profiles.empty() && !grid.machines.empty() &&
                         !grid.schemes.empty(),
                     "empty sweep grid");
-  VCSTEER_CHECK_MSG(opt.shard_count >= 1 && opt.shard_index < opt.shard_count,
-                    "shard_index must be < shard_count");
   SweepResult result(grid.profiles.size(), grid.machines.size(),
                      grid.schemes.size());
 
-  VCSTEER_CHECK_MSG(opt.queue == nullptr || opt.shard_count == 1,
-                    "queue mode replaces --shard; use one or the other");
-  VCSTEER_CHECK_MSG(opt.prune_top_k == 0 ||
-                        (opt.queue == nullptr && opt.shard_count == 1),
+  VCSTEER_CHECK_MSG(opt.prune_top_k == 0 || opt.queue == nullptr,
                     "--prune-model needs the whole grid: incompatible with "
-                    "--shard and queue mode");
+                    "queue mode");
 
   std::optional<ResultCache> local_cache;
   ResultStore* store = opt.store;
@@ -131,14 +147,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     store = &*local_cache;
   }
 
-  // Shard assignment is a stable modulo over the expanded job list, so the
-  // same (grid, shard_count) always maps a job to the same shard. In queue
-  // mode every job is nominally ours — the queue decides who runs what.
-  auto in_shard = [&opt](std::size_t t, std::size_t m,
-                         std::size_t machines) {
-    return opt.queue != nullptr ||
-           (t * machines + m) % opt.shard_count == opt.shard_index;
-  };
   const std::size_t total_jobs =
       grid.profiles.size() * grid.machines.size();
   std::atomic<std::size_t> simulated{0};
@@ -282,15 +290,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   }
 
   std::size_t num_jobs = 0;
-  for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-    for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      if (in_shard(t, m, grid.machines.size()) && !sim_schemes[m].empty()) {
-        ++num_jobs;
-      }
-    }
-  }
-  if (opt.prune_top_k == 0) {
-    result.skipped = (total_jobs - num_jobs) * grid.schemes.size();
+  for (const auto& schemes : sim_schemes) {
+    if (!schemes.empty()) num_jobs += grid.profiles.size();
   }
 
   // --- Stage 2: cycle-accurate simulation. --------------------------------
@@ -393,14 +394,10 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       }
       for (auto& f : futures) f.get();
     }
-    result.skipped =
-        (total_jobs - jobs_pulled.load()) * grid.schemes.size();
   } else if (opt.jobs <= 1 || num_jobs <= 1) {
     for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
       for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (in_shard(t, m, grid.machines.size()) && !sim_schemes[m].empty()) {
-          run_job(t, m);
-        }
+        if (!sim_schemes[m].empty()) run_job(t, m);
       }
     }
   } else if (num_jobs > 0) {
@@ -411,9 +408,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     futures.reserve(num_jobs);
     for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
       for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (!in_shard(t, m, grid.machines.size()) || sim_schemes[m].empty()) {
-          continue;
-        }
+        if (sim_schemes[m].empty()) continue;
         futures.push_back(pool.submit([&run_job, t, m] { run_job(t, m); }));
       }
     }

@@ -1,7 +1,7 @@
-// Deterministic sharded execution of an experiment grid.
+// Deterministic execution of an experiment grid.
 //
 // A sweep is the cross product (traces x machines x schemes) every figure
-// bench iterates. run_sweep() shards it into one job per (trace, machine)
+// bench iterates. run_sweep() splits it into one job per (trace, machine)
 // pair — the granularity at which TraceExperiment amortises workload
 // generation and trace materialisation — and runs the jobs on a ThreadPool.
 // Each job owns its TraceExperiment and every RNG it touches is seeded from
@@ -13,7 +13,9 @@
 // With a ResultCache attached, each point is probed before simulating and
 // stored after; a job whose points are all cached never constructs its
 // TraceExperiment, which is what makes warm re-runs of a full figure sweep
-// near-instant.
+// near-instant. Spreading a sweep over processes goes through a JobQueue:
+// workers lease jobs from one vcsteer-sweepd (src/net/) and publish into
+// its store, and an assembly pass then reads the whole grid back.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +50,8 @@ struct SweepGrid {
 /// Source of sweep jobs for pull-mode scheduling. A job is the linear index
 /// `trace * num_machines + machine` into the grid's (trace, machine) cells.
 /// The sweep service's NetJobQueue leases jobs from vcsteer-sweepd so idle
-/// workers steal work from slow ones instead of being pinned to a static
-/// modulo shard; tests drive run_sweep with in-process queues.
+/// workers steal work from slow ones; tests drive run_sweep with in-process
+/// queues.
 class JobQueue {
  public:
   virtual ~JobQueue() = default;
@@ -72,25 +74,17 @@ struct SweepOptions {
   /// service's networked store). Not owned.
   ResultStore* store = nullptr;
   /// Pull-mode scheduling: when set, workers acquire() jobs from this queue
-  /// until it drains instead of enumerating the static shard. Jobs executed
-  /// here count into SweepResult::jobs_pulled; cells this worker never
-  /// pulled stay default-initialised (count in `skipped`) and are assembled
-  /// from the shared store afterwards. Requires shard_count == 1 (the queue
-  /// replaces sharding). Not owned.
+  /// until it drains instead of running every job. Jobs executed here count
+  /// into SweepCounters::jobs_pulled; cells this worker never pulled stay
+  /// default-initialised (empty trace) and are assembled from the shared
+  /// store afterwards. Not owned.
   JobQueue* queue = nullptr;
   /// Extra salt added to every profile's seed_salt (--seed): shifts the
   /// whole sweep to a different deterministic universe.
   std::uint64_t seed_salt = 0;
-  /// Shard selection (--shard i/n): only jobs whose linear index in the
-  /// expanded (trace, machine) job list satisfies `index % shard_count ==
-  /// shard_index` run; the rest are skipped and their result slots stay
-  /// default-initialised. Jobs are deterministic, so n processes with
-  /// shards 0/n..n-1/n and a shared cache_dir partition a sweep exactly;
-  /// a final unsharded run then assembles every point from the cache.
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
   /// Called after each (trace, machine) job completes, from the worker
-  /// thread (serialised by the runner). done/total count this shard's jobs.
+  /// thread (serialised by the runner). done/total count the jobs this run
+  /// schedules (every job in queue mode).
   std::function<void(std::size_t done, std::size_t total)> progress;
   /// Two-stage pruned search (--prune-model K; 0 = off). When set, every
   /// grid point is first scored by the analytical critical-path model
@@ -100,8 +94,8 @@ struct SweepOptions {
   /// SimEvaluator path as an unpruned run, so the simulated frontier's
   /// results (and cache entries) are byte-identical with and without
   /// pruning. Non-frontier slots carry the model estimates, tagged
-  /// source == "model". Incompatible with sharding and queue mode (the
-  /// frontier needs the whole grid's estimates).
+  /// source == "model". Incompatible with queue mode (the frontier needs the
+  /// whole grid's estimates).
   std::size_t prune_top_k = 0;
 };
 
@@ -126,7 +120,49 @@ struct PhaseSeconds {
   }
 };
 
-class SweepResult {
+/// Two-stage pruned-mode accounting (SweepOptions::prune_top_k).
+struct ModelStats {
+  bool enabled = false;       ///< prune_top_k > 0 on this run.
+  std::size_t top_k = 0;      ///< requested frontier size (configs).
+  std::size_t estimated = 0;  ///< grid points scored by the model.
+  std::size_t pruned = 0;     ///< slots filled with model estimates only.
+  /// Rank agreement between model and simulation over the simulated
+  /// frontier configs: Spearman correlation of mean-IPC ranks
+  /// (tie-averaged) and the overlap of the two top-3 config sets.
+  double spearman = 0.0;
+  std::size_t top3_overlap = 0;
+};
+
+/// What a sweep did, as opposed to what it found: every SweepResult carries
+/// one, and a bench run sums its sweeps' into exec::RunSummary with +=.
+struct SweepCounters {
+  /// Points simulated / served from the store.
+  std::size_t simulated = 0;
+  std::size_t cache_hits = 0;
+  /// Store entries found truncated/garbled (e.g. a worker killed mid-run on
+  /// a pre-fsync cache); each was deleted and the point re-simulated, so
+  /// these also count in `simulated`.
+  std::size_t cache_corrupt = 0;
+  /// TraceExperiments actually constructed (jobs with at least one cache
+  /// miss); 0 on a fully warm sweep.
+  std::size_t experiments = 0;
+  /// Jobs acquired from SweepOptions::queue: the per-worker work-stealing
+  /// tally surfaced in --summary-json.
+  std::size_t jobs_pulled = 0;
+  ModelStats model;
+  /// Per-phase wall-clock spans, summed over all jobs.
+  PhaseSeconds phases;
+  /// Simulate span per scheme label, summed over all jobs (cache-served
+  /// points contribute nothing — no cycle loop ran for them).
+  std::map<std::string, double> scheme_simulate_s;
+
+  /// Sums counts and spans. The rank-agreement stats describe one frontier,
+  /// so a pruned operand's top_k/spearman/top3_overlap replace the current
+  /// ones; an unpruned operand leaves them as they were.
+  SweepCounters& operator+=(const SweepCounters& o);
+};
+
+class SweepResult : public SweepCounters {
  public:
   SweepResult(std::size_t traces, std::size_t machines, std::size_t schemes);
 
@@ -142,40 +178,6 @@ class SweepResult {
   std::size_t num_schemes() const { return schemes_; }
   std::size_t num_points() const { return points_.size(); }
   const std::vector<harness::RunResult>& points() const { return points_; }
-
-  /// Points actually simulated / served from the cache in this run.
-  std::size_t simulated = 0;
-  std::size_t cache_hits = 0;
-  /// Points left untouched because their job belongs to another shard.
-  std::size_t skipped = 0;
-  /// Cache entries found truncated/garbled (e.g. a worker killed mid-run on
-  /// a pre-fsync cache); each was deleted and the point re-simulated, so
-  /// these also count in `simulated`.
-  std::size_t cache_corrupt = 0;
-  /// TraceExperiments actually constructed (jobs with at least one cache
-  /// miss); 0 on a fully warm sweep.
-  std::size_t experiments = 0;
-  /// Jobs this run acquired from SweepOptions::queue (0 in static-shard
-  /// mode): the per-worker work-stealing tally surfaced in --summary-json.
-  std::size_t jobs_pulled = 0;
-  /// Two-stage pruned-mode accounting (SweepOptions::prune_top_k).
-  struct ModelStats {
-    bool enabled = false;       ///< prune_top_k > 0 on this run.
-    std::size_t top_k = 0;      ///< requested frontier size (configs).
-    std::size_t estimated = 0;  ///< grid points scored by the model.
-    std::size_t pruned = 0;     ///< slots filled with model estimates only.
-    /// Rank agreement between model and simulation over the simulated
-    /// frontier configs: Spearman correlation of mean-IPC ranks
-    /// (tie-averaged) and the overlap of the two top-3 config sets.
-    double spearman = 0.0;
-    std::size_t top3_overlap = 0;
-  };
-  ModelStats model;
-  /// Per-phase wall-clock spans, summed over all jobs of this run.
-  PhaseSeconds phases;
-  /// Simulate span per scheme label, summed over all jobs (cache-served
-  /// points contribute nothing — no cycle loop ran for them).
-  std::map<std::string, double> scheme_simulate_s;
 
  private:
   friend SweepResult run_sweep(const SweepGrid&, const SweepOptions&);

@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -22,6 +23,11 @@ namespace vcsteer::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+Clock::duration seconds(double s) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(s));
+}
 
 std::string lease_line(std::uint64_t sweep_id, std::size_t njobs,
                        const std::string& client_id) {
@@ -102,45 +108,50 @@ bool StoreClient::send_all_locked(std::string_view bytes) {
   return true;
 }
 
+bool StoreClient::round_trip_locked(std::string_view framed,
+                                    std::string* reply) {
+  if (fd_ < 0 && !connect_locked()) return false;
+  if (!send_all_locked(framed)) return false;
+  char buf[64 * 1024];
+  while (!reader_.next(reply)) {
+    if (reader_.broken()) {
+      VCSTEER_LOG_WARN("store client: protocol-broken reply stream");
+      return false;
+    }
+    const ssize_t n = ::read(fd_, buf, sizeof(buf));
+    if (n > 0) {
+      reader_.feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;  // EOF or hard error: the server went away
+  }
+  return true;
+}
+
 bool StoreClient::request(std::string_view payload, std::string* reply) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(opt_.reconnect_window_s));
   std::string framed;
   append_frame(&framed, payload);
 
   double backoff_s = 0.05;
   for (;;) {
-    bool failed = false;
-    if (fd_ < 0 && !connect_locked()) failed = true;
-    if (!failed && !send_all_locked(framed)) failed = true;
-    if (!failed) {
-      char buf[64 * 1024];
-      while (!reader_.next(reply)) {
-        if (reader_.broken()) {
-          VCSTEER_LOG_WARN("store client: protocol-broken reply stream");
-          failed = true;
-          break;
-        }
-        const ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0) {
-          reader_.feed(buf, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        failed = true;  // EOF or hard error: the server went away
-        break;
-      }
-      if (!failed) return true;
+    if (round_trip_locked(framed, reply)) {
+      outage_deadline_.reset();
+      return true;
     }
     if (fd_ >= 0) {
       ::close(fd_);
       fd_ = -1;
     }
-    if (Clock::now() >= deadline) return false;
+    const Clock::time_point now = Clock::now();
+    if (!outage_deadline_) {
+      outage_deadline_ = now + seconds(opt_.reconnect_window_s);
+    }
+    if (now >= *outage_deadline_) return false;
     ++counters_.reconnects;
-    std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
+    std::this_thread::sleep_for(
+        std::min(seconds(backoff_s), *outage_deadline_ - now));
     backoff_s = std::min(backoff_s * 2, 1.0);
   }
 }

@@ -3,22 +3,27 @@
 // NetResultStore (exec::ResultStore over GET/PUT) and NetJobQueue
 // (exec::JobQueue over LEASE/DONE).
 //
-// Failure semantics: every request is retried through reconnect-with-backoff
-// for up to ClientOptions::reconnect_window_s (covering a sweepd restart
-// after a crash — the gate SIGKILLs the server mid-sweep and restarts it).
-// All verbs are safe to resend: GET/PUT are idempotent against the
-// fsync-rename cache, and a duplicated LEASE at worst double-grants a job
-// whose re-execution is bit-identical and whose store is atomic. If the
-// window is exhausted, NetResultStore degrades to kMiss/no-op (the worker
-// simulates locally and the run stays byte-identical, merely slower) and
-// NetJobQueue reports the queue drained so the caller falls through to its
-// assembly pass.
+// Failure semantics: a failed request is retried through
+// reconnect-with-backoff within one ClientOptions::reconnect_window_s per
+// outage (covering a sweepd restart after a crash — the gate SIGKILLs the
+// server mid-sweep and restarts it). The window opens at the first failure
+// and closes at the next success; once it has run out, each request makes
+// one connect attempt and fails, so an unreachable daemon costs the window
+// once, not once per request. All verbs are safe to resend: GET/PUT are
+// idempotent against the fsync-rename cache, and a duplicated LEASE at
+// worst double-grants a job whose re-execution is bit-identical and whose
+// store is atomic. When a request fails, NetResultStore degrades to
+// kMiss/no-op (the worker simulates locally and the run stays
+// byte-identical, merely slower) and NetJobQueue reports the queue drained
+// so the caller falls through to its assembly pass.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -31,8 +36,8 @@ namespace vcsteer::net {
 struct ClientOptions {
   /// Server address: `unix:/path` or `[tcp:]host:port`.
   std::string connect;
-  /// Total seconds a request keeps reconnect-retrying before giving up.
-  /// Covers a server SIGKILL + restart without failing the sweep.
+  /// Seconds one outage may spend reconnect-retrying before requests give
+  /// up. Covers a server SIGKILL + restart without failing the sweep.
   double reconnect_window_s = 60.0;
 };
 
@@ -44,8 +49,8 @@ class StoreClient {
   StoreClient(const StoreClient&) = delete;
   StoreClient& operator=(const StoreClient&) = delete;
 
-  /// One framed round trip with reconnect-retry. False when the reconnect
-  /// window is exhausted (reply untouched).
+  /// One framed round trip with reconnect-retry. False when the current
+  /// outage's reconnect window is exhausted (reply untouched).
   bool request(std::string_view payload, std::string* reply);
 
   bool ping();
@@ -73,12 +78,15 @@ class StoreClient {
  private:
   bool connect_locked();
   bool send_all_locked(std::string_view bytes);
+  bool round_trip_locked(std::string_view framed, std::string* reply);
 
   ClientOptions opt_;
   mutable std::mutex mutex_;
   int fd_ = -1;
   FrameReader reader_;
   Counters counters_;
+  /// End of the current outage's reconnect window; empty while connected.
+  std::optional<std::chrono::steady_clock::time_point> outage_deadline_;
 };
 
 /// run_sweep result store backed by a sweepd: probes/publishes every point

@@ -62,6 +62,7 @@ struct SweepState {
   struct Lease {
     std::size_t job;
     Clock::time_point deadline;
+    std::uint64_t conn;  ///< Conn::id of the connection it was granted on
   };
   std::vector<Lease> leases;
   /// client id -> jobs granted (the --summary-json per-worker tally).
@@ -69,6 +70,7 @@ struct SweepState {
 };
 
 struct Conn {
+  std::uint64_t id = 0;  ///< unique per accepted connection
   int fd = -1;
   FrameReader reader;
   std::string outbuf;
@@ -82,6 +84,7 @@ struct SweepServer::Impl {
   std::vector<Conn> conns;
   std::map<std::uint64_t, SweepState> sweeps;
   std::uint64_t leases_granted = 0;
+  std::uint64_t next_conn_id = 1;
 
   explicit Impl(const ServerOptions& o) : opt(o), cache(o.cache_dir) {}
 
@@ -98,6 +101,17 @@ struct SweepServer::Impl {
       } else {
         ++it;
       }
+    }
+  }
+
+  /// A closed connection's worker is gone (exited or killed): its leases
+  /// expire now instead of at their deadline.
+  void release_leases(std::uint64_t conn) {
+    for (auto& entry : sweeps) {
+      for (SweepState::Lease& lease : entry.second.leases) {
+        if (lease.conn == conn) lease.deadline = Clock::time_point::min();
+      }
+      reclaim_expired(entry.second, Clock::now());
     }
   }
 
@@ -131,7 +145,7 @@ struct SweepServer::Impl {
         reply = "OK\n";
       }
     } else if (line.rfind("LEASE ", 0) == 0) {
-      reply = handle_lease(line.substr(6));
+      reply = handle_lease(line.substr(6), conn.id);
     } else if (line.rfind("DONE ", 0) == 0) {
       reply = handle_done(line.substr(5));
     } else if (line.rfind("STATS ", 0) == 0) {
@@ -142,7 +156,7 @@ struct SweepServer::Impl {
     append_frame(&conn.outbuf, reply);
   }
 
-  std::string handle_lease(std::string_view args) {
+  std::string handle_lease(std::string_view args, std::uint64_t conn) {
     std::uint64_t sweep_id = 0;
     std::uint64_t njobs = 0;
     char client[128] = {0};
@@ -176,8 +190,10 @@ struct SweepServer::Impl {
     const std::size_t job = sweep.available.front();
     sweep.available.pop_front();
     sweep.leases.push_back(
-        {job, now + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(opt.lease_timeout_s))});
+        {job,
+         now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(opt.lease_timeout_s)),
+         conn});
     sweep.pulls[client] += 1;
     ++leases_granted;
     if (opt.crash_after_leases != 0 &&
@@ -340,6 +356,7 @@ void SweepServer::serve() {
         if (cfd < 0) break;
         set_nonblocking(cfd);
         Conn c;
+        c.id = impl_->next_conn_id++;
         c.fd = cfd;
         conns.push_back(std::move(c));
       }
@@ -385,6 +402,7 @@ void SweepServer::serve() {
       if (drop) {
         ::close(c.fd);
         c.fd = -1;
+        impl_->release_leases(c.id);
         dead.push_back(i);
       }
     }

@@ -1,12 +1,12 @@
 // vcsteer-sweepd: the sweep-service daemon core.
 //
 // One SweepServer owns the authoritative ResultCache for a farm of sweep
-// workers and hands out (trace, machine) jobs on lease, turning the static
-// `--shard i/n` partition into a pull model: fast workers lease more jobs,
-// slow or crashed workers' leases expire back onto the queue and someone
-// else picks them up. The server itself is a single poll() loop — no
-// threads, no locks — which keeps every queue transition trivially ordered;
-// the heavy lifting (simulation) all happens client-side.
+// workers and hands out (trace, machine) jobs on lease, a pull model: fast
+// workers lease more jobs; a crashed worker's leases return to the queue
+// when its connection closes, a hung worker's when they expire, and
+// someone else picks them up. The server itself is a single poll() loop —
+// no threads, no locks — which keeps every queue transition trivially
+// ordered; the heavy lifting (simulation) all happens client-side.
 //
 // Protocol (one length-prefixed frame per message, see frame.hpp; the
 // payload is `VERB args...\n` + optional body):
@@ -51,6 +51,8 @@ struct ServerOptions {
   /// Directory of the authoritative ResultCache.
   std::string cache_dir;
   /// Seconds before an unacknowledged lease expires back onto the queue.
+  /// A closed connection returns its leases at once; expiry is for a hung
+  /// worker, or a TCP peer that vanished without closing.
   double lease_timeout_s = 30.0;
   /// Test knob: after granting this many leases (across all sweeps), the
   /// server SIGKILLs itself — a deterministic mid-sweep crash for the

@@ -256,7 +256,7 @@ std::string only_entry(const std::string& cache_dir) {
   return found;
 }
 
-// A shard killed mid-write must never poison later runs: store() is
+// A worker killed mid-write must never poison later runs: store() is
 // fsync-and-rename atomic, and even an entry truncated by other means
 // (pre-atomic caches, disk faults) is detected and re-simulated instead of
 // aborting the assembly run.
@@ -581,58 +581,6 @@ TEST(Sweep, ChangedConfigMissesCache) {
   EXPECT_EQ(miss2.cache_hits, 0u);
 }
 
-TEST(Sweep, ShardsPartitionJobsAndAssembleFromSharedCache) {
-  ScratchDir dir;
-  SweepGrid grid = small_grid();  // 2 traces x 1 machine x 3 schemes
-  grid.machines.push_back(MachineConfig::four_cluster());  // -> 4 jobs
-
-  // Reference: one unsharded, uncached sweep.
-  const SweepResult full = run_sweep(grid, SweepOptions{});
-  EXPECT_EQ(full.skipped, 0u);
-
-  // Two shard "processes" sharing the cache dir split the 4 jobs exactly.
-  SweepOptions shard;
-  shard.cache_dir = dir.path() + "/cache";
-  shard.shard_count = 2;
-  std::size_t simulated = 0;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    shard.shard_index = i;
-    const SweepResult part = run_sweep(grid, shard);
-    EXPECT_EQ(part.simulated + part.skipped, part.num_points());
-    EXPECT_EQ(part.skipped, part.num_points() / 2);
-    simulated += part.simulated;
-    // The shard's own slots carry real results; other-shard slots are empty.
-    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-      for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        const bool mine =
-            (t * grid.machines.size() + m) % shard.shard_count == i;
-        for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-          if (mine) {
-            expect_results_equal(full.at(t, m, s), part.at(t, m, s));
-          } else {
-            EXPECT_TRUE(part.at(t, m, s).trace.empty());
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(simulated, full.num_points());
-
-  // A final unsharded run assembles every point from the shared cache.
-  SweepOptions assemble;
-  assemble.cache_dir = shard.cache_dir;
-  const SweepResult warm = run_sweep(grid, assemble);
-  EXPECT_EQ(warm.simulated, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.num_points());
-  for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-    for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        expect_results_equal(full.at(t, m, s), warm.at(t, m, s));
-      }
-    }
-  }
-}
-
 TEST(Sweep, CorruptCacheEntryIsResimulatedNotFatal) {
   ScratchDir dir;
   SweepGrid grid = small_grid();
@@ -728,7 +676,6 @@ TEST(Sweep, QueueModeBitIdenticalToStaticRun) {
   pull.queue = &queue;
   const SweepResult pulled = run_sweep(grid, pull);
   EXPECT_EQ(pulled.jobs_pulled, njobs);
-  EXPECT_EQ(pulled.skipped, 0u);
   EXPECT_EQ(pulled.simulated, pulled.num_points());
   EXPECT_EQ(queue.completed().size(), njobs);
 
@@ -754,7 +701,6 @@ TEST(Sweep, QueueDrainLeavesUnpulledCellsForAssembly) {
   opt.queue = &queue;
   const SweepResult partial = run_sweep(grid, opt);
   EXPECT_EQ(partial.jobs_pulled, 1u);
-  EXPECT_EQ(partial.skipped, (njobs - 1) * grid.schemes.size());
   EXPECT_EQ(partial.simulated, grid.schemes.size());
 
   // Assembly pass: no queue, same store — every missing cell must fill in,
@@ -783,6 +729,61 @@ TEST(Sweep, GridFingerprintIdentifiesTheSweep) {
   SweepGrid fewer = grid;
   fewer.schemes.resize(1);
   EXPECT_NE(base, grid_fingerprint(fewer, 0));
+}
+
+// ---------------------------------------------------------- SweepCounters ---
+
+TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
+  SweepCounters total;
+  total.simulated = 3;
+  total.cache_hits = 1;
+  total.cache_corrupt = 1;
+  total.experiments = 2;
+  total.jobs_pulled = 4;
+  total.phases.simulate = 1.0;
+  total.phases.cache_io = 0.25;
+  total.scheme_simulate_s = {{"OP", 0.5}};
+  SweepCounters pruned;
+  pruned.simulated = 5;
+  pruned.cache_hits = 2;
+  pruned.experiments = 1;
+  // enabled, top_k, estimated, pruned, spearman, top3_overlap
+  pruned.model = {true, 8, 40, 30, 0.75, 2};
+  pruned.phases.trace_build = 0.5;
+  pruned.phases.simulate = 2.0;
+  pruned.scheme_simulate_s = {{"OP", 0.25}, {"VC", 1.0}};
+  total += pruned;
+  EXPECT_EQ(total.simulated, 8u);
+  EXPECT_EQ(total.cache_hits, 3u);
+  EXPECT_EQ(total.cache_corrupt, 1u);
+  EXPECT_EQ(total.experiments, 3u);
+  EXPECT_EQ(total.jobs_pulled, 4u);
+  EXPECT_EQ(total.phases.trace_build, 0.5);
+  EXPECT_EQ(total.phases.simulate, 3.0);
+  EXPECT_EQ(total.phases.cache_io, 0.25);
+  EXPECT_EQ(total.scheme_simulate_s,
+            (std::map<std::string, double>{{"OP", 0.75}, {"VC", 1.0}}));
+  EXPECT_TRUE(total.model.enabled);
+
+  // A second pruned sweep sums its counts; its frontier stats replace the
+  // first one's.
+  pruned.model.top_k = 4;
+  pruned.model.spearman = 0.5;
+  pruned.model.top3_overlap = 1;
+  total += pruned;
+  // An unpruned sweep adds its counts and leaves the frontier stats alone.
+  SweepCounters plain;
+  plain.simulated = 1;
+  plain.jobs_pulled = 2;
+  total += plain;
+  EXPECT_EQ(total.simulated, 14u);
+  EXPECT_EQ(total.jobs_pulled, 6u);
+  EXPECT_TRUE(total.model.enabled);
+  EXPECT_EQ(total.model.estimated, 80u);
+  EXPECT_EQ(total.model.pruned, 60u);
+  EXPECT_EQ(total.model.top_k, 4u);
+  EXPECT_EQ(total.model.spearman, 0.5);
+  EXPECT_EQ(total.model.top3_overlap, 1u);
 }
 
 // ------------------------------------------------------------- ResultSink ---
@@ -814,12 +815,13 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.ok = true;
   s.wall_seconds = 1.5;
   s.points = 25;
-  s.simulated = 0;
-  s.cache_hits = 25;
+  s.sweep.simulated = 0;
+  s.sweep.cache_hits = 25;
   s.uops = 1500000;
-  s.schemes["MOD3"] = {750000, 0.25};
-  s.schemes["VC-STEER"] = {750000, 0.5};
-  s.launch_workers = 2;
+  s.scheme_uops["MOD3"] = 750000;
+  s.scheme_uops["VC-STEER"] = 750000;
+  s.sweep.scheme_simulate_s["MOD3"] = 0.25;
+  s.sweep.scheme_simulate_s["VC-STEER"] = 0.5;
   s.launch_max_retries = 2;
   WorkerStatus w0;
   w0.index = 0;
@@ -840,7 +842,7 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   EXPECT_NE(json.find("\"bench\":\"fig7_fourcluster\""), std::string::npos);
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
-                      "\"cache_hits\":25,\"skipped\":0,"
+                      "\"cache_hits\":25,"
                       "\"corrupt_recovered\":0,\"uops\":1500000}"),
             std::string::npos);
   // Per-scheme attribution: each label carries its own uop count and
@@ -865,7 +867,7 @@ TEST(RunSummary, NetSectionCarriesServiceCountersAndWorkerTallies) {
   s.net.enabled = true;
   s.net.server = "unix:/tmp/sweep.sock";
   s.net.role = "serve";
-  s.net.jobs_pulled = 4;
+  s.sweep.jobs_pulled = 4;
   s.net.gets = 30;
   s.net.puts = 12;
   s.net.reconnects = 1;
@@ -894,7 +896,6 @@ TEST(RunSummary, FailedShardSurfacesInJson) {
   RunSummary s;
   s.bench = "fig5_twocluster";
   s.ok = false;
-  s.launch_workers = 2;
   s.launch_max_retries = 2;
   WorkerStatus dead;
   dead.index = 1;

@@ -3,10 +3,13 @@
 // bench driver's crash-injection knobs key off. Workers are /bin/sh
 // scripts, so every failure mode (clean exit, non-zero exit, SIGKILL,
 // exec failure) is exercised with real processes.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -128,6 +131,37 @@ TEST(Launcher, AttemptEnvCountsUpAcrossRetries) {
   const LaunchReport report = launch_workers(opt);
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(slurp(log), "1\n2\n");
+}
+
+// Regression: workers inherited the parent's stdout, so every launched
+// bench worker printed its tables into the parent's output. Only stderr
+// reaches the parent now, through the on_output pipe.
+TEST(Launcher, WorkerStdoutDoesNotReachTheParent) {
+  ScratchDir dir;
+  const std::string captured = dir.path() + "/stdout";
+  std::fflush(stdout);
+  const int saved = ::dup(STDOUT_FILENO);
+  ASSERT_GE(saved, 0);
+  const int fd = ::open(captured.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ::dup2(fd, STDOUT_FILENO);
+  ::close(fd);
+
+  LaunchOptions opt;
+  opt.worker_argv.push_back(sh("echo table-row; echo progress >&2"));
+  std::string output;
+  opt.on_output = [&](std::uint32_t, std::string_view chunk) {
+    output.append(chunk);
+  };
+  const LaunchReport report = launch_workers(opt);
+  std::fflush(stdout);
+  ::dup2(saved, STDOUT_FILENO);
+  ::close(saved);
+
+  EXPECT_TRUE(report.ok);
+  EXPECT_NE(output.find("progress"), std::string::npos);
+  EXPECT_EQ(output.find("table-row"), std::string::npos);
+  EXPECT_EQ(slurp(captured), "");
 }
 
 // Regression (EOF-hang): a worker that hands its stderr write end to a

@@ -1,8 +1,9 @@
 // Tests for the sweep service: wire framing, address parsing, the
 // GET/PUT/LEASE/DONE/STATS protocol against a live server on a unix
-// socket, lease expiry, crash-restart durability, and an end-to-end
-// run_sweep through NetJobQueue/NetResultStore that must be bit-identical
-// to a local serial sweep.
+// socket, lease expiry and release, crash-restart durability, the client's
+// reconnect window, and an end-to-end run_sweep through
+// NetJobQueue/NetResultStore that must be bit-identical to a local serial
+// sweep.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -218,6 +219,62 @@ TEST(SweepService, ExpiredLeaseRequeuesTheJob) {
   // second worker steals the job.
   ASSERT_EQ(client.lease(sweep, 1, "w1", &job), StoreClient::LeaseReply::kJob);
   EXPECT_EQ(job, 0u);
+}
+
+// Regression: the daemon took a lease back only when it expired (30 s by
+// default), so a worker killed while holding one stalled the sweep that
+// long. A closed connection now hands its unfinished leases back at once.
+TEST(SweepService, ClosedConnectionRequeuesItsLeases) {
+  ScratchDir dir;
+  const std::string sock = dir.path() + "/sweep.sock";
+  ServerHandle server(server_options(sock, dir.path() + "/cache"));
+
+  const std::uint64_t sweep = 0x21;
+  std::size_t job = 999;
+  {
+    StoreClient dying(client_options(sock));
+    ASSERT_EQ(dying.lease(sweep, 1, "w0", &job),
+              StoreClient::LeaseReply::kJob);
+    EXPECT_EQ(job, 0u);
+  }  // the worker dies holding job 0: its connection closes
+
+  StoreClient survivor(client_options(sock));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  StoreClient::LeaseReply reply = StoreClient::LeaseReply::kWait;
+  while (std::chrono::steady_clock::now() < deadline) {
+    reply = survivor.lease(sweep, 1, "w1", &job);
+    if (reply != StoreClient::LeaseReply::kWait) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_EQ(reply, StoreClient::LeaseReply::kJob);
+  EXPECT_EQ(job, 0u);
+}
+
+// Regression: every request opened a fresh reconnect window, so with the
+// daemon gone each GET of an assembly pass waited out the whole window
+// (60 s by default). One outage spends the window once; later requests try
+// one connect each and fail until one gets through.
+TEST(SweepService, ReconnectWindowIsSpentOncePerOutage) {
+  ScratchDir dir;
+  const std::string sock = dir.path() + "/sweep.sock";
+  StoreClient client(client_options(sock, /*window_s=*/0.2));
+  using Clock = std::chrono::steady_clock;
+  // Seconds that `gets` GETs take; with no server every one is a miss.
+  auto time_gets = [&](int gets) {
+    const Clock::time_point t0 = Clock::now();
+    std::string text;
+    for (int i = 0; i < gets; ++i) {
+      EXPECT_EQ(client.get("trace=a\n", &text), exec::CacheLookup::kMiss);
+    }
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  EXPECT_GE(time_gets(1), 0.2);
+  EXPECT_LT(time_gets(5), 0.2);
+
+  // A daemon that comes up later is reached by the next request.
+  ServerHandle server(server_options(sock, dir.path() + "/cache"));
+  EXPECT_TRUE(client.ping());
 }
 
 TEST(SweepService, ResultsSurviveServerRestart) {
