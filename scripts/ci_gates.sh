@@ -24,7 +24,9 @@
 #             the plain runs (the model only reorders work), with model
 #             rank agreement Spearman >= 0.9 and top-3 overlap >= 2 on
 #             both grids; autotune_search --smoke must cover a >= 5520
-#             point grid while simulating at most 20% of it
+#             point grid while simulating at most 20% of it, and its
+#             mostly model-tagged JSON must be byte-identical at --jobs 2
+#             and --jobs 4
 #   observe   observer layer: a fig7 smoke sweep's --summary-json carries
 #             per-phase timing spans and event counts, and the
 #             pipeline_viewer's event counts reconcile exactly with the
@@ -141,14 +143,21 @@ gate_model() {
   done
   # The autotune bench is the pruned search at its intended scale: a grid
   # an order of magnitude beyond any figure sweep (>= 5520 points, 10x the
-  # 552-point ablation grid) of which the simulator sees at most 20%.
+  # 552-point ablation grid) of which the simulator sees at most 20%. Most
+  # of its JSON is model estimates, and which thread builds each of the
+  # model evaluator's shared entries depends on scheduling: the output must
+  # not, so a --jobs 4 run must write the same bytes as the --jobs 2 run.
   "$BUILD_DIR/autotune_search" --smoke --jobs 2 \
+    --json "$GATE_OUT/model_autotune_j2.json" \
     --summary-json "$GATE_OUT/model_autotune_summary.json"
   assert_summary "$GATE_OUT/model_autotune_summary.json" \
     'ok' 'sweep["points"] >= 5520' \
     'sweep["simulated"] * 5 <= sweep["points"]' \
     'model["estimated"] == sweep["points"]' \
     'model["pruned"] + sweep["simulated"] == sweep["points"]'
+  "$BUILD_DIR/autotune_search" --smoke --jobs 4 \
+    --json "$GATE_OUT/model_autotune_j4.json"
+  cmp "$GATE_OUT/model_autotune_j2.json" "$GATE_OUT/model_autotune_j4.json"
 }
 
 gate_perf() {

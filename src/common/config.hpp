@@ -64,6 +64,8 @@ struct CacheConfig {
   std::uint32_t num_sets() const {
     return size_bytes / (line_bytes * associativity);
   }
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 /// Full machine description. Defaults reproduce Table 2 with 2 clusters.

@@ -27,6 +27,8 @@ struct RhopOptions {
   double imbalance_tolerance = 0.15;
   std::uint32_t refine_passes = 4;
   std::uint64_t seed = 0x5eed;
+
+  bool operator==(const RhopOptions&) const = default;
 };
 
 struct RhopPassStats {

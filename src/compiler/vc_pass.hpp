@@ -49,6 +49,8 @@ struct VcOptions {
   /// and remapping at every stray micro-op would turn the scheme into a
   /// pure hardware balancer.
   std::uint32_t min_leader_chain = 3;
+
+  bool operator==(const VcOptions&) const = default;
 };
 
 struct VcPassStats {

@@ -13,10 +13,13 @@
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across
 // schemes: the simulator shares one functional warm pass per simulation
-// point among the schemes, the model shares one materialised trace and one
-// functional memory replay. exec::run_sweep's
-// two-stage pruned mode (--prune-model K) estimates every grid point with
-// ModelEvaluator and spends SimEvaluator only on the top-K frontier.
+// point among the schemes, the model one walk among schemes that walk
+// alike (OP and parallel OP). The model also shares work across the cells
+// of its lifetime: one materialised trace per (profile, budget), one
+// functional memory replay per trace and cache geometry, one software pass
+// per trace and pass-options value. exec::run_sweep's two-stage pruned mode
+// (--prune-model K) estimates every grid point with one ModelEvaluator and
+// spends SimEvaluator only on the top-K frontier.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 #include "eval/model_evaluator.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "common/check.hpp"
 #include "model/critpath.hpp"
@@ -14,37 +16,94 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// What a trace depends on. TraceExperiment's machine argument shapes
+/// simulation, not workload generation, PinPoints selection or interval
+/// replay, so the key has no machine. It holds every field of both:
+/// workload generation reads every profile field, so two profiles sharing a
+/// name can still differ in their traces.
+struct TraceKey {
+  workload::WorkloadProfile profile;
+  harness::SimBudget budget;
+
+  bool operator==(const TraceKey&) const = default;
+};
+
+/// The MachineConfig fields model::memory_latencies reads: machines with
+/// equal keys replay identically.
+struct MemoryKey {
+  CacheConfig l1d;
+  CacheConfig l2;
+  std::uint32_t memory_latency = 0;
+
+  bool operator==(const MemoryKey&) const = default;
+};
+
+MemoryKey memory_key(const MachineConfig& machine) {
+  return {machine.l1d, machine.l2, machine.memory_latency};
+}
+
+/// model::memory_latencies for every simulation point of a trace, under one
+/// memory geometry.
+struct Replay {
+  MemoryKey key;
+  std::once_flag built;
+  std::vector<std::vector<std::uint32_t>> load_extra;
+};
+
+/// The trace's program after the software pass `key` names.
+struct Pass {
+  harness::PassOptions key;
+  std::once_flag built;
+  prog::Program program;
+};
+
+/// The entry of `entries` keyed `key`, inserted (unbuilt) when there is
+/// none. The caller holds the lock guarding `entries`; entries never move
+/// once inserted, so the reference outlives it.
+template <typename Entry, typename Key>
+Entry& find_or_insert(std::vector<std::unique_ptr<Entry>>& entries,
+                      const Key& key) {
+  for (const std::unique_ptr<Entry>& entry : entries) {
+    if (entry->key == key) return *entry;
+  }
+  Entry& entry = *entries.emplace_back(std::make_unique<Entry>());
+  entry.key = key;
+  return entry;
+}
+
 }  // namespace
 
 const char* source_name(Source s) {
   return s == Source::kSim ? "sim" : "model";
 }
 
-// Trace data is a function of (profile, budget) only — TraceExperiment's
-// machine argument affects simulation, not workload generation, PinPoints
-// selection or interval replay — so the memo ignores the machine. It
-// matches every field of both: workload generation reads every profile
-// field, so two profiles sharing a name can still differ in their traces.
+struct ModelEvaluator::TraceData {
+  TraceKey key;
+  /// Guards `experiment`, `billed` and the two entry lists. An entry is
+  /// built outside it, once, under the entry's own once_flag.
+  std::mutex mutex;
+  std::unique_ptr<harness::TraceExperiment> experiment;
+  bool billed = false;  ///< trace_build_s already reported to a response.
+  std::vector<std::unique_ptr<Replay>> replays;
+  std::vector<std::unique_ptr<Pass>> passes;
+};
+
+ModelEvaluator::ModelEvaluator() = default;
+ModelEvaluator::~ModelEvaluator() = default;
+
 ModelEvaluator::TraceData& ModelEvaluator::trace_data_for(
     const EvalRequest& request) {
   std::lock_guard<std::mutex> lock(traces_mutex_);
-  for (const std::unique_ptr<TraceData>& data : traces_) {
-    if (data->profile == request.profile && data->budget == request.budget) {
-      return *data;
-    }
-  }
-  const std::unique_ptr<TraceData>& data =
-      traces_.emplace_back(std::make_unique<TraceData>());
-  data->profile = request.profile;
-  data->budget = request.budget;
-  return *data;
+  return find_or_insert(traces_, TraceKey{request.profile, request.budget});
 }
 
 EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
   EvalResponse response;
   TraceData& data = trace_data_for(request);
+  const MachineConfig& machine = request.machine;
+  Replay* replay = nullptr;
   {
-    std::lock_guard<std::mutex> lock(data.build_mutex);
+    std::lock_guard<std::mutex> lock(data.mutex);
     if (!data.experiment) {
       data.experiment = std::make_unique<harness::TraceExperiment>(
           request.profile, request.machine, request.budget);
@@ -57,64 +116,93 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
       response.phases.trace_build_s = data.experiment->phases().trace_build_s;
       data.billed = true;
     }
+    replay = &find_or_insert(data.replays, memory_key(machine));
   }
   const harness::TraceExperiment& experiment = *data.experiment;
+  const prog::Program& unannotated = experiment.workload().program;
   const auto& points = experiment.simpoints();
   const auto& intervals = experiment.intervals();
-  const auto& warm = experiment.warm_addrs();
-  const MachineConfig& machine = request.machine;
 
-  // Functional memory replay is scheme-independent: one pass per cell,
-  // shared by every scheme's walk (mirrors the simulator, which warms each
-  // simulation point once for all of a cell's schemes).
-  const Clock::time_point warm_t0 = Clock::now();
-  std::vector<std::vector<std::uint32_t>> load_extra(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    load_extra[p] = model::memory_latencies(experiment.workload().program,
-                                            intervals[p], warm[p], machine);
-  }
-  response.phases.warmup_s = seconds_since(warm_t0);
+  // Functional memory replay is scheme-independent and reads only the
+  // memory geometry, so cells sharing it share one replay (the simulator
+  // likewise warms each simulation point once for all of a cell's schemes).
+  std::call_once(replay->built, [&] {
+    const Clock::time_point t0 = Clock::now();
+    replay->load_extra.resize(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      replay->load_extra[p] = model::memory_latencies(
+          unannotated, intervals[p], experiment.warm_addrs()[p], machine);
+    }
+    response.phases.warmup_s = seconds_since(t0);
+  });
 
+  // The walks this request made, by (annotated program, walked scheme).
+  struct Walk {
+    const Pass* pass;
+    steer::Scheme scheme;
+    std::size_t result;  ///< index into response.results.
+  };
+  std::vector<Walk> walks;
   for (const harness::SchemeRequest& scheme : request.schemes) {
     // Custom-policy requests carry no software pass and no scheme enum; the
     // model approximates them with the OP heuristic on unannotated hints.
-    prog::Program program = experiment.workload().program;
-    steer::Scheme approx = steer::Scheme::kOp;
-    const Clock::time_point annotate_t0 = Clock::now();
-    if (!scheme.is_custom()) {
-      harness::annotate_for_scheme(program, scheme.spec, machine);
-      approx = scheme.spec.scheme;
+    const harness::PassOptions options =
+        scheme.is_custom() ? harness::PassOptions{}
+                           : harness::pass_options(scheme.spec, machine);
+    const steer::Scheme walked = model::walked_scheme(
+        scheme.is_custom() ? steer::Scheme::kOp : scheme.spec.scheme);
+    Pass* pass = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(data.mutex);
+      pass = &find_or_insert(data.passes, options);
     }
-    response.phases.annotate_s += seconds_since(annotate_t0);
+    std::call_once(pass->built, [&] {
+      const Clock::time_point t0 = Clock::now();
+      pass->program = unannotated;
+      harness::run_pass(pass->program, options);
+      response.phases.annotate_s += seconds_since(t0);
+    });
 
-    // PinPoints-weighted aggregation, same operations in the same order as
-    // the simulator's WeightedAccum for the fields the model predicts.
     const Clock::time_point walk_t0 = Clock::now();
-    double w_cycles = 0, w_uops = 0, w_copies = 0, w_hops = 0;
+    const std::string label = scheme.label(machine);
     harness::RunResult result;
-    result.trace = request.profile.name;
-    result.scheme = scheme.label(machine);
-    result.source = source_name(Source::kModel);
-    result.num_points = points.size();
-    result.num_clusters = machine.num_clusters;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const model::IntervalEstimate est = model::estimate_interval(
-          program, intervals[p], load_extra[p], machine, approx);
-      const double w = points[p].weight;
-      w_cycles += w * static_cast<double>(est.cycles);
-      w_uops += w * static_cast<double>(est.committed_uops);
-      w_copies += w * static_cast<double>(est.copies);
-      w_hops += w * static_cast<double>(est.copy_hops);
-      result.committed_uops += est.committed_uops;
-      result.cycles += est.cycles;
+    const auto same =
+        std::find_if(walks.begin(), walks.end(), [&](const Walk& w) {
+          return w.pass == pass && w.scheme == walked;
+        });
+    if (same != walks.end()) {
+      result = response.results[same->result];
+      result.scheme = label;
+    } else {
+      // PinPoints-weighted aggregation, same operations in the same order
+      // as the simulator's WeightedAccum for the fields the model predicts.
+      double w_cycles = 0, w_uops = 0, w_copies = 0, w_hops = 0;
+      result.trace = request.profile.name;
+      result.scheme = label;
+      result.source = source_name(Source::kModel);
+      result.num_points = points.size();
+      result.num_clusters = machine.num_clusters;
+      for (std::size_t p = 0; p < points.size(); ++p) {
+        const model::IntervalEstimate est = model::estimate_interval(
+            pass->program, intervals[p], replay->load_extra[p], machine,
+            walked);
+        const double w = points[p].weight;
+        w_cycles += w * static_cast<double>(est.cycles);
+        w_uops += w * static_cast<double>(est.committed_uops);
+        w_copies += w * static_cast<double>(est.copies);
+        w_hops += w * static_cast<double>(est.copy_hops);
+        result.committed_uops += est.committed_uops;
+        result.cycles += est.cycles;
+      }
+      VCSTEER_CHECK(w_cycles > 0.0 && w_uops > 0.0);
+      result.ipc = w_uops / w_cycles;
+      result.copies_per_kuop = 1000.0 * w_copies / w_uops;
+      result.copy_hops_per_kuop = 1000.0 * w_hops / w_uops;
+      walks.push_back({pass, walked, response.results.size()});
     }
-    VCSTEER_CHECK(w_cycles > 0.0 && w_uops > 0.0);
-    result.ipc = w_uops / w_cycles;
-    result.copies_per_kuop = 1000.0 * w_copies / w_uops;
-    result.copy_hops_per_kuop = 1000.0 * w_hops / w_uops;
     const double walk_s = seconds_since(walk_t0);
     response.phases.simulate_s += walk_s;
-    response.scheme_simulate_s[result.scheme] += walk_s;
+    response.scheme_simulate_s[label] += walk_s;
     response.results.push_back(std::move(result));
   }
   return response;

@@ -10,26 +10,30 @@
 
 namespace vcsteer::eval {
 
-/// Scores cells with model::estimate_interval. Trace materialisation (the
-/// expensive part the model shares with simulation: workload generation,
-/// PinPoints selection, interval replay) is memoised per (profile, budget)
-/// across calls, so a sweep visiting one trace under hundreds of machines
-/// pays trace construction once. The estimator itself is machine-dependent
-/// and runs per call; the functional memory replay is scheme-independent
-/// and runs once per call, shared across the cell's schemes.
+/// Scores cells with model::estimate_interval. Over its lifetime (one
+/// run_sweep model stage) the evaluator does each piece of model work once
+/// per distinct input, not once per cell, keyed per (profile, budget) trace:
+///   - the trace itself (workload generation, PinPoints selection, interval
+///     replay), which no machine field shapes;
+///   - the functional memory replay, once per cache geometry (L1, L2 and
+///     memory latency, all model::memory_latencies reads);
+///   - each software pass, once per harness::PassOptions value (all the
+///     pass reads besides the program), walked in place without a copy.
+/// Within one request, schemes with the same annotated program and the same
+/// model::walked_scheme share one walk (OP and parallel OP do). The walk
+/// itself reads nearly every machine field and runs per cell. Estimates are
+/// bit-identical to doing all of this per cell; each memoised entry bills
+/// its build time to the response that built it.
 class ModelEvaluator final : public Evaluator {
  public:
+  ModelEvaluator();
+  ~ModelEvaluator() override;
+
   Source source() const override { return Source::kModel; }
   EvalResponse evaluate(const EvalRequest& request) override;
 
  private:
-  struct TraceData {
-    workload::WorkloadProfile profile;  ///< memo key, with `budget`.
-    harness::SimBudget budget;
-    std::mutex build_mutex;
-    std::unique_ptr<harness::TraceExperiment> experiment;
-    bool billed = false;  ///< trace_build_s already reported to a response.
-  };
+  struct TraceData;
 
   TraceData& trace_data_for(const EvalRequest& request);
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <mutex>
 #include <optional>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -133,6 +134,14 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   VCSTEER_CHECK_MSG(!grid.profiles.empty() && !grid.machines.empty() &&
                         !grid.schemes.empty(),
                     "empty sweep grid");
+  // Before any work: a pruned sweep would otherwise estimate a machine the
+  // simulator refuses, and an unpruned one fail partway through.
+  for (std::size_t m = 0; m < grid.machines.size(); ++m) {
+    const std::string problem = grid.machines[m].validate();
+    const std::string message =
+        "grid machine " + std::to_string(m) + " is invalid: " + problem;
+    VCSTEER_CHECK_MSG(problem.empty(), message.c_str());
+  }
   SweepResult result(grid.profiles.size(), grid.machines.size(),
                      grid.schemes.size());
 

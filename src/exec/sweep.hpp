@@ -187,6 +187,8 @@ class SweepResult : public SweepCounters {
   std::vector<harness::RunResult> points_;
 };
 
+/// Runs the grid. CHECK-fails before any work when a grid machine fails
+/// MachineConfig::validate(), naming the machine's index and the problem.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt);
 
 /// Deterministic 64-bit identity of a sweep: the hash of every point's

@@ -6,9 +6,6 @@
 #include <optional>
 
 #include "common/check.hpp"
-#include "compiler/ob_pass.hpp"
-#include "compiler/rhop_pass.hpp"
-#include "compiler/vc_pass.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
 
@@ -130,9 +127,7 @@ double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n) {
   return n > 1 ? best : 0.0;
 }
 
-void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
-                         const MachineConfig& machine) {
-  program.clear_hints();
+PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
   switch (spec.scheme) {
     case steer::Scheme::kOb: {
       compiler::ObOptions opt;
@@ -148,8 +143,7 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
       opt.comm_cost = min_comm_cost(matrix, machine.num_clusters);
       if (machine.steer.topology_aware) opt.comm_cost_matrix = matrix;
       opt.issue_width = machine.issue_width_int;
-      compiler::assign_ob(program, opt);
-      break;
+      return opt;
     }
     case steer::Scheme::kRhop: {
       compiler::RhopOptions opt;
@@ -158,8 +152,7 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
       // (its balance is better than VC's in Fig. 6(b.2)).
       opt.imbalance_tolerance = 0.05;
       opt.critical_edge_bonus = 4.0;
-      compiler::assign_rhop(program, opt);
-      break;
+      return opt;
     }
     case steer::Scheme::kVc: {
       compiler::VcOptions opt;
@@ -178,12 +171,27 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
       if (spec.vc_min_leader_chain != 0) {
         opt.min_leader_chain = spec.vc_min_leader_chain;
       }
-      compiler::assign_virtual_clusters(program, opt);
-      break;
+      return opt;
     }
     default:
-      break;  // hardware-only schemes need no annotations
+      return std::monostate{};  // hardware-only schemes need no annotations
   }
+}
+
+void run_pass(prog::Program& program, const PassOptions& options) {
+  program.clear_hints();
+  if (const auto* ob = std::get_if<compiler::ObOptions>(&options)) {
+    compiler::assign_ob(program, *ob);
+  } else if (const auto* rhop = std::get_if<compiler::RhopOptions>(&options)) {
+    compiler::assign_rhop(program, *rhop);
+  } else if (const auto* vc = std::get_if<compiler::VcOptions>(&options)) {
+    compiler::assign_virtual_clusters(program, *vc);
+  }
+}
+
+void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
+                         const MachineConfig& machine) {
+  run_pass(program, pass_options(spec, machine));
 }
 
 std::unique_ptr<steer::SteeringPolicy> policy_for_scheme(

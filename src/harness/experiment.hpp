@@ -18,9 +18,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/config.hpp"
+#include "compiler/ob_pass.hpp"
+#include "compiler/rhop_pass.hpp"
+#include "compiler/vc_pass.hpp"
 #include "sim/core.hpp"
 #include "sim/stats.hpp"
 #include "steer/policy.hpp"
@@ -224,11 +228,25 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
 /// pre-topology estimates bit-identically.
 double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n);
 
-/// Runs the software pass of `spec` over `program` (clearing previous
-/// hints). No-op for hardware-only schemes. When
+/// Everything a scheme's software pass reads besides the program: the
+/// options of its OB, RHOP or VC pass, or std::monostate for the
+/// hardware-only schemes, which have no pass. Two (spec, machine) pairs with
+/// equal options annotate a program identically.
+using PassOptions = std::variant<std::monostate, compiler::ObOptions,
+                                 compiler::RhopOptions, compiler::VcOptions>;
+
+/// The options of `spec`'s software pass for `machine`. When
 /// machine.steer.topology_aware is set, the OB and VC passes estimate
 /// communication with the per-pair topology matrix instead of the flat
 /// nearest-neighbour scalar.
+PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine);
+
+/// Clears `program`'s hints, then runs the pass `options` names (none for
+/// std::monostate).
+void run_pass(prog::Program& program, const PassOptions& options);
+
+/// Runs the software pass of `spec` over `program` (clearing previous
+/// hints): run_pass(program, pass_options(spec, machine)).
 void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
                          const MachineConfig& machine);
 

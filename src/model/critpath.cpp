@@ -254,7 +254,7 @@ class Walker {
  public:
   Walker(const prog::Program& program, const MachineConfig& machine,
          steer::Scheme scheme)
-      : program_(program), machine_(machine), scheme_(scheme) {
+      : program_(program), machine_(machine), scheme_(walked_scheme(scheme)) {
     VCSTEER_CHECK_MSG(machine.num_clusters >= 1,
                       "model needs num_clusters >= 1");
     VCSTEER_CHECK_MSG(machine.num_clusters <= kMaxModelClusters,
@@ -443,7 +443,7 @@ class Walker {
         }
         break;
       case steer::Scheme::kOp:
-      case steer::Scheme::kParallelOp:
+      default:  // kParallelOp: walked_scheme maps it to kOp.
         break;
     }
     if (c >= n) {

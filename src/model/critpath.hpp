@@ -71,10 +71,17 @@
 //
 // What the model does NOT capture (see README "Analytical model & pruned
 // search"): L1 port arbitration, store-to-load forwarding, value-table
-// timing races, and the exact stall-vs-steer occupancy feedback (the
-// steering stand-ins are deliberately resource-independent). Model numbers
-// are estimates for *ranking* design points; they are always labelled
-// source == "model" and never enter golden fixtures.
+// timing races, the exact stall-vs-steer occupancy feedback (the steering
+// stand-ins are deliberately resource-independent), and link bandwidth.
+// Copies are booked per source cluster at issue_width_copy per cycle
+// before the per-(src, dst) link pools; issue_width_copy is 1 on both
+// presets and in every grid in the repository, so with
+// copies_per_link_cycle >= 1 a link pool never binds. Ideal, bus and
+// crossbar machines therefore get identical estimates, as does a 2-cluster
+// ring, and a 4-cluster ring differs only by its hop counts — while the
+// simulator's bus is one shared medium whose arbitration costs copies
+// cycles. Model numbers are estimates for *ranking* design points; they
+// are always labelled source == "model" and never enter golden fixtures.
 #pragma once
 
 #include <cstdint>
@@ -106,10 +113,20 @@ std::vector<std::uint32_t> memory_latencies(
     std::span<const workload::TraceEntry> interval,
     std::span<const std::uint64_t> warm_addrs, const MachineConfig& machine);
 
+/// The steering approximation the walk uses for `scheme`. Parallel OP is
+/// OP steering on the information of the cycle's start (§2.1); the walk
+/// steers in program order and has no cycle to start, so it walks as kOp.
+/// Requests with the same walked scheme on the same annotated program get
+/// the same estimate.
+constexpr steer::Scheme walked_scheme(steer::Scheme scheme) {
+  return scheme == steer::Scheme::kParallelOp ? steer::Scheme::kOp : scheme;
+}
+
 /// Walks `interval` (program already annotated for the scheme) and returns
 /// the resource-constrained critical-path estimate. `load_extra` is the
 /// matching memory_latencies() vector. `scheme` selects the steering
-/// approximation; custom policies are approximated as kOp.
+/// approximation, walked_scheme(scheme); custom policies are approximated
+/// as kOp.
 IntervalEstimate estimate_interval(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,

@@ -5,13 +5,16 @@
 // unpruned run.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/model_evaluator.hpp"
 #include "eval/sim_evaluator.hpp"
 #include "exec/cache.hpp"
 #include "exec/sweep.hpp"
+#include "steer/mod_policy.hpp"
 #include "workload/profiles.hpp"
 
 namespace vcsteer::eval {
@@ -146,6 +149,84 @@ TEST(Evaluator, ModelMemoSeparatesProfilesSharingAName) {
   }
 }
 
+// The memo of one evaluator is invisible. Four threads share it over a grid
+// that varies every input of every memo key: the replay's L1 size, L2 hit
+// latency and memory latency; the passes' cluster count, link latency,
+// topology (ring vs bus, which only topology-aware passes see) and issue
+// width; and the walked scheme, with OP and parallel OP sharing a walk and
+// a custom policy walking as OP. Every result must carry the bytes of a
+// fresh evaluator scoring that one (cell, scheme) alone.
+TEST(Evaluator, SharedModelMemoMatchesFreshEvaluators) {
+  const auto smoke = workload::smoke_profiles();
+  const std::vector<workload::WorkloadProfile> profiles = {smoke[0], smoke[1]};
+  const harness::SimBudget budget{60'000, 10'000, 2};
+
+  const MachineConfig two = MachineConfig::two_cluster();
+  const MachineConfig four = MachineConfig::four_cluster();
+  std::vector<MachineConfig> machines(10, two);
+  machines[1].l1d.size_bytes = 8 * 1024;
+  machines[2].l2.hit_latency = 30;
+  machines[3].memory_latency = 200;
+  machines[4] = four;
+  machines[5].interconnect.link_latency = 2;
+  machines[6] = four;
+  machines[6].interconnect.kind = Topology::kRing;
+  machines[7] = machines[6];
+  machines[7].steer.topology_aware = true;
+  machines[8] = machines[7];
+  machines[8].interconnect.kind = Topology::kBus;
+  machines[9].issue_width_int = 3;
+
+  using steer::Scheme;
+  std::vector<harness::SchemeRequest> schemes = {
+      harness::SchemeSpec{Scheme::kOneCluster, 0},
+      harness::SchemeSpec{Scheme::kOp, 0},
+      harness::SchemeSpec{Scheme::kParallelOp, 0},
+      harness::SchemeSpec{Scheme::kOb, 0},
+      harness::SchemeSpec{Scheme::kRhop, 0},
+      harness::SchemeSpec{Scheme::kVc, 0},
+      harness::SchemeSpec{Scheme::kVc, 2},
+      harness::SchemeSpec{Scheme::kVc, 0, 4},
+  };
+  schemes.emplace_back("MOD3", [](const MachineConfig&) {
+    return std::make_unique<steer::ModNPolicy>(3);
+  });
+
+  const auto request_for = [&](std::size_t cell) {
+    return EvalRequest{profiles[cell / machines.size()],
+                       machines[cell % machines.size()], budget, schemes};
+  };
+  const std::size_t cells = profiles.size() * machines.size();
+  ModelEvaluator shared;
+  std::vector<EvalResponse> responses(cells);
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&] {
+      for (std::size_t c = next++; c < cells; c = next++) {
+        responses[c] = shared.evaluate(request_for(c));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::size_t experiments = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    experiments += responses[c].experiments;
+    ASSERT_EQ(responses[c].results.size(), schemes.size());
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
+      EvalRequest alone = request_for(c);
+      alone.schemes = {schemes[s]};
+      ModelEvaluator fresh;
+      const EvalResponse expect = fresh.evaluate(alone);
+      EXPECT_EQ(exec::encode_result(responses[c].results[s]),
+                exec::encode_result(expect.results[0]))
+          << "cell " << c << ", scheme " << s;
+    }
+  }
+  EXPECT_EQ(experiments, profiles.size());
+}
+
 exec::SweepGrid small_grid() {
   exec::SweepGrid grid;
   const auto smoke = workload::smoke_profiles();
@@ -203,6 +284,33 @@ TEST(PrunedSweep, FrontierIsByteIdenticalAndRestIsModelTagged) {
   EXPECT_GE(pruned.model.spearman, -1.0);
   EXPECT_LE(pruned.model.spearman, 1.0);
   EXPECT_LE(pruned.model.top3_overlap, 3u);
+}
+
+// A pruned sweep must not return estimates for a machine the simulator
+// refuses. Here the invalid machine falls outside the top-2 frontier, so
+// without validation up front it comes back as model-tagged points; an
+// unpruned sweep would fail inside the core, partway through.
+TEST(PrunedSweep, RejectsInvalidMachineBeforeEstimating) {
+  exec::SweepGrid grid;
+  const auto smoke = workload::smoke_profiles();
+  grid.profiles = {smoke[0], smoke[1]};
+  MachineConfig invalid = MachineConfig::two_cluster();
+  invalid.iq_int_entries = 8;
+  invalid.iq_fp_entries = 8;
+  invalid.op_occupancy_threshold = 0;
+  ASSERT_FALSE(invalid.validate().empty());
+  grid.machines = {MachineConfig::four_cluster(), invalid};
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kVc, 0}};
+  grid.budget = harness::SimBudget::smoke();
+  exec::SweepOptions opt;
+  opt.jobs = 1;
+  opt.prune_top_k = 2;
+  EXPECT_DEATH(exec::run_sweep(grid, opt),
+               "grid machine 1 is invalid: op_occupancy_threshold");
+  opt.prune_top_k = 0;
+  EXPECT_DEATH(exec::run_sweep(grid, opt),
+               "grid machine 1 is invalid: op_occupancy_threshold");
 }
 
 TEST(PrunedSweep, FrontierCoveringWholeGridReproducesUnprunedBytes) {
