@@ -2,22 +2,23 @@
 """Interleaved A/B of the repository benchmark: BASE against the working tree.
 
     scripts/ab.py BASE [--workload W]... [--pairs N] [--seeds 0|A-B]
-                       [--seconds S] [--out FILE]
+                       [--out FILE]
 
 Checks BASE (any git revision) out with `git worktree` beside the working
 tree, at a path of the same length (peak_rss_mb follows the build path),
 and removes it on every exit path. Each side builds and runs through its
 own perfbench/run.py, into a build directory inside its own tree. Every
-workload (default: those BENCHMARK.json lists) runs N pairs (default 10),
-alternating which side goes first. `--seeds 0` gives every pair seed 0;
-`--seeds 21-30` gives pair i the i-th seed of the range, one pair per
-seed. Any run that run.py does not report `correct` aborts; on seed 0 that
-includes the digests recorded in perfbench/digests.json.
+workload (default: those BENCHMARK.json lists) runs N pairs (default 10)
+of BENCHMARK.json's run_seconds each, alternating which side goes first.
+`--seeds 0` gives every pair seed 0; `--seeds 21-30` gives pair i the
+i-th seed of the range, one pair per seed. Any run that run.py does not
+report `correct` aborts; on seed 0 that includes the digests recorded in
+perfbench/digests.json.
 
 Per workload and per end-to-end metric of BENCHMARK.json it prints each
-side's median, q1 and q3 and the pairs the change won (ties count for
-neither side), then a verdict by the interleaved-pairs rule with the
-metric's bound from BENCHMARK.json:
+side's median, q1 and q3 (as perfbench/steadiness.py computes them) and
+the pairs the change won (ties count for neither side), then a verdict by
+the interleaved-pairs rule with the metric's bound from BENCHMARK.json:
   gain        at least 10 pairs, the change won at least 9/10 of them,
               and the medians differ by more than the base's q3 - q1;
   worse       the change's median is worse than the base's by more than
@@ -34,13 +35,18 @@ import os
 import random
 import shutil
 import signal
-import statistics
 import string
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD_DIR = ".bench_build"
+
+# The benchmark's own statistics, so both tools judge spread alike. No
+# bytecode is written into perfbench/.
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from steadiness import summary, worse_by  # noqa: E402
 
 
 class RunFailed(Exception):
@@ -80,7 +86,11 @@ def parse_seeds(text):
 
 
 def run_side(tree, workload, seed, seconds):
-    """One perfbench/run.py run in `tree`; returns its result JSON."""
+    """One run of `tree`'s own perfbench/run.py; returns its result JSON.
+
+    steadiness.run_once runs the run.py beside it from the current
+    directory, so it cannot run the base side.
+    """
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, BUILD_DIR))
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
@@ -98,26 +108,19 @@ def run_side(tree, workload, seed, seconds):
     return result
 
 
-def quartiles(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return median, q1, q3
-
-
 def verdict(metric, base, change):
     """The interleaved-pairs verdict for one metric over paired runs."""
     higher = metric["better"] == "higher"
     better = (lambda c, b: c > b) if higher else (lambda c, b: c < b)
     wins = sum(1 for c, b in zip(change, base) if better(c, b))
-    b_med, b_q1, b_q3 = quartiles(base)
-    c_med = quartiles(change)[0]
-    iqr = b_q3 - b_q1
-    worse_by = (b_med - c_med if higher else c_med - b_med) / b_med
+    b_med, b_q1, b_q3, b_spread = summary(base)
+    c_med = summary(change)[0]
     if (len(base) >= 10 and wins * 10 >= 9 * len(base) and
-            better(c_med, b_med) and abs(c_med - b_med) > iqr):
+            better(c_med, b_med) and abs(c_med - b_med) > b_q3 - b_q1):
         call = "gain"
-    elif worse_by > metric["bound"]:
+    elif worse_by(b_med, c_med, metric["better"]) > metric["bound"]:
         call = "worse"
-    elif (iqr / b_med > metric["bound"] and
+    elif (b_spread > metric["bound"] and
           not all(better(c, b) for c in change for b in base)):
         call = "unresolved"
     else:
@@ -137,15 +140,13 @@ def main():
     parser.add_argument("--seeds", type=parse_seeds, default=(0, None),
                         help="one seed for every pair, or a range A-B giving "
                              "pair i the i-th seed (default 0)")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default BENCHMARK.json run_seconds)")
     parser.add_argument("--out", help="raw runs JSON")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     seed, seed_range = args.seeds
     pairs = args.pairs or (len(seed_range) if seed_range else 10)
     if pairs < 2 or (seed_range and pairs != len(seed_range)):
@@ -190,7 +191,7 @@ def main():
         shutil.rmtree(base_tree, ignore_errors=True)
         git("worktree", "prune", check=False)
 
-    summary = []
+    verdicts = []
     print(f"base {base_sha[:12]} vs working tree {ROOT}; {pairs} pairs, "
           f"seeds {seeds[0]}..{seeds[-1]}, {seconds:g} s runs")
     for workload in workloads:
@@ -204,21 +205,21 @@ def main():
                         if r["workload"] == workload and r["side"] == s]
                     for s in ("base", "change")}
             wins, call = verdict(metric, side["base"], side["change"])
-            stats = {s: quartiles(side[s]) for s in side}
+            stats = {s: summary(side[s])[:3] for s in side}
             cells = [f"{m:.4g} [{q1:.4g}, {q3:.4g}]"
                      for m, q1, q3 in (stats["base"], stats["change"])]
             print(f"  {name:<14} {cells[0]:>30} {cells[1]:>30} "
                   f"{wins:>3}/{pairs:<3}  {call}")
-            summary.append({"workload": workload, "metric": name,
-                            "base": dict(zip(("median", "q1", "q3"),
-                                             stats["base"])),
-                            "change": dict(zip(("median", "q1", "q3"),
-                                               stats["change"])),
-                            "wins": wins, "pairs": pairs, "verdict": call})
+            verdicts.append({"workload": workload, "metric": name,
+                             "base": dict(zip(("median", "q1", "q3"),
+                                              stats["base"])),
+                             "change": dict(zip(("median", "q1", "q3"),
+                                                stats["change"])),
+                             "wins": wins, "pairs": pairs, "verdict": call})
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     with open(out, "w") as f:
         json.dump({"base": base_sha, "seeds": seeds, "seconds": seconds,
-                   "runs": runs, "summary": summary}, f, indent=1)
+                   "runs": runs, "summary": verdicts}, f, indent=1)
     print(f"\nraw runs: {out}")
     return 0
 

@@ -443,7 +443,7 @@ class Walker {
         }
         break;
       case steer::Scheme::kOp:
-      default:  // kParallelOp: walked_scheme maps it to kOp.
+      case steer::Scheme::kParallelOp:  // walked_scheme maps it to kOp.
         break;
     }
     if (c >= n) {
