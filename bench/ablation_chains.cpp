@@ -2,11 +2,7 @@
 // hardware's only remap point (paper Figure 3/4): marking leaders on every
 // tiny chain turns VC into a per-op hardware balancer (more remaps, least
 // locality), while requiring very long chains freezes the mapping (fewest
-// remaps, worst balance). DESIGN.md calls this knob out as the key design
-// choice of the software side.
-//
-// Usage: ablation_chains [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
+// remaps, worst balance).
 #include <vector>
 
 #include "bench_main.hpp"

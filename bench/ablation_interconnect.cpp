@@ -15,9 +15,6 @@
 // policies. The win concentrates on the ring, where distances are
 // non-uniform; on uniform fabrics only the cost-based divert/remap
 // tiebreaks differ, so the gap stays near zero.
-//
-// Usage: ablation_interconnect [--jobs N] [--smoke] [--launch n]
-//                              [--cache-dir D] [--json F] [--csv]
 #include <utility>
 #include <vector>
 

@@ -7,9 +7,6 @@
 // The MOD-N policies are not SchemeSpecs; they ride the sweep as custom
 // policy factories (exec::SweepScheme with a tag), which is the same path
 // user-defined policies from examples/custom_policy take.
-//
-// Usage: ablation_priorart [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <memory>
 
 #include "bench_main.hpp"

@@ -5,9 +5,6 @@
 // the sequential version is needed for performance but is too complex to
 // implement at cycle time — this ablation quantifies the performance gap
 // the hybrid scheme closes without the serialization.
-//
-// Usage: ablation_seqpar [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
 #include "bench_main.hpp"

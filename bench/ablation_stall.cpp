@@ -5,9 +5,6 @@
 // divert) and "always steer" (threshold -> 1, divert whenever anything is
 // free) and reproduces the papers' observation that some stalling beats
 // blind steering.
-//
-// Usage: ablation_stall [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
 #include "bench_main.hpp"

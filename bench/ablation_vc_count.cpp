@@ -6,9 +6,6 @@
 // on 4 clusters that VC(2->4) clearly beats VC(4->4) because fine VC
 // partitions spread critical dependent pairs over independently-mapped VCs.
 // This bench sweeps the VC count on both machines over a workload subset.
-//
-// Usage: ablation_vc_count [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
 #include "bench_main.hpp"

@@ -14,9 +14,6 @@
 // The --summary-json's "model" section reports the estimated/pruned
 // counters and the model-vs-sim rank agreement over the simulated
 // frontier; scripts/ci_gates.sh's model gate asserts on them.
-//
-// Usage: autotune_search [--smoke] [--jobs N] [--prune-model K]
-//                        [--cache-dir D] [--json F] [--summary-json F]
 #include <algorithm>
 #include <cstdint>
 #include <numeric>

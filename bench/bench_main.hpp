@@ -709,9 +709,7 @@ class Output {
     summary_.sweep += sweep;
     summary_.points += sweep.num_points();
     for (const harness::RunResult& r : sweep.points()) {
-      summary_.uops += r.committed_uops;
       summary_.cycles += r.cycles;
-      summary_.scheme_uops[r.scheme] += r.committed_uops;
     }
     if (!opt_.cache_dir.empty()) {
       std::fprintf(stderr, "%s: %zu points (%zu simulated, %zu cache hits)\n",

@@ -5,9 +5,6 @@
 // Paper reference averages (Fig. 5c): one-cluster 12.19, OB 6.50, RHOP 5.40,
 // VC 2.62 (% slowdown vs OP). We reproduce the *shape*: the ordering and
 // rough magnitudes, not the absolute SPEC numbers (see EXPERIMENTS.md).
-//
-// Usage: fig5_twocluster [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
 #include "bench_main.hpp"

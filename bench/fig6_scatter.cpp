@@ -13,9 +13,6 @@
 // Expected shapes (see EXPERIMENTS.md): VC improves balance vs OB for most
 // traces; VC beats RHOP mainly via fewer/cheaper cut dependences while RHOP
 // balances better; VC generates *more* copies than OP but balances better.
-//
-// Usage: fig6_scatter [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <string>
 #include <vector>
 

@@ -7,9 +7,6 @@
 // VC(2->4) 3.64 (% slowdown vs OP). §5.4: VC(4->4) generates ~28% more
 // copies than VC(2->4) because pairs of critical dependent instructions get
 // spread across virtual clusters that the hardware may map apart.
-//
-// Usage: fig7_fourcluster [--jobs N] [--smoke] [--launch n]
-//        [--cache-dir D] [--json F] [--summary-json F] [--csv]
 #include <vector>
 
 #include "bench_main.hpp"

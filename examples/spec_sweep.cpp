@@ -4,8 +4,6 @@
 // under the OP baseline, and print a one-line characterisation (IPC, cache
 // behaviour, phases, instruction mix). Useful for understanding *why* a
 // steering scheme wins or loses on a given trace in Figures 5-7.
-//
-//   $ ./spec_sweep [--jobs N] [--smoke] [--cache-dir D] [--json F] [--csv]
 #include "../bench/bench_main.hpp"
 #include "stats/table.hpp"
 #include "workload/profiles.hpp"

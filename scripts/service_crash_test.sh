@@ -59,7 +59,8 @@ cmp "$SCRATCH/ref.json" "$SCRATCH/c1.json"
 # assembled the complete grid from the server's store.
 assert_summary "$SCRATCH/c0_summary.json" \
   'ok' 'net["role"] == "connect"' 'launch is None' 'sweep["points"] > 0'
-python3 - "$SCRATCH/c0_summary.json" "$SCRATCH/c1_summary.json" << 'EOF'
+python3 - "$SCRATCH/c0_summary.json" "$SCRATCH/c1_summary.json" \
+  "$SCRATCH/c0.json" << 'EOF'
 import json, sys
 c0, c1 = (json.load(open(p)) for p in sys.argv[1:3])
 pulled = c0["net"]["jobs_pulled"] + c1["net"]["jobs_pulled"]
@@ -67,7 +68,7 @@ tallies = c0["net"]["workers"]
 assert tallies == c1["net"]["workers"], "clients saw different lease stats"
 assert sum(tallies.values()) == pulled, (tallies, pulled)
 assert pulled > 0, "no jobs were leased at all"
-schemes = len(c0["schemes"])
+schemes = len({r["scheme"] for r in json.load(open(sys.argv[3]))["results"]})
 assert pulled * schemes == c0["sweep"]["points"], (pulled, schemes, c0["sweep"])
 print(f"service gate: {pulled} jobs split as {tallies}")
 EOF

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -56,8 +55,6 @@ struct EvalResponse {
   std::vector<harness::RunResult> results;
   /// Wall-clock accounting, same phase buckets as the direct path.
   harness::PhaseTimes phases;
-  /// Per-scheme-label simulate/walk span.
-  std::map<std::string, double> scheme_simulate_s;
   /// Trace experiments constructed serving this call (0 when the backend
   /// reused a memoised trace).
   std::size_t experiments = 0;

@@ -200,9 +200,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
       result.copy_hops_per_kuop = 1000.0 * w_hops / w_uops;
       walks.push_back({pass, walked, response.results.size()});
     }
-    const double walk_s = seconds_since(walk_t0);
-    response.phases.simulate_s += walk_s;
-    response.scheme_simulate_s[label] += walk_s;
+    response.phases.simulate_s += seconds_since(walk_t0);
     response.results.push_back(std::move(result));
   }
   return response;

@@ -8,7 +8,6 @@ EvalResponse SimEvaluator::evaluate(const EvalRequest& request) {
   EvalResponse response;
   response.results = experiment.evaluate(request.schemes);
   response.phases = experiment.phases();
-  response.scheme_simulate_s = experiment.scheme_simulate_s();
   response.experiments = 1;
   return response;
 }

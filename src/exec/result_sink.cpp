@@ -18,32 +18,12 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"sweep\":{\"points\":" << s.points
      << ",\"simulated\":" << s.sweep.simulated
      << ",\"cache_hits\":" << s.sweep.cache_hits
-     << ",\"corrupt_recovered\":" << s.sweep.cache_corrupt
-     << ",\"uops\":" << s.uops << "}"
+     << ",\"corrupt_recovered\":" << s.sweep.cache_corrupt << "}"
      << ",\"phases\":{\"trace_build_s\":" << num(s.sweep.phases.trace_build)
      << ",\"annotate_s\":" << num(s.sweep.phases.annotate)
      << ",\"warmup_s\":" << num(s.sweep.phases.warmup)
      << ",\"simulate_s\":" << num(s.sweep.phases.simulate)
      << ",\"cache_io_s\":" << num(s.sweep.phases.cache_io) << "}"
-     << ",\"schemes\":{";
-  {
-    // Every label that committed uops or spent simulate time, in order.
-    std::map<std::string, std::pair<std::uint64_t, double>> schemes;
-    for (const auto& [label, uops] : s.scheme_uops) {
-      schemes[label].first = uops;
-    }
-    for (const auto& [label, span] : s.sweep.scheme_simulate_s) {
-      schemes[label].second = span;
-    }
-    bool first = true;
-    for (const auto& [label, sch] : schemes) {
-      if (!first) os << ',';
-      first = false;
-      os << stats::json_quote(label) << ":{\"uops\":" << sch.first
-         << ",\"simulate_s\":" << num(sch.second) << "}";
-    }
-  }
-  os << "}"
      << ",\"events\":{\"experiments\":" << s.sweep.experiments
      << ",\"cycles\":" << s.cycles << "}";
   if (s.shards.empty()) {
@@ -114,24 +94,6 @@ void ResultSink::add_sweep(const SweepResult& sweep) {
 
 void ResultSink::add_table(stats::Table table) {
   tables_.push_back(std::move(table));
-}
-
-stats::Table ResultSink::raw_table(std::string title) const {
-  stats::Table t(std::move(title));
-  t.set_columns({"trace", "scheme", "IPC", "copies/kuop", "alloc stalls/kuop",
-                 "policy stalls/kuop", "committed uops", "cycles"});
-  for (const harness::RunResult& r : results_) {
-    t.row()
-        .add(r.trace)
-        .add(r.scheme)
-        .add(r.ipc, 4)
-        .add(r.copies_per_kuop, 2)
-        .add(r.alloc_stalls_per_kuop, 2)
-        .add(r.policy_stalls_per_kuop, 2)
-        .add(r.committed_uops)
-        .add(r.cycles);
-  }
-  return t;
 }
 
 void ResultSink::write_json(std::ostream& os) const {

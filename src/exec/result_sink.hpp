@@ -37,18 +37,10 @@ struct RunSummary {
   double wall_seconds = 0.0;
   /// Every sweep of the run, summed with SweepCounters::operator+=.
   SweepCounters sweep;
-  /// What only the recorded results give: the points this run assembled,
-  /// and their committed micro-ops and simulated cycles (simulated or
-  /// cache-served). On a cold single-process run `uops` is the simulated
-  /// uop volume, which the perf gate divides by wall_seconds for kuops/s
-  /// (scripts/perf_gate.py).
+  /// What only the recorded results give: the points this run assembled
+  /// and their cycles, simulated or cache-served.
   std::size_t points = 0;
-  std::uint64_t uops = 0;
   std::uint64_t cycles = 0;
-  /// Committed uops per scheme label; beside sweep.scheme_simulate_s they
-  /// give honest per-scheme throughput (scripts/perf_gate.py) instead of
-  /// one shared wall clock.
-  std::map<std::string, std::uint64_t> scheme_uops;
   /// Worker-process orchestration (`--launch N`): one status per worker
   /// slot; none means the bench launched no workers and the `launch` JSON
   /// field is null.
@@ -77,10 +69,9 @@ struct RunSummary {
 
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
-///    "sweep":{"points","simulated","cache_hits","corrupt_recovered","uops"},
+///    "sweep":{"points","simulated","cache_hits","corrupt_recovered"},
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
-///    "schemes":{label:{"uops","simulate_s"}...},
 ///    "events":{"experiments","cycles"},
 ///    "launch":null | {"workers","max_retries","ok","failed_shards",
 ///                     "shards":[{"shard","attempts","ok","exit_code","signal"}]},
@@ -101,12 +92,6 @@ class ResultSink {
   /// (see write_json), and run metadata goes through RunSummary instead.
   void add_sweep(const SweepResult& sweep);
   void add_table(stats::Table table);
-
-  const std::vector<harness::RunResult>& results() const { return results_; }
-
-  /// Raw per-point table (trace, scheme, IPC, copies, stalls) — the generic
-  /// rendering a bench gets for free before any figure-specific tables.
-  stats::Table raw_table(std::string title) const;
 
   void write_json(std::ostream& os) const;
 

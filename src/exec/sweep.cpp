@@ -106,9 +106,6 @@ SweepCounters& SweepCounters::operator+=(const SweepCounters& o) {
   model.estimated += o.model.estimated;
   model.pruned += o.model.pruned;
   phases += o.phases;
-  for (const auto& [label, span] : o.scheme_simulate_s) {
-    scheme_simulate_s[label] += span;
-  }
   return *this;
 }
 
@@ -166,7 +163,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::mutex progress_mutex;
   std::mutex phases_mutex;
   PhaseSeconds phases;
-  std::map<std::string, double> scheme_simulate_s;
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -185,6 +181,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   // machine m — every scheme in the unpruned case.
   std::vector<std::vector<std::size_t>> sim_schemes(grid.machines.size());
   std::vector<harness::RunResult> model_points;
+  // Model points served from the store. Only those the frontier leaves
+  // model-tagged count as cache hits; a frontier point counts in stage 2.
+  std::vector<char> model_hit;
   std::vector<double> model_score;  // mean model IPC per (machine, scheme)
   if (opt.prune_top_k == 0) {
     for (auto& schemes : sim_schemes) {
@@ -194,6 +193,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   } else {
     eval::ModelEvaluator model_evaluator;
     model_points.resize(result.num_points());
+    model_hit.resize(result.num_points(), 0);
     auto model_job = [&](std::size_t t, std::size_t m) {
       workload::WorkloadProfile profile = grid.profiles[t];
       profile.seed_salt += opt.seed_salt;
@@ -211,7 +211,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
               store->lookup(keys[s], &model_points[slot_index(t, m, s)]);
           job_phases.cache_io += seconds_since(t0);
           if (looked == CacheLookup::kHit) {
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
+            model_hit[slot_index(t, m, s)] = 1;
             continue;
           }
           if (looked == CacheLookup::kCorrupt) {
@@ -358,10 +358,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       job_phases.annotate += response.phases.annotate_s;
       job_phases.warmup += response.phases.warmup_s;
       job_phases.simulate += response.phases.simulate_s;
-      std::lock_guard<std::mutex> lock(phases_mutex);
-      for (const auto& [label, span] : response.scheme_simulate_s) {
-        scheme_simulate_s[label] += span;
-      }
     }
     {
       std::lock_guard<std::mutex> lock(phases_mutex);
@@ -444,6 +440,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
           for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
             result.slot(t, m, s) = model_points[slot_index(t, m, s)];
             ++result.model.pruned;
+            cache_hits += model_hit[slot_index(t, m, s)];
           }
           continue;
         }
@@ -487,7 +484,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   result.cache_corrupt = cache_corrupt.load();
   result.experiments = experiments.load();
   result.phases = phases;
-  result.scheme_simulate_s = std::move(scheme_simulate_s);
   return result;
 }
 

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,12 +135,15 @@ struct ModelStats {
 /// What a sweep did, as opposed to what it found: every SweepResult carries
 /// one, and a bench run sums its sweeps' into exec::RunSummary with +=.
 struct SweepCounters {
-  /// Points simulated / served from the store.
+  /// Points simulated / served from the store. A point counts once, by
+  /// the result it ends with, so simulated + cache_hits <= points.
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
   /// Store entries found truncated/garbled (e.g. a worker killed mid-run on
-  /// a pre-fsync cache); each was deleted and the point re-simulated, so
-  /// these also count in `simulated`.
+  /// a pre-fsync cache). Each stays in place until the store() of its
+  /// recomputed point replaces it: a simulated entry's point is
+  /// re-simulated and also counts in `simulated`; a model entry's point is
+  /// re-estimated.
   std::size_t cache_corrupt = 0;
   /// TraceExperiments actually constructed (jobs with at least one cache
   /// miss); 0 on a fully warm sweep.
@@ -152,9 +154,6 @@ struct SweepCounters {
   ModelStats model;
   /// Per-phase wall-clock spans, summed over all jobs.
   PhaseSeconds phases;
-  /// Simulate span per scheme label, summed over all jobs (cache-served
-  /// points contribute nothing — no cycle loop ran for them).
-  std::map<std::string, double> scheme_simulate_s;
 
   /// Sums counts and spans. The rank-agreement stats describe one frontier,
   /// so a pruned operand's top_k/spearman/top3_overlap replace the current

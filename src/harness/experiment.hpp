@@ -184,9 +184,7 @@ class TraceExperiment {
   /// Wall-clock spans accumulated over this experiment's lifetime
   /// (construction + every run so far).
   const PhaseTimes& phases() const { return phases_; }
-  /// Simulate span per scheme label: each run's own cycle-loop span. Lets
-  /// callers derive honest per-scheme throughput instead of dividing one
-  /// shared wall clock evenly.
+  // Per-scheme simulate spans; kept only because perfbench/ still calls it.
   const std::map<std::string, double>& scheme_simulate_s() const {
     return scheme_simulate_s_;
   }

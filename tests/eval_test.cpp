@@ -14,6 +14,7 @@
 #include "eval/sim_evaluator.hpp"
 #include "exec/cache.hpp"
 #include "exec/sweep.hpp"
+#include "scratch_dir.hpp"
 #include "steer/mod_policy.hpp"
 #include "workload/profiles.hpp"
 
@@ -327,6 +328,26 @@ TEST(PrunedSweep, FrontierCoveringWholeGridReproducesUnprunedBytes) {
   for (std::size_t i = 0; i < full.num_points(); ++i) {
     EXPECT_EQ(exec::encode_result(pruned.points()[i]),
               exec::encode_result(full.points()[i]));
+  }
+}
+
+// A warm pruned re-run serves the frontier from the simulated entries and
+// the rest from the model entries: each point counts as one hit.
+TEST(PrunedSweep, WarmRerunServesEveryPointFromTheStore) {
+  const exec::SweepGrid grid = small_grid();
+  testing::ScratchDir dir;
+  exec::SweepOptions opt;
+  opt.jobs = 2;
+  opt.prune_top_k = 2;
+  opt.cache_dir = dir.path() + "/cache";
+  const exec::SweepResult cold = exec::run_sweep(grid, opt);
+  const exec::SweepResult warm = exec::run_sweep(grid, opt);
+  EXPECT_EQ(warm.simulated, 0u);
+  EXPECT_EQ(warm.cache_hits, warm.num_points());
+  ASSERT_EQ(warm.num_points(), cold.num_points());
+  for (std::size_t i = 0; i < cold.num_points(); ++i) {
+    EXPECT_EQ(exec::encode_result(warm.points()[i]),
+              exec::encode_result(cold.points()[i]));
   }
 }
 

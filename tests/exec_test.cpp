@@ -237,9 +237,9 @@ TEST(ResultCache, RoundTripsExactly) {
 
   const std::string key = "k1=v1\nk2=v2\n";
   harness::RunResult loaded;
-  EXPECT_FALSE(cache.load(key, &loaded));
+  EXPECT_NE(cache.lookup(key, &loaded), CacheLookup::kHit);
   cache.store(key, r);
-  ASSERT_TRUE(cache.load(key, &loaded));
+  ASSERT_EQ(cache.lookup(key, &loaded), CacheLookup::kHit);
   expect_results_equal(r, loaded);
 }
 
@@ -426,7 +426,7 @@ TEST(ResultCache, KeyMismatchIsAMiss) {
   r.trace = "t";
   cache.store("key-a\n", r);
   harness::RunResult loaded;
-  EXPECT_FALSE(cache.load("key-b\n", &loaded));
+  EXPECT_NE(cache.lookup("key-b\n", &loaded), CacheLookup::kHit);
 }
 
 TEST(CacheKey, SensitiveToEveryAxis) {
@@ -742,7 +742,6 @@ TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
   total.jobs_pulled = 4;
   total.phases.simulate = 1.0;
   total.phases.cache_io = 0.25;
-  total.scheme_simulate_s = {{"OP", 0.5}};
   SweepCounters pruned;
   pruned.simulated = 5;
   pruned.cache_hits = 2;
@@ -751,7 +750,6 @@ TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
   pruned.model = {true, 8, 40, 30, 0.75, 2};
   pruned.phases.trace_build = 0.5;
   pruned.phases.simulate = 2.0;
-  pruned.scheme_simulate_s = {{"OP", 0.25}, {"VC", 1.0}};
   total += pruned;
   EXPECT_EQ(total.simulated, 8u);
   EXPECT_EQ(total.cache_hits, 3u);
@@ -761,8 +759,6 @@ TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
   EXPECT_EQ(total.phases.trace_build, 0.5);
   EXPECT_EQ(total.phases.simulate, 3.0);
   EXPECT_EQ(total.phases.cache_io, 0.25);
-  EXPECT_EQ(total.scheme_simulate_s,
-            (std::map<std::string, double>{{"OP", 0.75}, {"VC", 1.0}}));
   EXPECT_TRUE(total.model.enabled);
 
   // A second pruned sweep sums its counts; its frontier stats replace the
@@ -795,7 +791,11 @@ TEST(ResultSink, JsonCarriesResultsAndTables) {
 
   ResultSink sink("exec_test");
   sink.add_sweep(sweep);
-  stats::Table table = sink.raw_table("raw");
+  stats::Table table("raw");
+  table.set_columns({"trace", "scheme", "IPC"});
+  for (const harness::RunResult& r : sweep.points()) {
+    table.row().add(r.trace).add(r.scheme).add(r.ipc, 4);
+  }
   EXPECT_EQ(table.num_rows(), sweep.num_points());
   sink.add_table(table);
 
@@ -817,11 +817,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.points = 25;
   s.sweep.simulated = 0;
   s.sweep.cache_hits = 25;
-  s.uops = 1500000;
-  s.scheme_uops["MOD3"] = 750000;
-  s.scheme_uops["VC-STEER"] = 750000;
-  s.sweep.scheme_simulate_s["MOD3"] = 0.25;
-  s.sweep.scheme_simulate_s["VC-STEER"] = 0.5;
   s.launch_max_retries = 2;
   WorkerStatus w0;
   w0.index = 0;
@@ -843,14 +838,7 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
                       "\"cache_hits\":25,"
-                      "\"corrupt_recovered\":0,\"uops\":1500000}"),
-            std::string::npos);
-  // Per-scheme attribution: each label carries its own uop count and
-  // simulate span so perf tooling stops dividing by one shared wall clock.
-  EXPECT_NE(json.find("\"schemes\":{\"MOD3\":{\"uops\":750000,"
-                      "\"simulate_s\":0.25}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"VC-STEER\":{\"uops\":750000,\"simulate_s\":0.5}"),
+                      "\"corrupt_recovered\":0}"),
             std::string::npos);
   EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"max_retries\":2,"
                       "\"ok\":true,\"failed_shards\":0"),
