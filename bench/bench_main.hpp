@@ -4,7 +4,7 @@
 // parser and one output path:
 //
 //   bench [--jobs N] [--smoke|--quick] [--seed S] [--launch N]
-//         [--connect ADDR] [--serve ADDR] [--client-id ID]
+//         [--connect ADDR] [--client-id ID]
 //         [--cache-dir DIR] [--json FILE] [--summary-json FILE] [--csv]
 //
 //   --jobs N       worker threads for the sweep (default: all cores).
@@ -21,11 +21,9 @@
 //                  (unix:/path or [tcp:]host:port) until the sweep drains,
 //                  then assemble the whole grid from its store, so every
 //                  client writes byte-identical --json. No --cache-dir or
-//                  --launch: jobs and results live on the server.
-//   --serve ADDR   --launch's daemon on ADDR instead, so other machines can
-//                  --connect too (--launch optional); this process leases
-//                  alongside the workers. The summary JSON's `net.workers`
-//                  carries the server's per-worker jobs-pulled tallies.
+//                  --launch: jobs and results live on the server. The
+//                  summary JSON's `net.workers` carries the server's
+//                  per-worker jobs-pulled tallies.
 //   --client-id ID this worker's name in lease stats (default: wpid<pid>).
 //   --cache-dir D  on-disk result cache; warm re-runs skip simulation.
 //   --progress     per-job heartbeat lines on stderr (done/total, elapsed,
@@ -40,7 +38,7 @@
 //                  frontier is byte-identical to an unpruned run; the rest of
 //                  the grid carries model estimates tagged source == "model".
 //                  Needs the whole grid in one process, so it cannot be
-//                  combined with --launch/--connect/--serve.
+//                  combined with --launch/--connect.
 //   --json FILE    write raw results + all tables as one JSON document.
 //   --summary-json FILE
 //                  machine-readable run summary (sweep counters, wall time,
@@ -84,7 +82,6 @@
 #include "exec/launcher.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "harness/experiment.hpp"
 #include "net/client.hpp"
 
@@ -96,7 +93,7 @@ inline constexpr unsigned kLaunchMaxRetries = 2;
 struct Options {
   std::string bench_name;
   std::string exe;  // argv[0]; what --launch re-execs
-  unsigned jobs = exec::ThreadPool::default_jobs();
+  unsigned jobs = exec::default_jobs();
   bool smoke = false;
   bool csv = false;
   bool progress = false;  // --progress: per-job heartbeat on stderr
@@ -104,7 +101,6 @@ struct Options {
   unsigned launch = 0;  // >= 2: spawn that many leasing workers
   std::string cache_dir;
   std::string connect;    // --connect: lease jobs from this sweepd address
-  std::string serve;      // --serve: spawn a sweepd on this address first
   std::string client_id;  // --client-id: name in server lease stats
   std::size_t prune_model = 0;  // --prune-model K: top-K configs simulated
   std::string json_path;
@@ -117,7 +113,7 @@ struct Options {
   /// The sweep leases its jobs from a vcsteer-sweepd instead of running
   /// them all in this process.
   bool distributed() const {
-    return launch >= 2 || !connect.empty() || !serve.empty();
+    return launch >= 2 || !connect.empty();
   }
 
   /// Command line for worker `i` of a --launch run: a --connect to the
@@ -147,7 +143,7 @@ struct Options {
                              : client_id;
   }
 
-  /// Path of the vcsteer-sweepd binary --serve/--launch spawn: a sibling of
+  /// Path of the vcsteer-sweepd binary --launch spawns: a sibling of
   /// the bench executable (both live in the build directory).
   std::string sweepd_path() const {
     const std::size_t slash = exe.rfind('/');
@@ -303,11 +299,6 @@ inline const std::vector<OptionSpec>& option_table() {
        "lease jobs from a vcsteer-sweepd at ADDR (unix:/path or host:port)",
        [](Options& o, const char* v) { o.connect = v; },
        [](const Options& o) { return o.connect; }},
-      {"--serve", nullptr, "ADDR",
-       "spawn the vcsteer-sweepd on ADDR (so others can --connect), lease "
-       "jobs from it, shut it down at the end",
-       [](Options& o, const char* v) { o.serve = v; },
-       [](const Options& o) { return o.serve; }},
       {"--client-id", nullptr, "ID",
        "this worker's name in server lease stats (default: wpid<pid>)",
        [](Options& o, const char* v) { o.client_id = v; },
@@ -421,33 +412,28 @@ inline Options parse_args(int argc, char** argv, std::string bench_name) {
     spec->apply(opt, value);
   }
   // Cross-flag validation.
-  if (!opt.connect.empty() && !opt.serve.empty()) {
-    parse_fail(opt, "--connect and --serve are mutually exclusive");
-  }
   if (!opt.connect.empty() && (opt.launch >= 2 || !opt.cache_dir.empty())) {
     parse_fail(opt, "--connect replaces --launch/--cache-dir (jobs and "
                     "results live on the server)");
   }
-  if ((opt.launch >= 2 || !opt.serve.empty()) && opt.cache_dir.empty()) {
-    parse_fail(opt, std::string(opt.serve.empty() ? "--launch" : "--serve") +
-                        " requires --cache-dir (the daemon's durable result "
-                        "store)");
+  if (opt.launch >= 2 && opt.cache_dir.empty()) {
+    parse_fail(opt, "--launch requires --cache-dir (the daemon's durable "
+                    "result store)");
   }
   // The frontier ranking needs every grid point's model score in one
   // process; distributed modes see only a slice.
   if (opt.prune_model > 0 && opt.distributed()) {
     parse_fail(opt, "--prune-model needs the whole grid in one process; it "
-                    "cannot be combined with --launch/--connect/--serve");
+                    "cannot be combined with --launch/--connect");
   }
   return opt;
 }
 
-/// The vcsteer-sweepd a --serve or --launch run spawns: fork/exec'd by
-/// start(), SIGTERM'd and reaped by stop(). Without --serve it listens on a
-/// unix socket in a private mkdtemp directory, which stop() removes. The
-/// daemon must already be accepting connections when start() returns (its
-/// listen socket is bound inside the SweepServer constructor, so one
-/// successful PING suffices).
+/// The vcsteer-sweepd a --launch run spawns: fork/exec'd by start(),
+/// SIGTERM'd and reaped by stop(). It listens on a unix socket in a private
+/// mkdtemp directory, which stop() removes. The daemon must already be
+/// accepting connections when start() returns (its listen socket is bound
+/// inside the SweepServer constructor, so one successful PING suffices).
 class ServerProcess {
  public:
   ServerProcess() = default;
@@ -459,8 +445,7 @@ class ServerProcess {
   const std::string& address() const { return address_; }
 
   bool start(const Options& opt) {
-    address_ = opt.serve;
-    if (address_.empty() && !make_private_socket()) return false;
+    if (!make_private_socket()) return false;
     const std::string path = opt.sweepd_path();
     std::vector<std::string> argv = {path,        "--listen", address_,
                                      "--cache-dir", opt.cache_dir};
@@ -592,7 +577,6 @@ class Output {
   /// The distributed execution phase, every role:
   ///   --launch N: spawn a private daemon and N leasing workers, then lease
   ///              alongside them (nothing is left once they succeed);
-  ///   --serve:   the same with the daemon on ADDR (--launch optional);
   ///   --connect: lease jobs from an already-running daemon.
   /// Either way the run ends with an assembly pass that reads the complete
   /// grid back from the server's store, so every participant emits
@@ -637,6 +621,11 @@ class Output {
     pull_opt.queue = &queue;
     const exec::SweepResult pulled = exec::run_sweep(grid, pull_opt);
     summary_.sweep += pulled;
+    // The progress dots end their line only at done == total, which counts
+    // every job of the sweep; a pass that pulled some of them ends it here.
+    if (pulled.jobs_pulled > 0 && pulled.jobs_pulled < njobs) {
+      std::fputc('\n', stderr);
+    }
     std::fprintf(stderr, "%s: pulled %zu/%zu jobs from %s\n",
                  opt_.bench_name.c_str(), pulled.jobs_pulled, njobs,
                  net.server.c_str());

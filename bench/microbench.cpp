@@ -2,19 +2,17 @@
 // simulator throughput (simulated micro-ops per second), the analytical
 // model's walk (micro-ops walked per second), trace generation,
 // PinPoints analysis, the multilevel partitioner, the software passes, and
-// the exec layer (thread-pool dispatch, cache-key construction).
+// the exec layer (cache-key construction).
 // These guard against performance regressions that would make the figure
 // sweeps impractically slow.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <utility>
 
 #include "compiler/ob_pass.hpp"
 #include "compiler/rhop_pass.hpp"
 #include "compiler/vc_pass.hpp"
 #include "exec/cache.hpp"
-#include "exec/thread_pool.hpp"
 #include "graph/partition.hpp"
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
@@ -319,26 +317,6 @@ void BM_ObPass(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * wl.program.num_uops());
 }
 BENCHMARK(BM_ObPass);
-
-// Per-task overhead of the sweep executor's pool: submit a batch of trivial
-// tasks and drain it. Simulation jobs are seconds long, so anything in the
-// microsecond range per task is negligible — this guards that property.
-void BM_ThreadPoolDispatch(benchmark::State& state) {
-  const int kTasks = 256;
-  for (auto _ : state) {
-    std::atomic<int> done{0};
-    exec::ThreadPool pool(static_cast<unsigned>(state.range(0)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(kTasks);
-    for (int i = 0; i < kTasks; ++i) {
-      futures.push_back(pool.submit([&done] { done.fetch_add(1); }));
-    }
-    for (auto& f : futures) f.get();
-    benchmark::DoNotOptimize(done.load());
-  }
-  state.SetItemsProcessed(state.iterations() * kTasks);
-}
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(1)->Arg(4);
 
 // Cost of building a canonical cache key for one sweep point (paid once per
 // point per run when --cache-dir is active).

@@ -12,7 +12,8 @@
 #   smoke     cold sweep simulates everything; warm re-run is 100% cache
 #             hits, and so is a warm --prune-model 3 re-run
 #   launch    --launch 2 spawns a private vcsteer-sweepd and two leasing
-#             workers, and its assembly pass never re-simulates
+#             workers, its assembly pass never re-simulates, and no line
+#             of progress dots runs into the next line of its stderr
 #   service   networked result store + work-stealing scheduler: two
 #             concurrent --connect clients leasing fig7 smoke jobs from one
 #             vcsteer-sweepd must emit results JSON byte-identical to a
@@ -70,19 +71,6 @@ build_type() {
       2>/dev/null || true
 }
 
-# Bench-running gates call this: wall-clock numbers from a non-Release tree
-# are not comparable to the committed BENCH_perf.json, and debug asserts
-# slow the sweeps several-fold.
-warn_if_not_release() {
-  local bt
-  bt="$(build_type)"
-  if [[ "$bt" != "Release" ]]; then
-    echo "ci_gates: WARNING: benches running from a" \
-         "'${bt:-unknown}' build dir ($BUILD_DIR), not Release;" \
-         "timings are not baseline-comparable (use: cmake --preset release)" >&2
-  fi
-}
-
 gate_tier1() {
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$CTEST_JOBS" -LE golden
 }
@@ -95,7 +83,6 @@ gate_golden() {
 }
 
 gate_observe() {
-  warn_if_not_release
   # The summary of any sweep must break its wall clock into per-phase spans
   # and carry the event counters (experiments constructed, cycles simulated).
   "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 \
@@ -121,7 +108,6 @@ gate_observe() {
 }
 
 gate_model() {
-  warn_if_not_release
   # Two-stage pruned search must be invisible in the output: with a frontier
   # covering the whole grid (--prune-model 999) every point is simulated and
   # the results JSON must be byte-identical to the plain run — the model may
@@ -162,7 +148,6 @@ gate_model() {
 }
 
 gate_perf() {
-  warn_if_not_release
   # Kernel-level trajectory, recorded when the google-benchmark binary was
   # built (find_package(benchmark) is optional). Repetitions give
   # perf_gate.py per-kernel median aggregates.
@@ -191,7 +176,6 @@ gate_perf() {
 }
 
 gate_ablation() {
-  warn_if_not_release
   "$BUILD_DIR/ablation_interconnect" --smoke --jobs 2 \
     --json "$GATE_OUT/ablation_interconnect.json" \
     --summary-json "$GATE_OUT/ablation_summary.json"
@@ -200,7 +184,6 @@ gate_ablation() {
 }
 
 gate_smoke() {
-  warn_if_not_release
   local cache="$GATE_OUT/smoke-cache"
   rm -rf "$cache"
   "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --cache-dir "$cache" \
@@ -228,25 +211,30 @@ gate_smoke() {
 }
 
 gate_service() {
-  warn_if_not_release
   bash "$ROOT/scripts/service_crash_test.sh" \
     "$BUILD_DIR/fig7_fourcluster" "$BUILD_DIR/vcsteer-sweepd"
 }
 
 gate_launch() {
-  warn_if_not_release
   local cache="$GATE_OUT/launch-cache"
   rm -rf "$cache"
   # Two workers lease the whole grid from a private daemon, so the assembly
   # pass that follows them must be 100% store hits. (launcher_crash_recovery
   # cmps a launched run's JSON and stdout with a --jobs 1 run.)
   "$BUILD_DIR/fig7_fourcluster" --smoke --launch 2 --jobs 2 \
-    --cache-dir "$cache" --summary-json "$GATE_OUT/launch.json"
+    --cache-dir "$cache" --summary-json "$GATE_OUT/launch.json" \
+    2> "$GATE_OUT/launch.err" || { cat "$GATE_OUT/launch.err" >&2; exit 1; }
   assert_summary "$GATE_OUT/launch.json" \
     'ok' 'launch["ok"]' 'launch["workers"] == 2' \
     'launch["failed_shards"] == 0' \
     'all(s["ok"] for s in launch["shards"])' \
     'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
+  # Each pass's progress dots end their own line, also when a worker pulled
+  # only part of the sweep.
+  if grep -E '^(\[w[0-9]+\] )?\.+[^.]' "$GATE_OUT/launch.err"; then
+    echo "ci_gates: progress dots ran into the next stderr line" >&2
+    exit 1
+  fi
   # And a later single-process run over the daemon's store stays warm.
   "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 --cache-dir "$cache" \
     --summary-json "$GATE_OUT/launch_assemble.json"

@@ -63,9 +63,11 @@ struct EvalResponse {
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
+  /// The backend, which also names the store key namespace run_sweep
+  /// probes and fills for it.
   virtual Source source() const = 0;
   /// Thread-safe: the sweep engine calls this concurrently from its worker
-  /// pool, one call per (trace, machine) cell.
+  /// threads, one call per (trace, machine) cell.
   virtual EvalResponse evaluate(const EvalRequest& request) = 0;
 };
 

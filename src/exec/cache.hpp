@@ -100,11 +100,6 @@ class ResultCache : public ResultStore {
   CacheLookup lookup(const std::string& key,
                      harness::RunResult* out) const override;
 
-  /// lookup() == kHit; corrupt entries read as a miss.
-  bool load(const std::string& key, harness::RunResult* out) const {
-    return lookup(key, out) == CacheLookup::kHit;
-  }
-
   /// Persists `result` under `key`. The entry is written to a tmp file
   /// unique per (process, thread), fsync'd, and renamed into place, so a
   /// writer killed at any instant — including SIGKILL mid-write — either
@@ -118,8 +113,6 @@ class ResultCache : public ResultStore {
   /// string (the server never decodes results; clients do).
   CacheLookup lookup_text(const std::string& key, std::string* text) const;
   void store_text(const std::string& key, const std::string& text) const;
-
-  const std::string& dir() const { return dir_; }
 
   /// Entry paths probed for `key`: the hash-named base path for probe 0,
   /// collision-suffixed siblings after. Exposed for tests.

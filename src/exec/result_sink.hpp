@@ -46,12 +46,12 @@ struct RunSummary {
   /// field is null.
   std::vector<WorkerStatus> shards;
   unsigned launch_max_retries = 0;
-  /// Sweep-service involvement (`--connect` / `--serve` / `--launch`);
+  /// Sweep-service involvement (`--connect` / `--launch`);
   /// disabled means the `net` JSON field is null.
   struct NetSummary {
     bool enabled = false;
     std::string server;  ///< the daemon's address
-    std::string role;    ///< "connect" or "serve"
+    std::string role;    ///< "connect", or "serve" for a --launch parent
     /// This process's wire traffic (StoreClient counters).
     std::uint64_t gets = 0;
     std::uint64_t puts = 0;

@@ -4,15 +4,19 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "eval/model_evaluator.hpp"
 #include "eval/sim_evaluator.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace vcsteer::exec {
 
@@ -70,6 +74,61 @@ double spearman_correlation(const std::vector<double>& a,
   return cov / std::sqrt(var_a * var_b);
 }
 
+/// In-process JobQueue: hands out a fixed job list in order, each job once.
+class ListQueue final : public JobQueue {
+ public:
+  explicit ListQueue(std::vector<std::size_t> jobs) : jobs_(std::move(jobs)) {}
+  bool acquire(std::size_t* job) override {
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= jobs_.size()) return false;
+    *job = jobs_[i];
+    return true;
+  }
+  void complete(std::size_t) override {}
+
+ private:
+  const std::vector<std::size_t> jobs_;
+  std::atomic<std::size_t> next_{0};
+};
+
+/// Runs acquire -> body -> complete until `queue` drains: inline on the
+/// calling thread when `threads` <= 1, else on that many threads. A job
+/// that throws ends its thread's loop; the first exception (or a failure
+/// to start a thread) is rethrown once every started thread has joined.
+void drain(JobQueue& queue, std::size_t threads,
+           const std::function<void(std::size_t)>& body) {
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto keep_first_error = [&] {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!error) error = std::current_exception();
+  };
+  const auto loop = [&] {
+    try {
+      std::size_t job = 0;
+      while (queue.acquire(&job)) {
+        body(job);
+        queue.complete(job);
+      }
+    } catch (...) {
+      keep_first_error();
+    }
+  };
+  if (threads <= 1) {
+    loop();
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    try {
+      while (workers.size() < threads) workers.emplace_back(loop);
+    } catch (...) {
+      keep_first_error();  // the threads already running drain the queue
+    }
+    for (std::thread& worker : workers) worker.join();
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace
 
 std::uint32_t resolve_batch_lanes(std::uint32_t /*requested*/) { return 1; }
@@ -122,9 +181,8 @@ const harness::RunResult& SweepResult::at(std::size_t t, std::size_t m,
   return points_[(t * machines_ + m) * schemes_ + s];
 }
 
-harness::RunResult& SweepResult::slot(std::size_t t, std::size_t m,
-                                      std::size_t s) {
-  return points_[(t * machines_ + m) * schemes_ + s];
+unsigned default_jobs() {
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
@@ -139,8 +197,10 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         "grid machine " + std::to_string(m) + " is invalid: " + problem;
     VCSTEER_CHECK_MSG(problem.empty(), message.c_str());
   }
-  SweepResult result(grid.profiles.size(), grid.machines.size(),
-                     grid.schemes.size());
+  const std::size_t num_traces = grid.profiles.size();
+  const std::size_t num_machines = grid.machines.size();
+  const std::size_t num_schemes = grid.schemes.size();
+  SweepResult result(num_traces, num_machines, num_schemes);
 
   VCSTEER_CHECK_MSG(opt.prune_top_k == 0 || opt.queue == nullptr,
                     "--prune-model needs the whole grid: incompatible with "
@@ -153,186 +213,49 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     store = &*local_cache;
   }
 
-  const std::size_t total_jobs =
-      grid.profiles.size() * grid.machines.size();
-  std::atomic<std::size_t> simulated{0};
-  std::atomic<std::size_t> cache_hits{0};
+  const std::size_t total_jobs = num_traces * num_machines;
   std::atomic<std::size_t> cache_corrupt{0};
   std::atomic<std::size_t> experiments{0};
-  std::atomic<std::size_t> jobs_done{0};
-  std::mutex progress_mutex;
   std::mutex phases_mutex;
   PhaseSeconds phases;
+  // Per point: whether the store served the result the point ends with.
+  std::vector<char> hit(result.num_points(), 0);
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
-  eval::SimEvaluator sim_evaluator;
-  const auto slot_index = [&](std::size_t t, std::size_t m, std::size_t s) {
-    return (t * grid.machines.size() + m) * grid.schemes.size() + s;
-  };
-
-  // --- Stage 1 (pruned mode only): model-estimate every grid point. -------
-  // Scored by the analytical evaluator (memoised traces; cached under the
-  // "model" key namespace), then (machine, scheme) configs are ranked by
-  // mean model IPC across traces and the top-K become the simulation
-  // frontier. sim_schemes[m] is the scheme subset stage 2 simulates on
-  // machine m — every scheme in the unpruned case.
-  std::vector<std::vector<std::size_t>> sim_schemes(grid.machines.size());
-  std::vector<harness::RunResult> model_points;
-  // Model points served from the store. Only those the frontier leaves
-  // model-tagged count as cache hits; a frontier point counts in stage 2.
-  std::vector<char> model_hit;
-  std::vector<double> model_score;  // mean model IPC per (machine, scheme)
-  if (opt.prune_top_k == 0) {
-    for (auto& schemes : sim_schemes) {
-      schemes.resize(grid.schemes.size());
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) schemes[s] = s;
-    }
-  } else {
-    eval::ModelEvaluator model_evaluator;
-    model_points.resize(result.num_points());
-    model_hit.resize(result.num_points(), 0);
-    auto model_job = [&](std::size_t t, std::size_t m) {
-      workload::WorkloadProfile profile = grid.profiles[t];
-      profile.seed_salt += opt.seed_salt;
-      const MachineConfig& machine = grid.machines[m];
-      PhaseSeconds job_phases;
-      std::vector<std::size_t> missing;
-      std::vector<std::string> keys(grid.schemes.size());
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        if (store != nullptr) {
-          keys[s] = cache_key(profile, machine, grid.schemes[s].spec,
-                              grid.budget, grid.schemes[s].custom_tag,
-                              eval::source_name(eval::Source::kModel));
-          const Clock::time_point t0 = Clock::now();
-          const CacheLookup looked =
-              store->lookup(keys[s], &model_points[slot_index(t, m, s)]);
-          job_phases.cache_io += seconds_since(t0);
-          if (looked == CacheLookup::kHit) {
-            model_hit[slot_index(t, m, s)] = 1;
-            continue;
-          }
-          if (looked == CacheLookup::kCorrupt) {
-            cache_corrupt.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        missing.push_back(s);
-      }
-      if (!missing.empty()) {
-        eval::EvalRequest request{profile, machine, grid.budget, {}};
-        for (const std::size_t s : missing) {
-          request.schemes.push_back(grid.schemes[s]);
-        }
-        eval::EvalResponse response = model_evaluator.evaluate(request);
-        experiments.fetch_add(response.experiments, std::memory_order_relaxed);
-        for (std::size_t i = 0; i < missing.size(); ++i) {
-          const std::size_t s = missing[i];
-          model_points[slot_index(t, m, s)] = std::move(response.results[i]);
-          if (store != nullptr) {
-            const Clock::time_point t0 = Clock::now();
-            store->store(keys[s], model_points[slot_index(t, m, s)]);
-            job_phases.cache_io += seconds_since(t0);
-          }
-        }
-        job_phases.trace_build += response.phases.trace_build_s;
-        job_phases.annotate += response.phases.annotate_s;
-        job_phases.warmup += response.phases.warmup_s;
-        job_phases.simulate += response.phases.simulate_s;
-      }
-      std::lock_guard<std::mutex> lock(phases_mutex);
-      phases += job_phases;
-    };
-    if (opt.jobs <= 1 || total_jobs <= 1) {
-      for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-        for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-          model_job(t, m);
-        }
-      }
-    } else {
-      ThreadPool pool(static_cast<unsigned>(
-          std::min<std::size_t>(opt.jobs, total_jobs)));
-      std::vector<std::future<void>> futures;
-      futures.reserve(total_jobs);
-      for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-        for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-          futures.push_back(
-              pool.submit([&model_job, t, m] { model_job(t, m); }));
-        }
-      }
-      for (auto& f : futures) f.get();
-    }
-    result.model.enabled = true;
-    result.model.top_k = opt.prune_top_k;
-    result.model.estimated = model_points.size();
-
-    const std::size_t num_configs =
-        grid.machines.size() * grid.schemes.size();
-    model_score.resize(num_configs, 0.0);
-    for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        double sum = 0;
-        for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-          sum += model_points[slot_index(t, m, s)].ipc;
-        }
-        model_score[m * grid.schemes.size() + s] =
-            sum / static_cast<double>(grid.profiles.size());
-      }
-    }
-    // Rank configs by model score (stable: score ties break towards the
-    // lower grid index) and take the top-K as the simulation frontier.
-    std::vector<std::size_t> order(num_configs);
-    for (std::size_t c = 0; c < num_configs; ++c) order[c] = c;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return model_score[a] > model_score[b];
-                     });
-    const std::size_t frontier = std::min(opt.prune_top_k, num_configs);
-    for (std::size_t i = 0; i < frontier; ++i) {
-      sim_schemes[order[i] / grid.schemes.size()].push_back(
-          order[i] % grid.schemes.size());
-    }
-    // The ranking visits configs in score order; the sim stage wants each
-    // machine's schemes back in deterministic grid order.
-    for (auto& schemes : sim_schemes) std::sort(schemes.begin(), schemes.end());
-  }
-
-  std::size_t num_jobs = 0;
-  for (const auto& schemes : sim_schemes) {
-    if (!schemes.empty()) num_jobs += grid.profiles.size();
-  }
-
-  // --- Stage 2: cycle-accurate simulation. --------------------------------
-  // One job = the (frontier) schemes of one (trace, machine) cell: the
-  // schemes share the job's TraceExperiment (workload generation and trace
-  // replay dominate point cost) behind SimEvaluator, and each scheme
-  // re-annotates from scratch, so evaluating any subset of schemes yields
-  // the same bits as evaluating all of them — which is why a pruned run's
-  // simulated frontier is byte-identical to the unpruned run's.
-  auto run_job = [&](std::size_t t, std::size_t m) {
+  // Scores `schemes` on the (trace, machine) cell with `evaluator`: probes
+  // the store for each under the evaluator's key namespace ("sim" or
+  // "model"), evaluates the misses in one request, which lets the backend
+  // share per-cell work among them, and stores them. Returns the number of
+  // points evaluated.
+  const auto run_cell = [&](eval::Evaluator& evaluator, std::size_t t,
+                            std::size_t m,
+                            const std::vector<std::size_t>& schemes) {
     workload::WorkloadProfile profile = grid.profiles[t];
     profile.seed_salt += opt.seed_salt;
     const MachineConfig& machine = grid.machines[m];
+    const std::size_t first = (t * num_machines + m) * num_schemes;
+    harness::RunResult* const slots = &result.points_[first];
 
-    PhaseSeconds job_phases;
+    PhaseSeconds cell_phases;
     std::vector<std::size_t> missing;
-    std::vector<std::string> keys(grid.schemes.size());
-    for (const std::size_t s : sim_schemes[m]) {
-      const SweepScheme& scheme = grid.schemes[s];
+    std::vector<std::string> keys(num_schemes);
+    for (const std::size_t s : schemes) {
+      CacheLookup looked = CacheLookup::kMiss;
       if (store != nullptr) {
-        keys[s] = cache_key(profile, machine, scheme.spec, grid.budget,
-                            scheme.custom_tag);
+        keys[s] = cache_key(profile, machine, grid.schemes[s].spec,
+                            grid.budget, grid.schemes[s].custom_tag,
+                            eval::source_name(evaluator.source()));
         const Clock::time_point t0 = Clock::now();
-        const CacheLookup looked = store->lookup(keys[s], &result.slot(t, m, s));
-        job_phases.cache_io += seconds_since(t0);
-        if (looked == CacheLookup::kHit) {
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (looked == CacheLookup::kCorrupt) {
-          cache_corrupt.fetch_add(1, std::memory_order_relaxed);
-        }
+        looked = store->lookup(keys[s], &slots[s]);
+        cell_phases.cache_io += seconds_since(t0);
+      }
+      hit[first + s] = looked == CacheLookup::kHit;
+      if (looked == CacheLookup::kHit) continue;
+      if (looked == CacheLookup::kCorrupt) {
+        cache_corrupt.fetch_add(1, std::memory_order_relaxed);
       }
       missing.push_back(s);
     }
@@ -342,116 +265,130 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       for (const std::size_t s : missing) {
         request.schemes.push_back(grid.schemes[s]);
       }
-      eval::EvalResponse response = sim_evaluator.evaluate(request);
+      eval::EvalResponse response = evaluator.evaluate(request);
       experiments.fetch_add(response.experiments, std::memory_order_relaxed);
       for (std::size_t i = 0; i < missing.size(); ++i) {
         const std::size_t s = missing[i];
-        result.slot(t, m, s) = std::move(response.results[i]);
-        simulated.fetch_add(1, std::memory_order_relaxed);
+        slots[s] = std::move(response.results[i]);
         if (store != nullptr) {
           const Clock::time_point t0 = Clock::now();
-          store->store(keys[s], result.slot(t, m, s));
-          job_phases.cache_io += seconds_since(t0);
+          store->store(keys[s], slots[s]);
+          cell_phases.cache_io += seconds_since(t0);
         }
       }
-      job_phases.trace_build += response.phases.trace_build_s;
-      job_phases.annotate += response.phases.annotate_s;
-      job_phases.warmup += response.phases.warmup_s;
-      job_phases.simulate += response.phases.simulate_s;
+      cell_phases.trace_build += response.phases.trace_build_s;
+      cell_phases.annotate += response.phases.annotate_s;
+      cell_phases.warmup += response.phases.warmup_s;
+      cell_phases.simulate += response.phases.simulate_s;
     }
-    {
-      std::lock_guard<std::mutex> lock(phases_mutex);
-      phases += job_phases;
-    }
-
-    const std::size_t done = jobs_done.fetch_add(1) + 1;
-    if (opt.progress) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      opt.progress(done, num_jobs);
-    }
+    std::lock_guard<std::mutex> lock(phases_mutex);
+    phases += cell_phases;
+    return missing.size();
   };
 
-  std::atomic<std::size_t> jobs_pulled{0};
-  if (opt.queue != nullptr) {
-    // Pull mode: each worker thread leases jobs until the queue reports the
-    // sweep drained. Cells pulled by *other* workers stay default — the
-    // caller assembles them from the shared store afterwards.
-    auto pull_loop = [&] {
-      std::size_t job = 0;
-      while (opt.queue->acquire(&job)) {
-        VCSTEER_CHECK_MSG(job < total_jobs, "leased job index out of range");
-        jobs_pulled.fetch_add(1, std::memory_order_relaxed);
-        run_job(job / grid.machines.size(), job % grid.machines.size());
-        opt.queue->complete(job);
-      }
-    };
-    if (opt.jobs <= 1) {
-      pull_loop();
-    } else {
-      ThreadPool pool(static_cast<unsigned>(
-          std::min<std::size_t>(opt.jobs, total_jobs)));
-      std::vector<std::future<void>> futures;
-      const std::size_t workers =
-          std::min<std::size_t>(opt.jobs, total_jobs);
-      futures.reserve(workers);
-      for (std::size_t i = 0; i < workers; ++i) {
-        futures.push_back(pool.submit(pull_loop));
-      }
-      for (auto& f : futures) f.get();
-    }
-  } else if (opt.jobs <= 1 || num_jobs <= 1) {
-    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-      for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (!sim_schemes[m].empty()) run_job(t, m);
-      }
-    }
-  } else if (num_jobs > 0) {
-    // No point keeping more workers than jobs exist.
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(opt.jobs, num_jobs)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_jobs);
-    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-      for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (sim_schemes[m].empty()) continue;
-        futures.push_back(pool.submit([&run_job, t, m] { run_job(t, m); }));
+  // --- Stage 1 (pruned mode only): model-estimate every grid point. -------
+  // The estimates land in the result slots; (machine, scheme) configs are
+  // then ranked by mean model IPC across traces and the top-K become the
+  // simulation frontier, whose slots stage 2 overwrites. sim_schemes[m] is
+  // the scheme subset stage 2 simulates on machine m — every scheme in the
+  // unpruned case.
+  std::vector<std::size_t> every_scheme(num_schemes);
+  std::iota(every_scheme.begin(), every_scheme.end(), std::size_t{0});
+  std::vector<std::vector<std::size_t>> sim_schemes(num_machines);
+  std::vector<double> model_score;  // mean model IPC per (machine, scheme)
+  if (opt.prune_top_k == 0) {
+    sim_schemes.assign(num_machines, every_scheme);
+  } else {
+    eval::ModelEvaluator model_evaluator;
+    std::vector<std::size_t> cells(total_jobs);
+    std::iota(cells.begin(), cells.end(), std::size_t{0});
+    ListQueue queue(std::move(cells));
+    drain(queue, std::min<std::size_t>(opt.jobs, total_jobs),
+          [&](std::size_t job) {
+            run_cell(model_evaluator, job / num_machines, job % num_machines,
+                     every_scheme);
+          });
+
+    const std::size_t num_configs = num_machines * num_schemes;
+    model_score.resize(num_configs, 0.0);
+    for (std::size_t m = 0; m < num_machines; ++m) {
+      for (std::size_t s = 0; s < num_schemes; ++s) {
+        double sum = 0;
+        for (std::size_t t = 0; t < num_traces; ++t) {
+          sum += result.at(t, m, s).ipc;
+        }
+        model_score[m * num_schemes + s] =
+            sum / static_cast<double>(num_traces);
       }
     }
-    for (auto& f : futures) f.get();
+    // Rank configs by model score (stable: score ties break towards the
+    // lower grid index) and take the top-K as the simulation frontier.
+    std::vector<std::size_t> order(num_configs);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return model_score[a] > model_score[b];
+                     });
+    const std::size_t frontier = std::min(opt.prune_top_k, num_configs);
+    for (std::size_t i = 0; i < frontier; ++i) {
+      sim_schemes[order[i] / num_schemes].push_back(order[i] % num_schemes);
+    }
+    // The ranking visits configs in score order; the sim stage wants each
+    // machine's schemes back in deterministic grid order.
+    for (auto& schemes : sim_schemes) std::sort(schemes.begin(), schemes.end());
+    result.model.enabled = true;
+    result.model.top_k = opt.prune_top_k;
+    result.model.estimated = result.num_points();
+    result.model.pruned = (num_configs - frontier) * num_traces;
   }
 
-  // --- Stage 3 (pruned mode only): fill non-frontier slots with the model
-  // estimates and score the model's rank agreement over the simulated
-  // frontier configs (mean sim IPC vs mean model IPC across traces).
-  if (opt.prune_top_k > 0) {
-    std::vector<bool> in_frontier(grid.machines.size() * grid.schemes.size(),
-                                  false);
-    for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      for (const std::size_t s : sim_schemes[m]) {
-        in_frontier[m * grid.schemes.size() + s] = true;
-      }
-    }
-    std::vector<double> frontier_model, frontier_sim;
-    std::vector<std::size_t> frontier_configs;
-    for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        const std::size_t c = m * grid.schemes.size() + s;
-        if (!in_frontier[c]) {
-          for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-            result.slot(t, m, s) = model_points[slot_index(t, m, s)];
-            ++result.model.pruned;
-            cache_hits += model_hit[slot_index(t, m, s)];
+  // --- Stage 2: cycle-accurate simulation. --------------------------------
+  // One job = the (frontier) schemes of one (trace, machine) cell: the
+  // schemes share the job's TraceExperiment (workload generation and trace
+  // replay dominate point cost) behind SimEvaluator, and each scheme
+  // re-annotates from scratch, so evaluating any subset of schemes yields
+  // the same bits as evaluating all of them — which is why a pruned run's
+  // simulated frontier is byte-identical to the unpruned run's. In pull
+  // mode the jobs come from opt.queue; cells other workers pulled stay
+  // default, and the caller assembles them from the shared store afterwards.
+  std::vector<std::size_t> cells;
+  for (std::size_t job = 0; job < total_jobs; ++job) {
+    if (!sim_schemes[job % num_machines].empty()) cells.push_back(job);
+  }
+  const std::size_t num_jobs = cells.size();
+  ListQueue local_queue(std::move(cells));
+  JobQueue& queue = opt.queue != nullptr ? *opt.queue : local_queue;
+  eval::SimEvaluator sim_evaluator;
+  std::atomic<std::size_t> simulated{0};
+  std::atomic<std::size_t> jobs_done{0};
+  std::mutex progress_mutex;
+  drain(queue, std::min<std::size_t>(opt.jobs, num_jobs),
+        [&](std::size_t job) {
+          VCSTEER_CHECK_MSG(job < total_jobs, "leased job index out of range");
+          const std::size_t m = job % num_machines;
+          simulated.fetch_add(
+              run_cell(sim_evaluator, job / num_machines, m, sim_schemes[m]),
+              std::memory_order_relaxed);
+          const std::size_t done = jobs_done.fetch_add(1) + 1;
+          if (opt.progress) {
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            opt.progress(done, num_jobs);
           }
-          continue;
-        }
+        });
+
+  // --- Stage 3 (pruned mode only): score the model's rank agreement over
+  // the simulated frontier configs (mean sim IPC vs mean model IPC across
+  // traces).
+  if (opt.prune_top_k > 0) {
+    std::vector<double> frontier_model, frontier_sim;
+    for (std::size_t m = 0; m < num_machines; ++m) {
+      for (const std::size_t s : sim_schemes[m]) {
         double sim_sum = 0;
-        for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
+        for (std::size_t t = 0; t < num_traces; ++t) {
           sim_sum += result.at(t, m, s).ipc;
         }
-        frontier_configs.push_back(c);
-        frontier_model.push_back(model_score[c]);
-        frontier_sim.push_back(sim_sum /
-                               static_cast<double>(grid.profiles.size()));
+        frontier_model.push_back(model_score[m * num_schemes + s]);
+        frontier_sim.push_back(sim_sum / static_cast<double>(num_traces));
       }
     }
     result.model.spearman =
@@ -460,8 +397,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     // configs that actually got simulated (outside the frontier there is no
     // simulation ranking to compare against).
     auto top3 = [&](const std::vector<double>& score) {
-      std::vector<std::size_t> idx(frontier_configs.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+      std::vector<std::size_t> idx(score.size());
+      std::iota(idx.begin(), idx.end(), std::size_t{0});
       std::stable_sort(idx.begin(), idx.end(),
                        [&](std::size_t a, std::size_t b) {
                          return score[a] > score[b];
@@ -478,9 +415,10 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     }
   }
 
-  result.jobs_pulled = jobs_pulled.load();
+  result.jobs_pulled = opt.queue != nullptr ? jobs_done.load() : 0;
   result.simulated = simulated.load();
-  result.cache_hits = cache_hits.load();
+  result.cache_hits =
+      static_cast<std::size_t>(std::count(hit.begin(), hit.end(), char{1}));
   result.cache_corrupt = cache_corrupt.load();
   result.experiments = experiments.load();
   result.phases = phases;

@@ -3,12 +3,13 @@
 // A sweep is the cross product (traces x machines x schemes) every figure
 // bench iterates. run_sweep() splits it into one job per (trace, machine)
 // pair — the granularity at which TraceExperiment amortises workload
-// generation and trace materialisation — and runs the jobs on a ThreadPool.
-// Each job owns its TraceExperiment and every RNG it touches is seeded from
-// the profile itself, so results are bit-identical no matter how many
-// workers run or in which order jobs finish: `--jobs 8` reproduces
-// `--jobs 1` exactly. Results land in pre-sized slots indexed by grid
-// position, never by completion order.
+// generation and trace materialisation — and worker threads pull the jobs
+// from a JobQueue until it drains (`--jobs 1` runs them inline). Each job
+// owns its TraceExperiment and every RNG it touches is seeded from the
+// profile itself, so results are bit-identical no matter how many workers
+// run or in which order jobs finish: `--jobs 8` reproduces `--jobs 1`
+// exactly. Results land in pre-sized slots indexed by grid position, never
+// by completion order.
 //
 // With a ResultCache attached, each point is probed before simulating and
 // stored after; a job whose points are all cached never constructs its
@@ -46,11 +47,12 @@ struct SweepGrid {
   harness::SimBudget budget;
 };
 
-/// Source of sweep jobs for pull-mode scheduling. A job is the linear index
-/// `trace * num_machines + machine` into the grid's (trace, machine) cells.
-/// The sweep service's NetJobQueue leases jobs from vcsteer-sweepd so idle
-/// workers steal work from slow ones; tests drive run_sweep with in-process
-/// queues.
+/// Source of sweep jobs: run_sweep's worker threads acquire() jobs until it
+/// drains. A job is the linear index `trace * num_machines + machine` into
+/// the grid's (trace, machine) cells. run_sweep drains an in-process queue
+/// of its own unless SweepOptions::queue supplies one: the sweep service's
+/// NetJobQueue leases jobs from vcsteer-sweepd so idle workers steal work
+/// from slow ones.
 class JobQueue {
  public:
   virtual ~JobQueue() = default;
@@ -72,8 +74,9 @@ struct SweepOptions {
   /// exactly like cache_dir, but through any ResultStore (e.g. the sweep
   /// service's networked store). Not owned.
   ResultStore* store = nullptr;
-  /// Pull-mode scheduling: when set, workers acquire() jobs from this queue
-  /// until it drains instead of running every job. Jobs executed here count
+  /// Pull-mode scheduling: when set, the simulation stage's workers
+  /// acquire() jobs from this queue until it drains, instead of from
+  /// run_sweep's own queue of every cell. Jobs executed here count
   /// into SweepCounters::jobs_pulled; cells this worker never pulled stay
   /// default-initialised (empty trace) and are assembled from the shared
   /// store afterwards. Not owned.
@@ -180,7 +183,6 @@ class SweepResult : public SweepCounters {
 
  private:
   friend SweepResult run_sweep(const SweepGrid&, const SweepOptions&);
-  harness::RunResult& slot(std::size_t t, std::size_t m, std::size_t s);
 
   std::size_t traces_, machines_, schemes_;
   std::vector<harness::RunResult> points_;
@@ -188,7 +190,13 @@ class SweepResult : public SweepCounters {
 
 /// Runs the grid. CHECK-fails before any work when a grid machine fails
 /// MachineConfig::validate(), naming the machine's index and the problem.
+/// An exception thrown by a job (its evaluator, store or progress callback)
+/// is rethrown here once every worker thread has joined.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt);
+
+/// std::thread::hardware_concurrency with a floor of 1 (the standard allows
+/// it to return 0): the default SweepOptions::jobs of the benches.
+unsigned default_jobs();
 
 /// Deterministic 64-bit identity of a sweep: the hash of every point's
 /// canonical cache key (profiles already salted with `seed_salt`). Clients

@@ -180,7 +180,6 @@ class TraceExperiment {
   const std::vector<std::vector<std::uint64_t>>& warm_addrs() const {
     return warm_addrs_;
   }
-  const MachineConfig& machine() const { return machine_; }
   /// Wall-clock spans accumulated over this experiment's lifetime
   /// (construction + every run so far).
   const PhaseTimes& phases() const { return phases_; }

@@ -1,15 +1,15 @@
-// Tests for the parallel experiment-execution engine: thread-pool
-// correctness under load, bit-identical parallel vs serial sweeps, cache
+// Tests for the parallel experiment-execution engine: bit-identical
+// parallel vs serial sweeps, job errors reaching the caller, cache
 // round-trips, and cache invalidation when any configuration field changes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +18,6 @@
 #include "exec/cache.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "scratch_dir.hpp"
 #include "steer/mod_policy.hpp"
 #include "workload/profiles.hpp"
@@ -99,52 +98,6 @@ SweepGrid small_grid() {
   return grid;
 }
 
-// -------------------------------------------------------------- ThreadPool ---
-
-TEST(ThreadPool, RunsEveryTaskUnderLoad) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.num_threads(), 4u);
-    std::vector<std::future<void>> futures;
-    futures.reserve(5000);
-    for (int i = 0; i < 5000; ++i) {
-      futures.push_back(pool.submit([&count] {
-        count.fetch_add(1, std::memory_order_relaxed);
-      }));
-    }
-    for (auto& f : futures) f.get();
-    EXPECT_EQ(count.load(), 5000);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 500; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // No explicit wait: ~ThreadPool must run everything already queued.
-  }
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPool, ExceptionsReachTheFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The worker survives a throwing task.
-  auto ok = pool.submit([] {});
-  ok.get();
-}
-
-TEST(ThreadPool, AtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  EXPECT_GE(ThreadPool::default_jobs(), 1u);
-}
-
 // ------------------------------------------------------------- determinism ---
 
 TEST(Sweep, ParallelBitIdenticalToSerial) {
@@ -190,6 +143,18 @@ TEST(Sweep, ResultsIndexedByGridPosition) {
   EXPECT_EQ(result.at(0, 0).scheme, "OP");
   EXPECT_EQ(result.at(0, 1).scheme, "VC(2->2)");
   EXPECT_EQ(result.at(0, 2).scheme, "MOD3");
+}
+
+// A job's exception must reach run_sweep's caller, from a worker thread as
+// much as from the inline path.
+TEST(Sweep, JobExceptionReachesTheCaller) {
+  SweepOptions opt;
+  opt.jobs = 4;
+  opt.progress = [](std::size_t, std::size_t) {
+    throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(run_sweep(small_grid(), opt), std::runtime_error);
+  EXPECT_GE(default_jobs(), 1u);
 }
 
 TEST(Sweep, ProgressReportsEveryJob) {

@@ -29,7 +29,6 @@
 
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "workload/profiles.hpp"
 
 #ifndef VCSTEER_GOLDEN_DIR
@@ -235,7 +234,7 @@ std::string render_json(const std::string& bench_name,
 void check_golden(const std::string& name, const exec::SweepGrid& grid,
                   double rel_tol) {
   exec::SweepOptions opt;
-  opt.jobs = exec::ThreadPool::default_jobs();  // results are jobs-invariant
+  opt.jobs = exec::default_jobs();  // results are jobs-invariant
   const exec::SweepResult sweep = exec::run_sweep(grid, opt);
   const std::string produced = render_json(name, sweep);
 
