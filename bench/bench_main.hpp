@@ -13,10 +13,12 @@
 //   --seed S       extra salt mixed into every workload seed.
 //   --launch N     spread the sweep over N worker processes: spawn a private
 //                  vcsteer-sweepd over --cache-dir on a unix socket, re-exec
-//                  this binary as N `--connect` workers, retry a crashed
-//                  worker (bounded), then assemble the grid from the
-//                  daemon's store. --jobs is the total thread budget, split
-//                  across the workers.
+//                  this binary as N `--connect` workers, wait for them, then
+//                  pull what is left and assemble the grid from the daemon's
+//                  store. A dead worker is not restarted: the daemon requeues
+//                  its leases and another worker (or the parent) runs them.
+//                  --jobs is the total thread budget, split across the
+//                  workers.
 //   --connect ADDR lease (trace, machine) jobs from a vcsteer-sweepd at ADDR
 //                  (unix:/path or [tcp:]host:port) until the sweep drains,
 //                  then assemble the whole grid from its store, so every
@@ -59,6 +61,7 @@
 //   return out.finish();        // writes --json/--summary-json files
 #pragma once
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -79,16 +82,12 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "exec/launcher.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
 #include "harness/experiment.hpp"
 #include "net/client.hpp"
 
 namespace vcsteer::bench {
-
-/// Retries per worker beyond its first attempt (--launch).
-inline constexpr unsigned kLaunchMaxRetries = 2;
 
 struct Options {
   std::string bench_name;
@@ -144,29 +143,23 @@ struct Options {
   }
 
   /// Path of the vcsteer-sweepd binary --launch spawns: a sibling of
-  /// the bench executable (both live in the build directory).
+  /// the bench executable (both live in the build directory), or found on
+  /// PATH like the bench itself when argv[0] has no '/'.
   std::string sweepd_path() const {
     const std::size_t slash = exe.rfind('/');
     return slash == std::string::npos ? "vcsteer-sweepd"
                                       : exe.substr(0, slash + 1) + "vcsteer-sweepd";
   }
 
-  /// Test-only crash injection for the launcher's recovery path: a worker
+  /// Test-only crash injection for --launch's recovery path: a worker
   /// whose --client-id equals VCSTEER_TEST_CRASH_CLIENT SIGKILLs itself
-  /// after VCSTEER_TEST_CRASH_AFTER (default 1) finished jobs — on its
-  /// first launch attempt only, unless VCSTEER_TEST_CRASH_ALWAYS is set.
-  /// Returns 0 when inactive.
+  /// after VCSTEER_TEST_CRASH_AFTER (default 1) finished jobs. Returns 0
+  /// when inactive.
   std::size_t crash_after_jobs() const {
     const char* crash_client = std::getenv("VCSTEER_TEST_CRASH_CLIENT");
     if (crash_client == nullptr || client_id.empty() ||
         client_id != crash_client) {
       return 0;
-    }
-    if (std::getenv("VCSTEER_TEST_CRASH_ALWAYS") == nullptr) {
-      const char* attempt = std::getenv("VCSTEER_LAUNCH_ATTEMPT");
-      if (attempt != nullptr && std::strtoul(attempt, nullptr, 10) > 1) {
-        return 0;  // the retry is allowed to succeed
-      }
     }
     const char* after = std::getenv("VCSTEER_TEST_CRASH_AFTER");
     const unsigned long jobs_before_crash =
@@ -301,7 +294,17 @@ inline const std::vector<OptionSpec>& option_table() {
        [](const Options& o) { return o.connect; }},
       {"--client-id", nullptr, "ID",
        "this worker's name in server lease stats (default: wpid<pid>)",
-       [](Options& o, const char* v) { o.client_id = v; },
+       [](Options& o, const char* v) {
+         // The daemon reads the id as one token of at most 127 bytes.
+         const std::size_t n = std::strlen(v);
+         if (n == 0 || n > 127 || !std::all_of(v, v + n, [](unsigned char c) {
+               return std::isgraph(c) != 0;
+             })) {
+           parse_fail(o, "--client-id expects 1..127 printable non-space "
+                         "characters");
+         }
+         o.client_id = v;
+       },
        [](const Options& o) { return o.client_id; }},
       {"--prune-model", nullptr, "K",
        "two-stage pruned search: model-score every point, simulate only the "
@@ -429,7 +432,35 @@ inline Options parse_args(int argc, char** argv, std::string bench_name) {
   return opt;
 }
 
-/// The vcsteer-sweepd a --launch run spawns: fork/exec'd by start(),
+/// Forks and execs `argv`; argv[0] is looked up on PATH when it has no '/',
+/// so a bench started through PATH still re-execs itself. The child's
+/// stdout and stderr go to the files `out` and `err` (created or truncated)
+/// when given, else are inherited. Returns the child's pid, or -1 when fork
+/// fails; a child that cannot exec says why and exits 127.
+inline pid_t spawn(const std::vector<std::string>& argv,
+                   const char* out = nullptr, const char* err = nullptr) {
+  std::vector<char*> cargv;
+  for (const std::string& a : argv) {
+    cargv.push_back(const_cast<char*>(a.c_str()));
+  }
+  cargv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  for (const auto& [path, fd] : {std::pair{out, STDOUT_FILENO},
+                                 std::pair{err, STDERR_FILENO}}) {
+    const int file =
+        path != nullptr ? ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644) : -1;
+    if (file >= 0) {
+      ::dup2(file, fd);
+      ::close(file);
+    }
+  }
+  ::execvp(cargv[0], cargv.data());
+  std::fprintf(stderr, "exec %s: %s\n", cargv[0], std::strerror(errno));
+  ::_exit(127);
+}
+
+/// The vcsteer-sweepd a --launch run spawns: spawn()ed by start(),
 /// SIGTERM'd and reaped by stop(). It listens on a unix socket in a private
 /// mkdtemp directory, which stop() removes. The daemon must already be
 /// accepting connections when start() returns (its listen socket is bound
@@ -443,26 +474,17 @@ class ServerProcess {
 
   /// The address the daemon listens on, once start() has chosen it.
   const std::string& address() const { return address_; }
+  /// The private directory that holds the socket; stop() removes it, so
+  /// whatever else goes in it must be gone by then.
+  const std::string& dir() const { return private_dir_; }
 
   bool start(const Options& opt) {
     if (!make_private_socket()) return false;
-    const std::string path = opt.sweepd_path();
-    std::vector<std::string> argv = {path,        "--listen", address_,
-                                     "--cache-dir", opt.cache_dir};
-    pid_ = ::fork();
+    pid_ = spawn({opt.sweepd_path(), "--listen", address_, "--cache-dir",
+                  opt.cache_dir});
     if (pid_ < 0) {
       std::perror("fork");
       return false;
-    }
-    if (pid_ == 0) {
-      std::vector<char*> cargv;
-      cargv.reserve(argv.size() + 1);
-      for (std::string& a : argv) cargv.push_back(a.data());
-      cargv.push_back(nullptr);
-      ::execv(path.c_str(), cargv.data());
-      std::fprintf(stderr, "exec %s failed: %s\n", path.c_str(),
-                   std::strerror(errno));
-      ::_exit(127);
     }
     // Readiness probe: the daemon binds before serving, so the first PING
     // that gets through (the client reconnect-retries) proves liveness.
@@ -534,7 +556,7 @@ class Output {
         start_(std::chrono::steady_clock::now()) {}
 
   /// The whole execution phase of a bench. The returned sweep always holds
-  /// the whole grid; a distributed run that cannot assemble it writes the
+  /// the whole grid; a --launch run whose daemon does not start writes the
   /// --summary-json (ok:false) and exits non-zero instead of returning.
   exec::SweepResult run(const exec::SweepGrid& grid) {
     if (opt_.distributed()) return run_networked(grid);
@@ -575,8 +597,9 @@ class Output {
 
  private:
   /// The distributed execution phase, every role:
-  ///   --launch N: spawn a private daemon and N leasing workers, then lease
-  ///              alongside them (nothing is left once they succeed);
+  ///   --launch N: spawn a private daemon and N leasing workers, wait for
+  ///              them, then lease what is left (nothing, unless every
+  ///              worker died);
   ///   --connect: lease jobs from an already-running daemon.
   /// Either way the run ends with an assembly pass that reads the complete
   /// grid back from the server's store, so every participant emits
@@ -587,19 +610,7 @@ class Output {
     net.enabled = true;
     net.role = opt_.connect.empty() ? "serve" : "connect";
     net.server = opt_.connect.empty() ? server_.address() : opt_.connect;
-    if (opt_.launch >= 2) {
-      const exec::LaunchReport report = run_workers(net.server);
-      summary_.shards = report.workers;
-      summary_.launch_max_retries = kLaunchMaxRetries;
-      if (!report.ok) {
-        std::fprintf(stderr,
-                     "%s: %zu of %u worker(s) failed after %u attempts each;"
-                     " skipping the assembly run\n",
-                     opt_.bench_name.c_str(), report.failed_workers(),
-                     opt_.launch, 1 + kLaunchMaxRetries);
-        fail();
-      }
-    }
+    if (opt_.launch >= 2) summary_.shards = run_workers(net.server);
 
     net::ClientOptions co;
     co.connect = net.server;
@@ -648,47 +659,58 @@ class Output {
     return sweep;
   }
 
-  /// Spawns the --launch workers against the daemon at `server` and relays
-  /// their stderr line by line under a "[w<i>]" prefix, their client id
-  /// (each worker's progress dots arrive as one line: sweeps only
-  /// newline-terminate them at the end).
-  exec::LaunchReport run_workers(const std::string& server) {
-    exec::LaunchOptions lo;
-    lo.max_retries = kLaunchMaxRetries;
-    for (unsigned i = 0; i < opt_.launch; ++i) {
-      lo.worker_argv.push_back(opt_.worker_argv(i, server));
-    }
-    std::vector<std::string> buffered(opt_.launch);
-    auto flush_line = [](std::uint32_t w, std::string_view line) {
-      std::fprintf(stderr, "[w%u] %.*s\n", w, static_cast<int>(line.size()),
-                   line.data());
-    };
-    lo.on_output = [&](std::uint32_t w, std::string_view chunk) {
-      std::string& buf = buffered[w];
-      buf.append(chunk);
-      std::size_t pos;
-      while ((pos = buf.find('\n')) != std::string::npos) {
-        flush_line(w, std::string_view(buf).substr(0, pos));
-        buf.erase(0, pos + 1);
-      }
-    };
-    lo.on_attempt = [&](const exec::WorkerStatus& s, bool will_retry) {
-      if (s.ok) return;
-      const std::string reason =
-          s.term_signal != 0 ? "died to signal " + std::to_string(s.term_signal)
-          : s.exit_code < 0  ? "could not be spawned"
-                             : "exited with code " + std::to_string(s.exit_code);
-      std::fprintf(stderr, "[w%u] attempt %u/%u %s%s\n", s.index, s.attempts,
-                   1 + kLaunchMaxRetries, reason.c_str(),
-                   will_retry ? "; retrying" : "; giving up");
-    };
+  /// Runs the --launch workers against the daemon at `server` as plain
+  /// child processes and waits for all of them. A worker that dies is not
+  /// restarted: its connection closing hands its leases back to the
+  /// daemon, and a surviving worker, or the pull pass after this, runs
+  /// them. Worker i's stderr goes to w<i>.log in the daemon's private
+  /// directory and is relayed once it exits, line by line under a "[w<i>]"
+  /// prefix, its client id.
+  std::vector<exec::RunSummary::WorkerStatus> run_workers(
+      const std::string& server) {
     std::fprintf(stderr, "%s: launching %u workers leasing from %s\n",
                  opt_.bench_name.c_str(), opt_.launch, server.c_str());
-    exec::LaunchReport report = exec::launch_workers(lo);
-    for (std::uint32_t w = 0; w < buffered.size(); ++w) {
-      if (!buffered[w].empty()) flush_line(w, buffered[w]);
+    std::vector<pid_t> pids;
+    for (unsigned i = 0; i < opt_.launch; ++i) {
+      pids.push_back(spawn(opt_.worker_argv(i, server), "/dev/null",
+                           worker_log(i).c_str()));
     }
-    return report;
+    std::vector<exec::RunSummary::WorkerStatus> workers(opt_.launch);
+    for (unsigned i = 0; i < opt_.launch; ++i) {
+      exec::RunSummary::WorkerStatus& w = workers[i];
+      int status = 0;
+      pid_t reaped = -1;
+      if (pids[i] > 0) {
+        do {
+          reaped = ::waitpid(pids[i], &status, 0);
+        } while (reaped < 0 && errno == EINTR);
+      }
+      std::string how = "could not be spawned";
+      if (reaped > 0 && WIFSIGNALED(status)) {
+        w.term_signal = WTERMSIG(status);
+        how = "died to signal " + std::to_string(w.term_signal);
+      } else if (reaped > 0) {
+        w.exit_code = WEXITSTATUS(status);
+        w.ok = w.exit_code == 0;
+        how = "exited with code " + std::to_string(w.exit_code);
+      }
+      const std::string log = worker_log(i);
+      std::ifstream in(log);
+      for (std::string line; std::getline(in, line);) {
+        std::fprintf(stderr, "[w%u] %s\n", i, line.c_str());
+      }
+      ::unlink(log.c_str());
+      if (!w.ok) {
+        std::fprintf(stderr,
+                     "[w%u] %s; its unfinished jobs go back on the queue\n", i,
+                     how.c_str());
+      }
+    }
+    return workers;
+  }
+
+  std::string worker_log(unsigned i) const {
+    return server_.dir() + "/w" + std::to_string(i) + ".log";
   }
 
   /// Adds a sweep that holds the whole grid: its points go to the sink and
@@ -713,9 +735,9 @@ class Output {
     }
   }
 
-  /// A distributed run that cannot assemble its grid: the summary says why
-  /// (ok:false), the spawned daemon and its private socket directory go,
-  /// and the bench exits 1.
+  /// A --launch run whose daemon does not start: the summary says so
+  /// (ok:false), the daemon and its private socket directory go, and the
+  /// bench exits 1.
   [[noreturn]] void fail() {
     finish_summary(/*ok=*/false);
     server_.stop();

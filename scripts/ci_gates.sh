@@ -12,8 +12,10 @@
 #   smoke     cold sweep simulates everything; warm re-run is 100% cache
 #             hits, and so is a warm --prune-model 3 re-run
 #   launch    --launch 2 spawns a private vcsteer-sweepd and two leasing
-#             workers, its assembly pass never re-simulates, and no line
-#             of progress dots runs into the next line of its stderr
+#             workers, none of which dies, its assembly pass never
+#             re-simulates, each worker's stderr is relayed under its
+#             "[w<i>]" prefix, and no line of progress dots runs into the
+#             next line of its stderr
 #   service   networked result store + work-stealing scheduler: two
 #             concurrent --connect clients leasing fig7 smoke jobs from one
 #             vcsteer-sweepd must emit results JSON byte-identical to a
@@ -229,6 +231,12 @@ gate_launch() {
     'launch["failed_shards"] == 0' \
     'all(s["ok"] for s in launch["shards"])' \
     'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
+  # Each worker's stderr is relayed under its "[w<i>]" prefix.
+  if ! grep -qE '^\[w1\] .*: pulled [0-9]+/[0-9]+ jobs from ' \
+      "$GATE_OUT/launch.err"; then
+    echo "ci_gates: no relayed [w1] pulled line" >&2
+    exit 1
+  fi
   # Each pass's progress dots end their own line, also when a worker pulled
   # only part of the sweep.
   if grep -E '^(\[w[0-9]+\] )?\.+[^.]' "$GATE_OUT/launch.err"; then

@@ -29,21 +29,16 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
   if (s.shards.empty()) {
     os << ",\"launch\":null";
   } else {
-    bool launch_ok = true;
     std::size_t failed = 0;
-    for (const WorkerStatus& w : s.shards) {
-      launch_ok = launch_ok && w.ok;
-      failed += !w.ok;
-    }
+    for (const RunSummary::WorkerStatus& w : s.shards) failed += !w.ok;
     os << ",\"launch\":{\"workers\":" << s.shards.size()
-       << ",\"max_retries\":" << s.launch_max_retries
-       << ",\"ok\":" << boolean(launch_ok) << ",\"failed_shards\":" << failed
+       << ",\"ok\":" << boolean(failed == 0) << ",\"failed_shards\":" << failed
        << ",\"shards\":[";
     for (std::size_t i = 0; i < s.shards.size(); ++i) {
-      const WorkerStatus& w = s.shards[i];
+      const RunSummary::WorkerStatus& w = s.shards[i];
       if (i) os << ',';
-      os << "{\"shard\":" << w.index << ",\"attempts\":" << w.attempts
-         << ",\"ok\":" << boolean(w.ok) << ",\"exit_code\":" << w.exit_code
+      os << "{\"shard\":" << i << ",\"ok\":" << boolean(w.ok)
+         << ",\"exit_code\":" << w.exit_code
          << ",\"signal\":" << w.term_signal << "}";
     }
     os << "]}";

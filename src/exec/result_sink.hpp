@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/launcher.hpp"
 #include "exec/sweep.hpp"
 #include "harness/experiment.hpp"
 #include "stats/table.hpp"
@@ -31,8 +30,9 @@ namespace vcsteer::exec {
 /// "the assembly run was a pure cache read".
 struct RunSummary {
   std::string bench;
-  /// False when a launched worker exhausted its retries (the process also
-  /// exits non-zero in that case, but the summary still explains why).
+  /// The run produced its output (a failed --json write makes it false).
+  /// A dead `--launch` worker does not: the others finish its jobs, and
+  /// the launch section records it.
   bool ok = true;
   double wall_seconds = 0.0;
   /// Every sweep of the run, summed with SweepCounters::operator+=.
@@ -41,11 +41,16 @@ struct RunSummary {
   /// and their cycles, simulated or cache-served.
   std::size_t points = 0;
   std::uint64_t cycles = 0;
-  /// Worker-process orchestration (`--launch N`): one status per worker
-  /// slot; none means the bench launched no workers and the `launch` JSON
-  /// field is null.
+  /// How one `--launch` worker process exited; worker i leases under
+  /// client id w<i>.
+  struct WorkerStatus {
+    bool ok = false;      ///< exited with status 0
+    int exit_code = -1;   ///< -1 when a signal killed it or it never ran
+    int term_signal = 0;  ///< the signal that killed it, else 0
+  };
+  /// One status per `--launch` worker, in index order; none means the
+  /// bench launched no workers and the `launch` JSON field is null.
   std::vector<WorkerStatus> shards;
-  unsigned launch_max_retries = 0;
   /// Sweep-service involvement (`--connect` / `--launch`);
   /// disabled means the `net` JSON field is null.
   struct NetSummary {
@@ -73,8 +78,8 @@ struct RunSummary {
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
 ///    "events":{"experiments","cycles"},
-///    "launch":null | {"workers","max_retries","ok","failed_shards",
-///                     "shards":[{"shard","attempts","ok","exit_code","signal"}]},
+///    "launch":null | {"workers","ok","failed_shards",
+///                     "shards":[{"shard","ok","exit_code","signal"}]},
 ///    "net":null | {"server","role","jobs_pulled","gets","puts","reconnects",
 ///                  "workers":{client-id:jobs-pulled...}},
 ///    "model":null | {"top_k","estimated","pruned","spearman","top3_overlap"},

@@ -88,30 +88,37 @@ struct SweepServer::Impl {
 
   explicit Impl(const ServerOptions& o) : opt(o), cache(o.cache_dir) {}
 
-  void reclaim_expired(SweepState& sweep, Clock::time_point now) {
+  /// Drops every lease `gone` selects and puts its job back on the queue
+  /// unless it is done, logging `why` for each job requeued.
+  template <class Pred>
+  static void requeue(SweepState& sweep, Pred gone, const char* why) {
     auto it = sweep.leases.begin();
     while (it != sweep.leases.end()) {
-      if (it->deadline <= now) {
-        if (sweep.done.count(it->job) == 0) {
-          VCSTEER_LOG_WARN("sweepd: lease on job %zu expired; requeueing",
-                           it->job);
-          sweep.available.push_back(it->job);
-        }
-        it = sweep.leases.erase(it);
-      } else {
+      if (!gone(*it)) {
         ++it;
+        continue;
       }
+      if (sweep.done.count(it->job) == 0) {
+        VCSTEER_LOG_WARN("sweepd: %s; requeueing job %zu", why, it->job);
+        sweep.available.push_back(it->job);
+      }
+      it = sweep.leases.erase(it);
     }
   }
 
-  /// A closed connection's worker is gone (exited or killed): its leases
-  /// expire now instead of at their deadline.
+  void reclaim_expired(SweepState& sweep, Clock::time_point now) {
+    requeue(sweep,
+            [now](const SweepState::Lease& l) { return l.deadline <= now; },
+            "lease expired");
+  }
+
+  /// A closed connection's worker is gone (exited or killed): its
+  /// unfinished leases go back on the queue now, not at their deadline.
   void release_leases(std::uint64_t conn) {
     for (auto& entry : sweeps) {
-      for (SweepState::Lease& lease : entry.second.leases) {
-        if (lease.conn == conn) lease.deadline = Clock::time_point::min();
-      }
-      reclaim_expired(entry.second, Clock::now());
+      requeue(entry.second,
+              [conn](const SweepState::Lease& l) { return l.conn == conn; },
+              "connection closed");
     }
   }
 
@@ -243,6 +250,15 @@ struct SweepServer::Impl {
 };
 
 SweepServer::SweepServer(const ServerOptions& opt) : impl_(new Impl(opt)) {
+  // A NaN or out-of-range timeout would make the deadline cast undefined.
+  if (!(opt.lease_timeout_s > 0 && opt.lease_timeout_s <= kMaxLeaseTimeoutS)) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "lease timeout %g s is not in (0, %g]", opt.lease_timeout_s,
+                  kMaxLeaseTimeoutS);
+    error_ = buf;
+    return;
+  }
   Address addr;
   std::string err;
   if (!parse_address(opt.listen, &addr, &err)) {
@@ -314,9 +330,10 @@ SweepServer::~SweepServer() {
   }
   if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
+  // Only a socket this server bound is its to remove.
   Address addr;
   std::string err;
-  if (parse_address(impl_->opt.listen, &addr, &err) && addr.is_unix) {
+  if (ok() && parse_address(impl_->opt.listen, &addr, &err) && addr.is_unix) {
     ::unlink(addr.path.c_str());
   }
   delete impl_;

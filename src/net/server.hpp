@@ -45,14 +45,21 @@ namespace vcsteer::net {
 /// in the repository has a few thousand (trace, machine) jobs.
 inline constexpr std::uint64_t kMaxSweepJobs = 1u << 20;
 
+/// Longest lease timeout, in seconds, a SweepServer accepts. A deadline is
+/// `now + timeout` in the steady clock's 64-bit nanoseconds, so the
+/// timeout must be finite and far below ~292 years; 1e6 s (11.6 days) is
+/// far beyond any job and far inside that range.
+inline constexpr double kMaxLeaseTimeoutS = 1e6;
+
 struct ServerOptions {
   /// Listen address: `unix:/path` or `[tcp:]host:port`.
   std::string listen;
   /// Directory of the authoritative ResultCache.
   std::string cache_dir;
-  /// Seconds before an unacknowledged lease expires back onto the queue.
-  /// A closed connection returns its leases at once; expiry is for a hung
-  /// worker, or a TCP peer that vanished without closing.
+  /// Seconds before an unacknowledged lease expires back onto the queue,
+  /// in (0, kMaxLeaseTimeoutS]. A closed connection returns its leases at
+  /// once; expiry is for a hung worker, or a TCP peer that vanished without
+  /// closing.
   double lease_timeout_s = 30.0;
   /// Test knob: after granting this many leases (across all sweeps), the
   /// server SIGKILLs itself — a deterministic mid-sweep crash for the
@@ -62,7 +69,8 @@ struct ServerOptions {
 
 class SweepServer {
  public:
-  /// Binds and listens. Check ok() before serve(); error() says why not.
+  /// Checks the options, then binds and listens. Check ok() before
+  /// serve(); error() says why not.
   explicit SweepServer(const ServerOptions& opt);
   ~SweepServer();
   SweepServer(const SweepServer&) = delete;

@@ -9,6 +9,9 @@
 // deliberately rebuilt from the first LEASE after a restart.
 #include <signal.h>
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +42,33 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// A number flag's whole value must parse: "5x" exits 2, it never runs as 5.
+[[noreturn]] void bad_value(const char* flag, const char* v) {
+  std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
+  std::exit(2);
+}
+
+/// Seconds; the range (NaN and infinity included) is the SweepServer
+/// constructor's check.
+double parse_seconds(const char* flag, const char* v) {
+  char* end = nullptr;
+  const double s = std::strtod(v, &end);
+  if (end == v || *end != '\0') bad_value(flag, v);
+  return s;
+}
+
+/// Unsigned decimal digits only, within 64 bits.
+std::uint64_t parse_count(const char* flag, const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      errno == ERANGE) {
+    bad_value(flag, v);
+  }
+  return n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,14 +88,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       opt.cache_dir = value("--cache-dir");
     } else if (arg == "--lease-timeout") {
-      opt.lease_timeout_s = std::strtod(value("--lease-timeout"), nullptr);
-      if (opt.lease_timeout_s <= 0) {
-        std::fprintf(stderr, "--lease-timeout must be positive\n");
-        return 2;
-      }
+      opt.lease_timeout_s = parse_seconds("--lease-timeout",
+                                          value("--lease-timeout"));
     } else if (arg == "--crash-after-leases") {
-      opt.crash_after_leases =
-          std::strtoull(value("--crash-after-leases"), nullptr, 10);
+      opt.crash_after_leases = parse_count("--crash-after-leases",
+                                           value("--crash-after-leases"));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

@@ -782,19 +782,10 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.points = 25;
   s.sweep.simulated = 0;
   s.sweep.cache_hits = 25;
-  s.launch_max_retries = 2;
-  WorkerStatus w0;
-  w0.index = 0;
-  w0.attempts = 1;
-  w0.ok = true;
-  w0.exit_code = 0;
-  WorkerStatus w1;
-  w1.index = 1;
-  w1.attempts = 2;
-  w1.ok = true;
-  w1.exit_code = 0;
-  w1.term_signal = 0;
-  s.shards = {w0, w1};
+  RunSummary::WorkerStatus w;
+  w.ok = true;
+  w.exit_code = 0;
+  s.shards = {w, w};
 
   std::ostringstream os;
   write_summary_json(os, s);
@@ -805,10 +796,11 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
                       "\"cache_hits\":25,"
                       "\"corrupt_recovered\":0}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"max_retries\":2,"
-                      "\"ok\":true,\"failed_shards\":0"),
+  EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"ok\":true,"
+                      "\"failed_shards\":0"),
             std::string::npos);
-  EXPECT_NE(json.find("{\"shard\":1,\"attempts\":2,\"ok\":true"),
+  EXPECT_NE(json.find("{\"shard\":1,\"ok\":true,\"exit_code\":0,"
+                      "\"signal\":0}"),
             std::string::npos);
   // No sweep service involved: the net field is explicitly null.
   EXPECT_NE(json.find("\"net\":null"), std::string::npos);
@@ -845,26 +837,25 @@ TEST(RunSummary, NoLaunchMeansNullLaunchField) {
   EXPECT_NE(os.str().find("\"launch\":null"), std::string::npos);
 }
 
+// A dead worker's jobs are finished by the others, so the run itself is
+// still ok; the launch section says which worker died and how.
 TEST(RunSummary, FailedShardSurfacesInJson) {
   RunSummary s;
   s.bench = "fig5_twocluster";
-  s.ok = false;
-  s.launch_max_retries = 2;
-  WorkerStatus dead;
-  dead.index = 1;
-  dead.attempts = 3;
-  dead.ok = false;
-  dead.exit_code = -1;
+  RunSummary::WorkerStatus dead;
   dead.term_signal = 9;
-  s.shards = {WorkerStatus{0, 1, true, 0, 0}, dead};
+  s.shards = {RunSummary::WorkerStatus{true, 0, 0}, dead};
 
   std::ostringstream os;
   write_summary_json(os, s);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"failed_shards\":1"), std::string::npos);
-  EXPECT_NE(json.find("{\"shard\":1,\"attempts\":3,\"ok\":false,"
-                      "\"exit_code\":-1,\"signal\":9}"),
+  EXPECT_NE(json.find("{\"bench\":\"fig5_twocluster\",\"ok\":true"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"ok\":false,"
+                      "\"failed_shards\":1"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"shard\":1,\"ok\":false,\"exit_code\":-1,"
+                      "\"signal\":9}"),
             std::string::npos);
 }
 
@@ -902,6 +893,22 @@ TEST(BenchArgsDeathTest, MalformedIntegerFlagsExitWithUsageError) {
                 "expects")
         << args[0] << " '" << args[1] << "'";
   }
+}
+
+// Regression: the daemon reads a LEASE's client id as one token of at most
+// 127 bytes, so "--client-id 'w 1'" was tallied as "w" and a longer id was
+// cut short. Such an id is a usage error instead.
+TEST(BenchArgsDeathTest, ClientIdMustBeOneLeaseToken) {
+  const std::vector<std::string> bad = {"", "w 1", "w\t1", "w\xff",
+                                        std::string(128, 'w')};
+  for (const std::string& id : bad) {
+    EXPECT_EXIT(parse_bench_args({"--client-id", id}),
+                ::testing::ExitedWithCode(2),
+                "--client-id expects 1..127 printable non-space characters")
+        << "'" << id << "'";
+  }
+  EXPECT_EQ(parse_bench_args({"--client-id", std::string(127, 'w')}).client_id,
+            std::string(127, 'w'));
 }
 
 TEST(BenchArgsDeathTest, IntegerFlagsKeepTheirRanges) {

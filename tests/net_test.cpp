@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -403,6 +404,30 @@ TEST(SweepService, LeaseRefusesJobCountAboveCeiling) {
   const exec::SweepResult sweep = run_sweep(grid, opt);
   EXPECT_EQ(sweep.jobs_pulled, njobs);
   EXPECT_EQ(sweep.simulated, sweep.num_points());
+}
+
+// Regression: vcsteer-sweepd took any --lease-timeout above 0, NaN
+// included, and casting a NaN or out-of-range timeout to the steady clock's
+// duration is undefined (on x86 every lease then expired at the next
+// LEASE). The server refuses such a timeout before it binds.
+TEST(SweepService, RejectsLeaseTimeoutItCannotRepresent) {
+  ScratchDir dir;
+  const std::string sock = dir.path() + "/sweep.sock";
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 0.0, -1.0,
+                         1e300}) {
+    ServerOptions opt = server_options(sock, dir.path() + "/cache");
+    opt.lease_timeout_s = t;
+    const SweepServer server(opt);
+    EXPECT_FALSE(server.ok()) << t;
+    EXPECT_NE(server.error().find("lease timeout"), std::string::npos) << t;
+  }
+  for (const double t : {0.05, 30.0}) {
+    ServerOptions opt = server_options(sock, dir.path() + "/cache");
+    opt.lease_timeout_s = t;
+    const SweepServer server(opt);
+    EXPECT_TRUE(server.ok()) << t << ": " << server.error();
+  }
 }
 
 TEST(SweepService, GarbledStoredResultReadsAsCorrupt) {
