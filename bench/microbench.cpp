@@ -1,8 +1,9 @@
 // Microbenchmarks of the infrastructure itself (google-benchmark):
 // simulator throughput (simulated micro-ops per second), the analytical
 // model's walk (micro-ops walked per second), trace generation,
-// PinPoints analysis, the multilevel partitioner, the software passes, and
-// the exec layer (cache-key construction).
+// PinPoints analysis, an experiment's trace build, the multilevel
+// partitioner, the software passes, and the exec layer (cache-key
+// construction).
 // These guard against performance regressions that would make the figure
 // sweeps impractically slow.
 #include <benchmark/benchmark.h>
@@ -258,6 +259,20 @@ void BM_PinPointsSelection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * opt.total_uops);
 }
 BENCHMARK(BM_PinPointsSelection)->Unit(benchmark::kMillisecond);
+
+// One experiment's whole trace build at the default budget: workload
+// generation, PinPoints selection and the replay that takes every point's
+// interval and warm addresses (what a sweep pays once per trace). Reported
+// in the default ns, the unit perf_gate.py records tracked kernels in.
+void BM_TraceExperimentBuild(benchmark::State& state) {
+  const MachineConfig cfg = MachineConfig::two_cluster();
+  for (auto _ : state) {
+    const harness::TraceExperiment experiment(bench_profile(), cfg,
+                                              harness::SimBudget{});
+    benchmark::DoNotOptimize(experiment.intervals().data());
+  }
+}
+BENCHMARK(BM_TraceExperimentBuild);
 
 void BM_MultilevelPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -157,7 +157,7 @@ gate_perf() {
   if [[ -x "$BUILD_DIR/microbench" ]]; then
     microbench_json="$GATE_OUT/perf_microbench.json"
     "$BUILD_DIR/microbench" \
-      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_ModelEstimateInterval' \
+      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_ModelEstimateInterval|BM_TraceExperimentBuild' \
       --benchmark_repetitions=3 \
       --benchmark_format=json > "$microbench_json"
   fi

@@ -20,7 +20,7 @@ from steadiness import run_once  # noqa: E402
 # Microbench kernels tracked in the baseline (bench/microbench.cpp).
 TRACKED_KERNELS = ("BM_WakeupSelect", "BM_ValueTableChurn",
                    "BM_SoAValueTableChurn", "BM_ArenaRunReused",
-                   "BM_ModelEstimateInterval")
+                   "BM_ModelEstimateInterval", "BM_TraceExperimentBuild")
 
 
 def read_microbench(path: str) -> dict:

@@ -20,14 +20,12 @@ ObPassStats assign_ob(prog::Program& program, const ObOptions& options) {
 
   std::vector<std::uint8_t> cluster_of;
   std::vector<double> est;
-  std::vector<double> front(options.num_clusters);
 
   for (const Region& region : form_regions(program)) {
     const RegionDdg ddg = build_region_ddg(program, region);
     const std::size_t n = ddg.uop_of.size();
     cluster_of.assign(n, 0);
     est.assign(n, 0.0);
-    std::fill(front.begin(), front.end(), 0.0);
 
     // SPDI placement over the region: independent (root) operations are
     // distributed round-robin — the scheme's notion of static load
@@ -70,7 +68,6 @@ ObPassStats assign_ob(prog::Program& program, const ObOptions& options) {
       }
       cluster_of[i] = static_cast<std::uint8_t>(best_c);
       est[i] = best_completion;
-      front[best_c] += lat * ddg.exec_weight[i] / options.issue_width;
       for (const graph::HalfEdge& e : ddg.graph.preds(i)) {
         if (cluster_of[e.to] != best_c) ++stats.est_cross_cluster_edges;
       }

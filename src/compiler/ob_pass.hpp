@@ -27,7 +27,6 @@ struct ObOptions {
   /// from the target fabric (see harness::comm_cost_matrix). Empty falls
   /// back to the scalar comm_cost — the flat estimate, bit-identical.
   std::vector<double> comm_cost_matrix;
-  double issue_width = 2.0;   ///< per-cluster issue bandwidth estimate.
 
   bool operator==(const ObOptions&) const = default;
 };

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <optional>
 
 #include "common/check.hpp"
+#include "mem/hierarchy.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
 
@@ -142,7 +142,6 @@ PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
                            /*fixed=*/0.0);
       opt.comm_cost = min_comm_cost(matrix, machine.num_clusters);
       if (machine.steer.topology_aware) opt.comm_cost_matrix = matrix;
-      opt.issue_width = machine.issue_width_int;
       return opt;
     }
     case steer::Scheme::kRhop: {
@@ -219,17 +218,28 @@ TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
   points_ = workload::select_pinpoints(trace, wl_.program.num_blocks(), popt,
                                        profile.seed(/*stream=*/3));
   VCSTEER_CHECK(!points_.empty());
+  // One forward walk from uop 0: every point's warm addresses are a prefix
+  // of the memory-op addresses before the last point, so all points share
+  // one stream. It holds at most one address per micro-op before the last
+  // point; reserving that up front means it is never reallocated (the
+  // views stay valid) nor transiently doubled, and untouched capacity is
+  // not resident.
+  warm_stream_.reserve(points_.back().start_uop);
   intervals_.reserve(points_.size());
   warm_addrs_.reserve(points_.size());
+  const auto collect = [&](const workload::TraceEntry& e) {
+    if (wl_.program.uop(e.uop).is_mem()) warm_stream_.push_back(e.addr);
+  };
+  trace.reset();
   for (const workload::SimPoint& p : points_) {
-    // Replay the prefix for functional cache warming, then the interval.
-    trace.reset();
-    std::vector<std::uint64_t> warm;
-    for (std::uint64_t u = 0; u < p.start_uop; ++u) {
-      const workload::TraceEntry e = trace.next();
-      if (wl_.program.uop(e.uop).is_mem()) warm.push_back(e.addr);
+    VCSTEER_CHECK_MSG(p.start_uop >= trace.position(),
+                      "simulation points must be sorted and disjoint");
+    // The previous point's interval precedes this one, so it warms it too.
+    if (!intervals_.empty()) {
+      for (const workload::TraceEntry& e : intervals_.back()) collect(e);
     }
-    warm_addrs_.push_back(std::move(warm));
+    while (trace.position() < p.start_uop) collect(trace.next());
+    warm_addrs_.emplace_back(warm_stream_.data(), warm_stream_.size());
     intervals_.push_back(trace.take(p.length));
   }
   phases_.trace_build_s += seconds_since(t0);
@@ -273,21 +283,26 @@ std::vector<RunResult> TraceExperiment::evaluate(
   // point reuses it, reset in place per run.
   if (!core_) core_ = std::make_unique<sim::ClusteredCore>(machine_, program);
   sim::ClusteredCore& core = *core_;
-  // The point's warmed caches, copied before the first run steps them.
-  std::optional<mem::MemoryHierarchy> warmed;
+  // Caches warmed forward from point to point: functional warming depends
+  // only on the addresses since reset, so warming the next point's extra
+  // prefix gives what warming its whole prefix from empty would. Every run
+  // starts from a copy of it.
+  mem::MemoryHierarchy warmed(machine_);
+  std::size_t warmed_addrs = 0;
   std::vector<double> simulate_s(requests.size(), 0.0);
   for (std::size_t i = 0; i < points_.size(); ++i) {
+    const Clock::time_point tw = Clock::now();
+    for (const std::uint64_t addr : warm_addrs_[i].subspan(warmed_addrs)) {
+      warmed.warm(addr);
+    }
+    warmed_addrs = warm_addrs_[i].size();
+    phases_.warmup_s += seconds_since(tw);
     for (std::size_t k = 0; k < requests.size(); ++k) {
       const Clock::time_point t0 = Clock::now();
       for (prog::UopId u = 0; u < hints[k].size(); ++u) {
         program.mutable_uop(u).hint = hints[k][u];
       }
-      if (k == 0) {
-        core.begin_run(intervals_[i], *policies[k], warm_addrs_[i]);
-        if (requests.size() > 1) warmed = core.memory();
-      } else {
-        core.begin_run_prewarmed(intervals_[i], *policies[k], *warmed);
-      }
+      core.begin_run_prewarmed(intervals_[i], *policies[k], warmed);
       const Clock::time_point t1 = Clock::now();
       phases_.warmup_s += std::chrono::duration<double>(t1 - t0).count();
       while (!core.done()) core.step();

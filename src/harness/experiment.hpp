@@ -8,7 +8,9 @@
 //      aggregate the PinPoints-weighted metrics.
 // TraceExperiment caches the program and the materialised intervals so a
 // bench sweeping five schemes over forty traces only pays generation and
-// trace replay once per trace.
+// trace replay once per trace. The replay is one forward walk that takes
+// every point's interval and one shared stream of warm addresses, and each
+// evaluation warms one cache hierarchy forward from point to point.
 #pragma once
 
 #include <array>
@@ -152,17 +154,20 @@ class TraceExperiment {
   TraceExperiment(const workload::WorkloadProfile& profile,
                   const MachineConfig& machine, const SimBudget& budget);
   ~TraceExperiment();
+  // warm_addrs() views point into this object's own stream.
+  TraceExperiment(const TraceExperiment&) = delete;
+  TraceExperiment& operator=(const TraceExperiment&) = delete;
 
   /// THE evaluation entry point: every request — built-in scheme or custom
   /// policy — of one (trace, machine) cell in one call, on one core. Each
   /// request is annotated once, keeping its policy and its SteerHints
   /// (custom policies get cleared hints); then every simulation point runs
-  /// each request in turn from its restored hints. The first run warms the
-  /// caches from the point's warm addresses, and when more requests follow,
-  /// a copy of the warmed hierarchy taken before that run steps is where
-  /// every later run starts: one functional warm pass per point,
-  /// bit-identical to warming each run locally. Results come back in
-  /// request order.
+  /// each request in turn from its restored hints. One cache hierarchy is
+  /// warmed forward from point to point, only over the addresses between
+  /// one point's prefix end and the next's, and every run starts from a
+  /// copy of it: one functional warm pass per call, bit-identical to
+  /// warming each run locally from empty. Results come back in request
+  /// order.
   std::vector<RunResult> evaluate(
       std::span<const SchemeRequest> requests,
       // Ignored; kept because perfbench/ still passes a lane count.
@@ -175,9 +180,12 @@ class TraceExperiment {
     return intervals_;
   }
   /// Memory-op addresses preceding each simulation point (functional cache
-  /// warming), in point order. Consumed by the analytical model, which warms
-  /// its functional caches exactly like the simulator does.
-  const std::vector<std::vector<std::uint64_t>>& warm_addrs() const {
+  /// warming), in point order. Each is a prefix view of one stream the
+  /// experiment owns, so they all start at the same address and stay valid
+  /// for the experiment's lifetime (it is neither copied nor moved).
+  /// Consumed by the analytical model, which warms its functional caches
+  /// exactly like the simulator does.
+  const std::vector<std::span<const std::uint64_t>>& warm_addrs() const {
     return warm_addrs_;
   }
   /// Wall-clock spans accumulated over this experiment's lifetime
@@ -201,9 +209,12 @@ class TraceExperiment {
   std::unique_ptr<sim::ClusteredCore> core_;
   std::vector<workload::SimPoint> points_;
   std::vector<std::vector<workload::TraceEntry>> intervals_;
-  /// Per simulation point: addresses of all memory operations preceding it
-  /// in the trace, used to functionally warm the cache hierarchy.
-  std::vector<std::vector<std::uint64_t>> warm_addrs_;
+  /// Addresses of the memory operations before the last simulation point,
+  /// in trace order; never reallocated after construction.
+  std::vector<std::uint64_t> warm_stream_;
+  /// Per simulation point: the prefix of warm_stream_ preceding it, used to
+  /// functionally warm the cache hierarchy.
+  std::vector<std::span<const std::uint64_t>> warm_addrs_;
 };
 
 /// Per-pair compile-time communication-cost matrix for `n` placement

@@ -50,8 +50,8 @@ class MemoryHierarchy {
   bool warm_compatible(const MemoryHierarchy& other) const;
 
   /// Adopt `other`'s cache contents in place of replaying warm() over the
-  /// same address stream (every run of a simulation point after the first
-  /// starts from a copy of the first run's warmed hierarchy). The caller
+  /// same address stream (every run of a simulation point starts from a
+  /// copy of one hierarchy warmed over the point's prefix). The caller
   /// guarantees warm_compatible(other) and that this hierarchy is freshly
   /// reset; port state and stats are untouched, exactly as after local
   /// warming.

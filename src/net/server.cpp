@@ -249,7 +249,7 @@ struct SweepServer::Impl {
   }
 };
 
-SweepServer::SweepServer(const ServerOptions& opt) : impl_(new Impl(opt)) {
+SweepServer::SweepServer(const ServerOptions& opt) {
   // A NaN or out-of-range timeout would make the deadline cast undefined.
   if (!(opt.lease_timeout_s > 0 && opt.lease_timeout_s <= kMaxLeaseTimeoutS)) {
     char buf[128];
@@ -321,12 +321,17 @@ SweepServer::SweepServer(const ServerOptions& opt) : impl_(new Impl(opt)) {
   }
   set_nonblocking(fd);
   listen_fd_ = fd;
+  // Built last: its ResultCache creates the cache directory, which a
+  // refused start must not leave behind.
+  impl_ = new Impl(opt);
 }
 
 SweepServer::~SweepServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (Conn& c : impl_->conns) {
-    if (c.fd >= 0) ::close(c.fd);
+  if (impl_ != nullptr) {
+    for (Conn& c : impl_->conns) {
+      if (c.fd >= 0) ::close(c.fd);
+    }
   }
   if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);

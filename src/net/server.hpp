@@ -86,7 +86,7 @@ class SweepServer {
 
  private:
   struct Impl;
-  Impl* impl_;
+  Impl* impl_ = nullptr;  ///< built only once the server listens.
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
   std::string error_;

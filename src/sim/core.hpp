@@ -100,10 +100,9 @@ class ClusteredCoreT : public steer::SteerView {
   }
 
   /// begin_run from caches already warmed for this simulation point:
-  /// adopts `warmed`'s contents (a warm_compatible hierarchy, e.g. a copy of
-  /// memory() taken right after begin_run and before the first step)
-  /// instead of replaying the warm addresses — bit-identical, since
-  /// functional warming is deterministic.
+  /// adopts the contents of `warmed` (any compatible hierarchy warmed with
+  /// the same addresses) instead of replaying the warm addresses —
+  /// bit-identical, since functional warming is deterministic.
   void begin_run_prewarmed(std::span<const workload::TraceEntry> trace,
                            steer::SteeringPolicy& policy,
                            const mem::MemoryHierarchy& warmed) {
@@ -143,10 +142,6 @@ class ClusteredCoreT : public steer::SteerView {
     trace_ = {};
     return state_.stats;
   }
-
-  /// The run's cache hierarchy; copied right after begin_run, it is the
-  /// warm snapshot begin_run_prewarmed starts later runs from.
-  const mem::MemoryHierarchy& memory() const { return memory_; }
 
   // --- SteerView (what the steering unit can inspect) ---
   std::uint32_t num_clusters() const override { return config_.num_clusters; }

@@ -1,9 +1,18 @@
 // Tests for the experiment harness: scheme labels, annotation dispatch,
-// policy construction, and PinPoints-weighted aggregation.
+// policy construction, the trace replay, and PinPoints-weighted
+// aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "harness/experiment.hpp"
+#include "workload/pinpoints.hpp"
 #include "workload/profiles.hpp"
+#include "workload/trace.hpp"
 
 namespace vcsteer::harness {
 namespace {
@@ -163,6 +172,64 @@ TEST(Experiment, RunsAndAggregates) {
   EXPECT_LT(result.ipc, 6.0);
   EXPECT_GT(result.cycles, 0u);
   EXPECT_GT(result.committed_uops, 0u);
+}
+
+// The constructor replays the trace once, walking forward from point to
+// point. Each point's interval and warm addresses must equal what a replay
+// from uop 0 up to that point gives, and every warm list must be a prefix
+// view of one stream. 171.swim at the smoke budget has a point at uop 0,
+// whose prefix is empty.
+TEST(Experiment, OneReplayMatchesPerPointReplay) {
+  const std::pair<const char*, SimBudget> cases[] = {
+      {"179.art-1", SimBudget{}},
+      {"181.mcf", SimBudget{}},
+      {"171.swim", SimBudget::smoke()}};
+  for (const auto& [name, budget] : cases) {
+    SCOPED_TRACE(name);
+    const workload::WorkloadProfile* profile = workload::find_profile(name);
+    ASSERT_NE(profile, nullptr);
+    const TraceExperiment experiment(*profile, MachineConfig::two_cluster(),
+                                     budget);
+    const prog::Program& program = experiment.workload().program;
+    const std::vector<workload::SimPoint>& points = experiment.simpoints();
+    ASSERT_EQ(experiment.intervals().size(), points.size());
+    ASSERT_EQ(experiment.warm_addrs().size(), points.size());
+    if (std::string(name) == "171.swim") {
+      EXPECT_EQ(points.front().start_uop, 0u);
+    }
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      SCOPED_TRACE("point " + std::to_string(p));
+      workload::TraceSource trace(experiment.workload());
+      std::vector<std::uint64_t> warm;
+      for (std::uint64_t u = 0; u < points[p].start_uop; ++u) {
+        const workload::TraceEntry e = trace.next();
+        if (program.uop(e.uop).is_mem()) warm.push_back(e.addr);
+      }
+      const std::span<const std::uint64_t> view = experiment.warm_addrs()[p];
+      EXPECT_EQ(view.data(), experiment.warm_addrs().back().data());
+      ASSERT_EQ(view.size(), warm.size());
+      EXPECT_EQ(std::mismatch(view.begin(), view.end(), warm.begin()).first -
+                    view.begin(),
+                static_cast<std::ptrdiff_t>(view.size()))
+          << "first differing warm address";
+
+      const std::vector<workload::TraceEntry> replayed =
+          workload::collect_interval(trace, points[p]);
+      const std::vector<workload::TraceEntry>& interval =
+          experiment.intervals()[p];
+      ASSERT_EQ(interval.size(), replayed.size());
+      const auto same = [](const workload::TraceEntry& a,
+                           const workload::TraceEntry& b) {
+        return a.uop == b.uop && a.addr == b.addr;
+      };
+      EXPECT_EQ(std::mismatch(interval.begin(), interval.end(),
+                              replayed.begin(), same)
+                        .first -
+                    interval.begin(),
+                static_cast<std::ptrdiff_t>(interval.size()))
+          << "first differing interval entry";
+    }
+  }
 }
 
 TEST(Experiment, DeterministicAcrossInstances) {

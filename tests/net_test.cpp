@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -409,21 +410,33 @@ TEST(SweepService, LeaseRefusesJobCountAboveCeiling) {
 // Regression: vcsteer-sweepd took any --lease-timeout above 0, NaN
 // included, and casting a NaN or out-of-range timeout to the steady clock's
 // duration is undefined (on x86 every lease then expired at the next
-// LEASE). The server refuses such a timeout before it binds.
+// LEASE). The server refuses such a timeout before it binds. A refused
+// start, for that or an unparsable listen address, leaves no cache
+// directory behind.
 TEST(SweepService, RejectsLeaseTimeoutItCannotRepresent) {
   ScratchDir dir;
   const std::string sock = dir.path() + "/sweep.sock";
+  const std::string cache_dir = dir.path() + "/cache";
   for (const double t : {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(), 0.0, -1.0,
                          1e300}) {
-    ServerOptions opt = server_options(sock, dir.path() + "/cache");
+    ServerOptions opt = server_options(sock, cache_dir);
     opt.lease_timeout_s = t;
     const SweepServer server(opt);
     EXPECT_FALSE(server.ok()) << t;
     EXPECT_NE(server.error().find("lease timeout"), std::string::npos) << t;
+    EXPECT_FALSE(std::filesystem::exists(cache_dir)) << t;
+  }
+  {
+    ServerOptions opt = server_options(sock, cache_dir);
+    opt.listen = "no-port";
+    const SweepServer server(opt);
+    EXPECT_FALSE(server.ok());
+    EXPECT_NE(server.error().find("address must be"), std::string::npos);
+    EXPECT_FALSE(std::filesystem::exists(cache_dir));
   }
   for (const double t : {0.05, 30.0}) {
-    ServerOptions opt = server_options(sock, dir.path() + "/cache");
+    ServerOptions opt = server_options(sock, cache_dir);
     opt.lease_timeout_s = t;
     const SweepServer server(opt);
     EXPECT_TRUE(server.ok()) << t << ": " << server.error();

@@ -3,8 +3,8 @@
 // slot pools to wrap through their free lists every few cycles and push
 // every waiter-list edge path (copy wakeups, dual-source waits, copy-queue
 // back-pressure), plus bit-identity of the experiment's one reused core:
-// runs on it, whether they warm locally or start from the shared warm
-// snapshot of their simulation point, must match fresh lone runs exactly.
+// runs on it, which start from the warm carried from point to point, must
+// match fresh lone runs that warm locally exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,9 +170,40 @@ void expect_results_equal(const harness::RunResult& a,
   EXPECT_EQ(a.last_interval.copy_hops, b.last_interval.copy_hops);
 }
 
+void expect_stats_equal(const sim::SimStats& a, const sim::SimStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.committed_uops, b.committed_uops);
+  EXPECT_EQ(a.dispatched_uops, b.dispatched_uops);
+  EXPECT_EQ(a.copies_generated, b.copies_generated);
+  EXPECT_EQ(a.alloc_stalls, b.alloc_stalls);
+  EXPECT_EQ(a.policy_stalls, b.policy_stalls);
+  EXPECT_EQ(a.rob_stalls, b.rob_stalls);
+  EXPECT_EQ(a.lsq_stalls, b.lsq_stalls);
+  EXPECT_EQ(a.copyq_stalls, b.copyq_stalls);
+  EXPECT_EQ(a.copy_bandwidth_stalls, b.copy_bandwidth_stalls);
+  EXPECT_EQ(a.regfile_stalls, b.regfile_stalls);
+  EXPECT_EQ(a.frontend_empty, b.frontend_empty);
+  EXPECT_EQ(a.dispatched_to, b.dispatched_to);
+  EXPECT_EQ(a.occupancy_sum, b.occupancy_sum);
+  EXPECT_EQ(a.copies_routed, b.copies_routed);
+  EXPECT_EQ(a.copy_hops, b.copy_hops);
+  EXPECT_EQ(a.link_busy_cycles, b.link_busy_cycles);
+  EXPECT_EQ(a.link_contention_cycles, b.link_contention_cycles);
+  EXPECT_EQ(a.copyq_occupancy_sum, b.copyq_occupancy_sum);
+  EXPECT_EQ(a.remote_steers_by_hops, b.remote_steers_by_hops);
+  EXPECT_EQ(a.avoided_contended_links, b.avoided_contended_links);
+  EXPECT_EQ(a.memory.loads, b.memory.loads);
+  EXPECT_EQ(a.memory.stores, b.memory.stores);
+  EXPECT_EQ(a.memory.l1_hits, b.memory.l1_hits);
+  EXPECT_EQ(a.memory.l1_misses, b.memory.l1_misses);
+  EXPECT_EQ(a.memory.l2_hits, b.memory.l2_hits);
+  EXPECT_EQ(a.memory.l2_misses, b.memory.l2_misses);
+  EXPECT_EQ(a.memory.port_wait_cycles, b.memory.port_wait_cycles);
+}
+
 harness::SimBudget tiny_budget() { return {60'000, 15'000, 2}; }
 
-// One scheme through the evaluation entry point, alone: it warms locally.
+// One scheme through the evaluation entry point, alone.
 harness::RunResult run_one(harness::TraceExperiment& experiment,
                            const harness::SchemeSpec& spec) {
   const std::vector<harness::SchemeRequest> requests = {spec};
@@ -222,12 +253,12 @@ TEST(SimContextReuse, SchemeInterleavingLeaksNoState) {
 
 // ----- shared warm pass ----------------------------------------------------
 
-// Every request of an evaluate() call after the first starts its runs from
-// the copy of the first run's warmed caches, with its own hints restored;
-// a lone request only ever warms locally. Both must give the same bits, in
-// either request order. The custom request wraps the VC hardware policy
-// right after a VC request, so a run that kept the previous request's
-// hints instead of its own cleared ones would differ.
+// Every request of an evaluate() call starts its runs from a copy of the
+// same warmed caches, with its own hints restored. Requests evaluated
+// together must give the bits each gives alone, in either request order.
+// The custom request wraps the VC hardware policy right after a VC request,
+// so a run that kept the previous request's hints instead of its own
+// cleared ones would differ.
 TEST(SharedWarmPass, MatchesLocalWarmingInEitherOrder) {
   const workload::WorkloadProfile& profile =
       *workload::find_profile("186.crafty");
@@ -265,6 +296,44 @@ TEST(SharedWarmPass, MatchesLocalWarmingInEitherOrder) {
       SCOPED_TRACE("request=" + order[i].label(machine));
       expect_results_equal(results[i], expect[i]);
     }
+  }
+}
+
+// evaluate() warms one hierarchy forward from point to point and starts
+// every run from a copy of it, a lone request's runs too, so the test
+// above compares that carried warm only with itself. Here the reference
+// runs each point on a fresh core that warms locally from empty over the
+// point's whole prefix.
+TEST(SharedWarmPass, CarriedWarmMatchesLocalWarming) {
+  const workload::WorkloadProfile& profile =
+      *workload::find_profile("186.crafty");
+  const MachineConfig machine = MachineConfig::four_cluster();
+  harness::TraceExperiment experiment(profile, machine,
+                                      harness::SimBudget::smoke());
+  const std::size_t num_points = experiment.simpoints().size();
+  ASSERT_GE(num_points, 3u);
+  for (const harness::SchemeSpec& spec :
+       {harness::SchemeSpec{steer::Scheme::kOp, 0},
+        harness::SchemeSpec{steer::Scheme::kVc, 2}}) {
+    SCOPED_TRACE(spec.label(machine));
+    prog::Program program = experiment.workload().program;
+    harness::annotate_for_scheme(program, spec, machine);
+    const std::unique_ptr<steer::SteeringPolicy> policy =
+        harness::policy_for_scheme(spec, machine);
+    std::uint64_t cycles = 0;
+    std::uint64_t committed_uops = 0;
+    sim::SimStats last;
+    for (std::size_t p = 0; p < num_points; ++p) {
+      sim::ClusteredCore core(machine, program);
+      last = core.run(experiment.intervals()[p], *policy,
+                      experiment.warm_addrs()[p]);
+      cycles += last.cycles;
+      committed_uops += last.committed_uops;
+    }
+    const harness::RunResult result = run_one(experiment, spec);
+    EXPECT_EQ(result.cycles, cycles);
+    EXPECT_EQ(result.committed_uops, committed_uops);
+    expect_stats_equal(result.last_interval, last);
   }
 }
 
