@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   double w_cycles = 0, w_uops = 0, w_copies = 0, w_alloc = 0;
   for (const workload::SimPoint& point : experiment.simpoints()) {
     trace.reset();
-    std::vector<std::uint64_t> warm;
+    std::vector<std::uint32_t> warm;
     for (std::uint64_t u = 0; u < point.start_uop; ++u) {
       const workload::TraceEntry e = trace.next();
       if (wl.program.uop(e.uop).is_mem()) warm.push_back(e.addr);

@@ -6,8 +6,10 @@
 // Runs one (trace, machine, scheme) evaluation and prints the metrics; with
 // --all-schemes, compares every Table 3 configuration on the trace. This is
 // the entry point for scripting custom sweeps without writing C++.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -30,13 +32,28 @@ std::optional<steer::Scheme> parse_scheme(const std::string& s) {
   return std::nullopt;
 }
 
+/// `v` as a whole unsigned decimal token in [lo, hi]; nullopt for a missing,
+/// signed, non-numeric, trailing-garbage or out-of-range value.
+std::optional<std::uint32_t> parse_in_range(const char* v, std::uint32_t lo,
+                                            std::uint32_t hi) {
+  if (v == nullptr || !std::isdigit(static_cast<unsigned char>(*v))) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (*end != '\0' || errno == ERANGE || n < lo || n > hi) return std::nullopt;
+  return static_cast<std::uint32_t>(n);
+}
+
 int usage() {
   std::fprintf(
       stderr,
       "usage: vcsteer_cli [--trace NAME] [--scheme op|one-cluster|ob|rhop|vc|"
       "op-parallel]\n"
-      "                   [--vcs N] [--clusters N] [--budget full|smoke]\n"
-      "                   [--all-schemes] [--csv] [--list]\n");
+      "                   [--vcs 0-254] [--clusters 1-8] [--budget full|smoke]\n"
+      "                   [--all-schemes] [--csv] [--list]\n"
+      "  --vcs 0 (the default) means one virtual cluster per cluster.\n");
   return 2;
 }
 
@@ -53,19 +70,33 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // The flag's value, or null when the flag comes last.
     auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+      return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--trace") {
-      trace = value();
+      const char* v = value();
+      if (v == nullptr) return usage();
+      trace = v;
     } else if (arg == "--scheme") {
-      scheme_name = value();
+      const char* v = value();
+      if (v == nullptr) return usage();
+      scheme_name = v;
     } else if (arg == "--vcs") {
-      vcs = static_cast<std::uint32_t>(std::atoi(value()));
+      // VC ids stay below isa::SteerHint::kNoVc (255).
+      const auto n = parse_in_range(value(), 0, 254);
+      if (!n) return usage();
+      vcs = *n;
     } else if (arg == "--clusters") {
-      clusters = static_cast<std::uint32_t>(std::atoi(value()));
+      const auto n = parse_in_range(value(), 1, 8);
+      if (!n) return usage();
+      clusters = *n;
     } else if (arg == "--budget") {
-      smoke = std::strcmp(value(), "smoke") == 0;
+      const char* v = value();
+      if (v == nullptr) return usage();
+      const std::string budget = v;
+      if (budget != "full" && budget != "smoke") return usage();
+      smoke = budget == "smoke";
     } else if (arg == "--all-schemes") {
       all_schemes = true;
     } else if (arg == "--csv") {
@@ -85,11 +116,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown trace '%s' (try --list)\n", trace.c_str());
     return 1;
   }
-  if (clusters == 0 || clusters > 8) {
-    std::fprintf(stderr, "--clusters must be in [1, 8]\n");
-    return 1;
-  }
-
   MachineConfig machine = MachineConfig::two_cluster();
   machine.num_clusters = clusters;
   const harness::SimBudget budget =

@@ -22,12 +22,17 @@ TRACKED_KERNELS = ("BM_WakeupSelect", "BM_ValueTableChurn",
                    "BM_SoAValueTableChurn", "BM_ArenaRunReused",
                    "BM_ModelEstimateInterval", "BM_TraceExperimentBuild")
 
+# Nanoseconds per google-benchmark time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 
 def read_microbench(path: str) -> dict:
     """Extracts the tracked kernels from a google-benchmark JSON report.
-    With --benchmark_repetitions the per-kernel "median" aggregate wins over
-    any single-repetition sample. Missing file / schema drift yields {} —
-    the gate never blocks on it."""
+    real_time is converted to ns from the entry's time_unit (ns when
+    absent); a kernel in a unit not in NS_PER_UNIT is skipped with a note
+    on stderr. With --benchmark_repetitions the per-kernel "median"
+    aggregate wins over any single-repetition sample. Missing file / schema
+    drift yields {} — the gate never blocks on it."""
     try:
         with open(path) as f:
             report = json.load(f)
@@ -48,7 +53,13 @@ def read_microbench(path: str) -> dict:
             name = name.removesuffix("_median")
         if name.split("/")[0] not in TRACKED_KERNELS:
             continue
-        entry = {"real_time_ns": round(float(bench.get("real_time", 0.0)), 1)}
+        unit = bench.get("time_unit", "ns")
+        if unit not in NS_PER_UNIT:
+            print(f"perf_gate: {name}: unknown time_unit {unit!r}; skipping",
+                  file=sys.stderr)
+            continue
+        real_time_ns = float(bench.get("real_time", 0.0)) * NS_PER_UNIT[unit]
+        entry = {"real_time_ns": round(real_time_ns, 1)}
         if "items_per_second" in bench:
             entry["items_per_second"] = round(bench["items_per_second"], 1)
         # One entry per kernel: keep the first (smallest) size variant.

@@ -292,7 +292,7 @@ std::vector<RunResult> TraceExperiment::evaluate(
   std::vector<double> simulate_s(requests.size(), 0.0);
   for (std::size_t i = 0; i < points_.size(); ++i) {
     const Clock::time_point tw = Clock::now();
-    for (const std::uint64_t addr : warm_addrs_[i].subspan(warmed_addrs)) {
+    for (const std::uint32_t addr : warm_addrs_[i].subspan(warmed_addrs)) {
       warmed.warm(addr);
     }
     warmed_addrs = warm_addrs_[i].size();

@@ -10,7 +10,9 @@
 // bench sweeping five schemes over forty traces only pays generation and
 // trace replay once per trace. The replay is one forward walk that takes
 // every point's interval and one shared stream of warm addresses, and each
-// evaluation warms one cache hierarchy forward from point to point.
+// evaluation warms one cache hierarchy forward from point to point. Trace
+// addresses are 32 bits (workload/trace.hpp), so an interval entry takes 8
+// bytes and a warm address 4; TraceSource refuses working sets over 4 GiB.
 #pragma once
 
 #include <array>
@@ -180,12 +182,12 @@ class TraceExperiment {
     return intervals_;
   }
   /// Memory-op addresses preceding each simulation point (functional cache
-  /// warming), in point order. Each is a prefix view of one stream the
-  /// experiment owns, so they all start at the same address and stay valid
-  /// for the experiment's lifetime (it is neither copied nor moved).
-  /// Consumed by the analytical model, which warms its functional caches
-  /// exactly like the simulator does.
-  const std::vector<std::span<const std::uint64_t>>& warm_addrs() const {
+  /// warming), in point order, 4 bytes each like TraceEntry::addr. Each is
+  /// a prefix view of one stream the experiment owns, so they all start at
+  /// the same address and stay valid for the experiment's lifetime (it is
+  /// neither copied nor moved). Consumed by the analytical model, which
+  /// warms its functional caches exactly like the simulator does.
+  const std::vector<std::span<const std::uint32_t>>& warm_addrs() const {
     return warm_addrs_;
   }
   /// Wall-clock spans accumulated over this experiment's lifetime
@@ -211,10 +213,10 @@ class TraceExperiment {
   std::vector<std::vector<workload::TraceEntry>> intervals_;
   /// Addresses of the memory operations before the last simulation point,
   /// in trace order; never reallocated after construction.
-  std::vector<std::uint64_t> warm_stream_;
+  std::vector<std::uint32_t> warm_stream_;
   /// Per simulation point: the prefix of warm_stream_ preceding it, used to
   /// functionally warm the cache hierarchy.
-  std::vector<std::span<const std::uint64_t>> warm_addrs_;
+  std::vector<std::span<const std::uint32_t>> warm_addrs_;
 };
 
 /// Per-pair compile-time communication-cost matrix for `n` placement

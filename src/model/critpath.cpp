@@ -515,12 +515,12 @@ class Walker {
 std::vector<std::uint32_t> memory_latencies(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,
-    std::span<const std::uint64_t> warm_addrs, const MachineConfig& machine) {
+    std::span<const std::uint32_t> warm_addrs, const MachineConfig& machine) {
   mem::Cache l1(machine.l1d);
   mem::Cache l2(machine.l2);
   // Same warming rule as MemoryHierarchy::warm: L2 is only touched when L1
   // misses, so the functional contents match the simulator's warmed state.
-  for (std::uint64_t addr : warm_addrs) {
+  for (std::uint32_t addr : warm_addrs) {
     if (!l1.access(addr)) l2.access(addr);
   }
   std::vector<std::uint32_t> extra(interval.size(), 0);

@@ -111,7 +111,7 @@ struct IntervalEstimate {
 std::vector<std::uint32_t> memory_latencies(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,
-    std::span<const std::uint64_t> warm_addrs, const MachineConfig& machine);
+    std::span<const std::uint32_t> warm_addrs, const MachineConfig& machine);
 
 /// The steering approximation the walk uses for `scheme`. Parallel OP is
 /// OP steering on the information of the cycle's start (§2.1); the walk

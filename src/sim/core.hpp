@@ -76,7 +76,7 @@ class ClusteredCoreT : public steer::SteerView {
   /// warm the cache hierarchy first, as the SimPoint methodology requires.
   SimStats run(std::span<const workload::TraceEntry> trace,
                steer::SteeringPolicy& policy,
-               std::span<const std::uint64_t> warm_addrs = {}) {
+               std::span<const std::uint32_t> warm_addrs = {}) {
     begin_run(trace, policy, warm_addrs);
     while (!done()) step();
     return finish_run();
@@ -89,13 +89,13 @@ class ClusteredCoreT : public steer::SteerView {
   /// this sequence.
   void begin_run(std::span<const workload::TraceEntry> trace,
                  steer::SteeringPolicy& policy,
-                 std::span<const std::uint64_t> warm_addrs = {}) {
+                 std::span<const std::uint32_t> warm_addrs = {}) {
     reset();
     policy.reset();
     trace_ = trace;
     policy_ = &policy;
     state_.track_stale_view = policy.uses_stale_view();
-    for (const std::uint64_t addr : warm_addrs) memory_.warm(addr);
+    for (const std::uint32_t addr : warm_addrs) memory_.warm(addr);
     if constexpr (Obs::enabled) obs_.on_run_begin(state_);
   }
 

@@ -15,7 +15,13 @@ constexpr double kOffPhaseDamping = 0.15;
 }  // namespace
 
 TraceSource::TraceSource(const GeneratedWorkload& workload)
-    : wl_(workload), rng_(workload.profile.seed(/*stream=*/2)) {
+    : wl_(workload),
+      address_space_(std::max<std::uint64_t>(
+          4096, std::uint64_t{workload.profile.working_set_kb} * 1024)),
+      rng_(workload.profile.seed(/*stream=*/2)) {
+  VCSTEER_CHECK_MSG(address_space_ <= kTraceAddressSpace,
+                    "working set exceeds the 4 GiB a 32-bit trace address "
+                    "can reach");
   const std::size_t n_blocks = wl_.program.num_blocks();
   const std::uint32_t phases = std::max(1u, wl_.profile.phase_count);
   block_phase_.resize(n_blocks);
@@ -45,12 +51,10 @@ std::uint32_t TraceSource::current_phase() const {
   return static_cast<std::uint32_t>((position_ / phase_len) % phases);
 }
 
-std::uint64_t TraceSource::address_for(std::uint32_t stream_id) {
+std::uint32_t TraceSource::address_for(std::uint32_t stream_id) {
   VCSTEER_DCHECK(stream_id < wl_.streams.size());
   const MemStream& s = wl_.streams[stream_id];
-  const std::uint64_t total =
-      std::max<std::uint64_t>(4096,
-                              std::uint64_t{wl_.profile.working_set_kb} * 1024);
+  const std::uint64_t total = address_space_;
   // Phase shifts each stream to a different slice of the working set.
   const std::uint64_t base =
       (stream_id * 2654435761ULL +
@@ -66,7 +70,8 @@ std::uint64_t TraceSource::address_for(std::uint32_t stream_id) {
       offset = stream_rng_[stream_id].below(s.region_bytes) & ~7ULL;
       break;
   }
-  return ((base + offset) % total) & ~7ULL;
+  // Below total, which the constructor bounds by 2^32: the cast is exact.
+  return static_cast<std::uint32_t>(((base + offset) % total) & ~7ULL);
 }
 
 void TraceSource::advance_block() {

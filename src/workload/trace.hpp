@@ -8,6 +8,12 @@
 // periodically biased towards a different subset of blocks and the memory
 // streams shift to a different slice of the working set — which is what the
 // PinPoints pass later detects and samples.
+//
+// Addresses are 32 bits wide: an entry is 8 bytes, half of what a 64-bit
+// address would take, and the materialised intervals and warm-address
+// streams are the largest allocations of every experiment. TraceSource
+// refuses a profile whose working set exceeds the 4 GiB that 32 bits can
+// address; the largest built-in working set is 181.mcf's 16 MiB.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +26,17 @@ namespace vcsteer::workload {
 
 struct TraceEntry {
   prog::UopId uop = prog::kInvalidUop;
-  std::uint64_t addr = 0;  ///< valid for loads/stores only.
+  std::uint32_t addr = 0;  ///< valid for loads/stores only.
 };
+static_assert(sizeof(TraceEntry) == 8, "a trace entry is 8 bytes");
+
+/// Bytes a trace address can reach: a profile's address space,
+/// max(4096, working_set_kb * 1024), must not exceed it.
+inline constexpr std::uint64_t kTraceAddressSpace = std::uint64_t{1} << 32;
 
 class TraceSource {
  public:
+  /// Aborts unless the profile's address space fits kTraceAddressSpace.
   explicit TraceSource(const GeneratedWorkload& workload);
 
   /// Restart the trace from the beginning (bit-identical replay).
@@ -51,9 +63,11 @@ class TraceSource {
 
  private:
   void advance_block();
-  std::uint64_t address_for(std::uint32_t stream_id);
+  std::uint32_t address_for(std::uint32_t stream_id);
 
   const GeneratedWorkload& wl_;
+  /// max(4096, working_set_kb * 1024): every address lies below it.
+  const std::uint64_t address_space_;
   Rng rng_;
   prog::BlockId block_ = 0;
   std::uint32_t offset_ = 0;        ///< next uop index within block_.

@@ -200,12 +200,12 @@ TEST(Experiment, OneReplayMatchesPerPointReplay) {
     for (std::size_t p = 0; p < points.size(); ++p) {
       SCOPED_TRACE("point " + std::to_string(p));
       workload::TraceSource trace(experiment.workload());
-      std::vector<std::uint64_t> warm;
+      std::vector<std::uint32_t> warm;
       for (std::uint64_t u = 0; u < points[p].start_uop; ++u) {
         const workload::TraceEntry e = trace.next();
         if (program.uop(e.uop).is_mem()) warm.push_back(e.addr);
       }
-      const std::span<const std::uint64_t> view = experiment.warm_addrs()[p];
+      const std::span<const std::uint32_t> view = experiment.warm_addrs()[p];
       EXPECT_EQ(view.data(), experiment.warm_addrs().back().data());
       ASSERT_EQ(view.size(), warm.size());
       EXPECT_EQ(std::mismatch(view.begin(), view.end(), warm.begin()).first -

@@ -45,7 +45,7 @@ struct TestBench {
     }
   }
 
-  static std::uint64_t addr_of(const MicroOp& u, std::uint32_t rep) {
+  static std::uint32_t addr_of(const MicroOp& u, std::uint32_t rep) {
     return u.is_mem() ? 0x1000 + rep * 64 : 0;
   }
 
@@ -204,7 +204,7 @@ TEST(Core, WarmedLoadHitsL1) {
   const MachineConfig cfg = MachineConfig::two_cluster();
   ClusteredCore core(cfg, *bench.program);
   steer::StaticFollowerPolicy policy("test");
-  const std::uint64_t warm[] = {0x1000};
+  const std::uint32_t warm[] = {0x1000};
   const SimStats stats = core.run(bench.trace, policy, warm);
   EXPECT_LT(stats.cycles, 40u);
   EXPECT_EQ(stats.memory.l1_hits, 1u);

@@ -164,6 +164,35 @@ TEST(Trace, PhasesChangeBlockMix) {
   EXPECT_GT(l1 / static_cast<double>(phase_len), 0.2);
 }
 
+// ---- the 32-bit trace address bound ----
+
+TEST(Trace, RefusesWorkingSetBeyond32BitAddresses) {
+  WorkloadProfile p = *find_profile("181.mcf");
+  p.working_set_kb = 4 * 1024 * 1024 + 1;  // one KiB over 4 GiB
+  const GeneratedWorkload wl = generate(p);
+  EXPECT_DEATH({ TraceSource trace(wl); }, "4 GiB");
+}
+
+TEST(Trace, WorkingSetAtThe32BitBoundStaysInRange) {
+  WorkloadProfile p = *find_profile("181.mcf");
+  p.working_set_kb = 4 * 1024 * 1024;  // exactly 4 GiB
+  const GeneratedWorkload wl = generate(p);
+  TraceSource trace(wl);
+  std::uint64_t mem_ops = 0;
+  bool top_bit_used = false;
+  for (int i = 0; i < 4000; ++i) {
+    const TraceEntry e = trace.next();
+    if (!wl.program.uop(e.uop).is_mem()) continue;
+    ++mem_ops;
+    EXPECT_LT(std::uint64_t{e.addr}, kTraceAddressSpace);
+    EXPECT_EQ(e.addr % 8, 0u);
+    top_bit_used |= e.addr >= 0x8000'0000u;
+  }
+  EXPECT_GT(mem_ops, 0u);
+  // Streams start across the whole space, so the upper half is reached.
+  EXPECT_TRUE(top_bit_used);
+}
+
 // ---- property sweep over every SPEC profile ----
 
 class AllProfiles : public ::testing::TestWithParam<WorkloadProfile> {};
