@@ -28,11 +28,8 @@ int main(int argc, char** argv) {
   using namespace vcsteer;
   bench::Options opt = bench::parse_args(argc, argv, "autotune_search");
   // This bench is the pruned-search consumer: default to a top-8 frontier
-  // unless the caller picked their own K or a distributed mode (where
-  // pruning cannot run — the frontier needs the whole grid's estimates).
-  if (opt.prune_model == 0 && !opt.distributed()) {
-    opt.prune_model = 8;
-  }
+  // unless the caller picked their own K.
+  if (opt.prune_model == 0) opt.prune_model = 8;
 
   // Trace axis: the search ranks machine configurations, so a small trace
   // set suffices — the model scores every (machine, scheme) on all of it.

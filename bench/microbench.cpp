@@ -334,7 +334,7 @@ void BM_ObPass(benchmark::State& state) {
 BENCHMARK(BM_ObPass);
 
 // Cost of building a canonical cache key for one sweep point (paid once per
-// point per run when --cache-dir is active).
+// point per run by a sweep that has a result cache).
 void BM_CacheKey(benchmark::State& state) {
   const workload::WorkloadProfile& profile = bench_profile();
   const MachineConfig machine = MachineConfig::two_cluster();

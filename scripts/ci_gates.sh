@@ -9,20 +9,9 @@
 #   tier1     ctest suite minus the golden label
 #   golden    golden-reference fixtures (fig5/fig7 + ablation smoke)
 #   ablation  topology-aware ablation smoke sweep produces a sane summary
-#   smoke     cold sweep simulates everything; warm re-run is 100% cache
-#             hits, and so is a warm --prune-model 3 re-run
-#   launch    --launch 2 spawns a private vcsteer-sweepd and two leasing
-#             workers, none of which dies, its assembly pass never
-#             re-simulates, each worker's stderr is relayed under its
-#             "[w<i>]" prefix, and no line of progress dots runs into the
-#             next line of its stderr
-#   service   networked result store + work-stealing scheduler: two
-#             concurrent --connect clients leasing fig7 smoke jobs from one
-#             vcsteer-sweepd must emit results JSON byte-identical to a
-#             --jobs 1 local run, and a server SIGKILLed mid-sweep (via its
-#             deterministic --crash-after-leases knob) then restarted must
-#             still yield identical bytes, with the client's summary
-#             recording the reconnect (scripts/service_crash_test.sh)
+#   smoke     a plain fig5 smoke sweep simulates every point; a
+#             --prune-model 3 one simulates exactly its 3-config frontier
+#             and fills every other point with a model estimate
 #   model     analytical estimator + pruned search: fig5/fig7 smoke with
 #             --prune-model 999 must write results JSON byte-identical to
 #             the plain runs (the model only reorders work), with model
@@ -186,71 +175,20 @@ gate_ablation() {
 }
 
 gate_smoke() {
-  local cache="$GATE_OUT/smoke-cache"
-  rm -rf "$cache"
-  "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --cache-dir "$cache" \
+  "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 \
     --summary-json "$GATE_OUT/smoke_cold.json"
   assert_summary "$GATE_OUT/smoke_cold.json" \
     'ok' 'sweep["cache_hits"] == 0' 'sweep["simulated"] == sweep["points"]'
-  # Warm re-run must serve every point from the cache.
-  "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --cache-dir "$cache" \
-    --summary-json "$GATE_OUT/smoke_warm.json"
-  assert_summary "$GATE_OUT/smoke_warm.json" \
-    'ok' 'sweep["simulated"] == 0' \
-    'sweep["cache_hits"] == sweep["points"]' \
-    'sweep["corrupt_recovered"] == 0'
-  # A warm pruned re-run serves the frontier from its simulated entries and
-  # every other point from its model entries, counting each point once.
-  local pruned_cache="$GATE_OUT/smoke-pruned-cache"
-  rm -rf "$pruned_cache"
-  for run in cold warm; do
-    "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --prune-model 3 \
-      --cache-dir "$pruned_cache" \
-      --summary-json "$GATE_OUT/smoke_pruned_$run.json"
-  done
-  assert_summary "$GATE_OUT/smoke_pruned_warm.json" \
-    'ok' 'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
+  # 6 smoke traces x 5 schemes: the frontier's 3 configs are simulated on
+  # every trace (18 points) and the model fills in the other 12.
+  "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --prune-model 3 \
+    --summary-json "$GATE_OUT/smoke_pruned.json"
+  assert_summary "$GATE_OUT/smoke_pruned.json" \
+    'ok' 'sweep["simulated"] == 18' 'model["pruned"] == 12' \
+    'model["pruned"] + sweep["simulated"] == sweep["points"]'
 }
 
-gate_service() {
-  bash "$ROOT/scripts/service_crash_test.sh" \
-    "$BUILD_DIR/fig7_fourcluster" "$BUILD_DIR/vcsteer-sweepd"
-}
-
-gate_launch() {
-  local cache="$GATE_OUT/launch-cache"
-  rm -rf "$cache"
-  # Two workers lease the whole grid from a private daemon, so the assembly
-  # pass that follows them must be 100% store hits. (launcher_crash_recovery
-  # cmps a launched run's JSON and stdout with a --jobs 1 run.)
-  "$BUILD_DIR/fig7_fourcluster" --smoke --launch 2 --jobs 2 \
-    --cache-dir "$cache" --summary-json "$GATE_OUT/launch.json" \
-    2> "$GATE_OUT/launch.err" || { cat "$GATE_OUT/launch.err" >&2; exit 1; }
-  assert_summary "$GATE_OUT/launch.json" \
-    'ok' 'launch["ok"]' 'launch["workers"] == 2' \
-    'launch["failed_shards"] == 0' \
-    'all(s["ok"] for s in launch["shards"])' \
-    'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
-  # Each worker's stderr is relayed under its "[w<i>]" prefix.
-  if ! grep -qE '^\[w1\] .*: pulled [0-9]+/[0-9]+ jobs from ' \
-      "$GATE_OUT/launch.err"; then
-    echo "ci_gates: no relayed [w1] pulled line" >&2
-    exit 1
-  fi
-  # Each pass's progress dots end their own line, also when a worker pulled
-  # only part of the sweep.
-  if grep -E '^(\[w[0-9]+\] )?\.+[^.]' "$GATE_OUT/launch.err"; then
-    echo "ci_gates: progress dots ran into the next stderr line" >&2
-    exit 1
-  fi
-  # And a later single-process run over the daemon's store stays warm.
-  "$BUILD_DIR/fig7_fourcluster" --smoke --jobs 2 --cache-dir "$cache" \
-    --summary-json "$GATE_OUT/launch_assemble.json"
-  assert_summary "$GATE_OUT/launch_assemble.json" \
-    'ok' 'sweep["simulated"] == 0' 'sweep["cache_hits"] == sweep["points"]'
-}
-
-ALL_GATES=(tier1 golden ablation smoke launch service observe model perf)
+ALL_GATES=(tier1 golden ablation smoke observe model perf)
 if [[ $# -eq 0 ]]; then
   GATES=("${ALL_GATES[@]}")
 else

@@ -70,20 +70,10 @@ std::string encode_result(const harness::RunResult& result);
 /// absorbed as a zero.
 bool decode_result(const std::string& text, harness::RunResult* out);
 
-/// Abstract key -> RunResult store the sweep runner talks to: the on-disk
-/// ResultCache locally, or a net::StoreClient when the sweep leases its jobs
-/// from a vcsteer-sweepd (src/net/). Implementations must be safe to call
-/// from multiple sweep threads.
-class ResultStore {
- public:
-  virtual ~ResultStore() = default;
-  virtual CacheLookup lookup(const std::string& key,
-                             harness::RunResult* out) const = 0;
-  virtual void store(const std::string& key,
-                     const harness::RunResult& result) const = 0;
-};
-
-class ResultCache : public ResultStore {
+/// The on-disk key -> RunResult store run_sweep probes and fills when
+/// SweepOptions::cache_dir is set. Safe to call from multiple sweep threads
+/// and processes.
+class ResultCache {
  public:
   /// Creates `dir` (and parents) if missing. `hash_fn` overrides the
   /// filename hash — production uses hash_seed; tests inject a colliding
@@ -97,16 +87,14 @@ class ResultCache : public ResultStore {
   /// Keys whose 64-bit filename hash collides with a different stored key
   /// are probed through collision-suffixed paths, so two colliding keys
   /// coexist instead of alternately evicting each other.
-  CacheLookup lookup(const std::string& key,
-                     harness::RunResult* out) const override;
+  CacheLookup lookup(const std::string& key, harness::RunResult* out) const;
 
   /// Persists `result` under `key`. The entry is written to a tmp file
   /// unique per (process, thread), fsync'd, and renamed into place, so a
   /// writer killed at any instant — including SIGKILL mid-write — either
   /// publishes the complete entry or nothing; concurrent writers of the
   /// same point cannot interleave.
-  void store(const std::string& key,
-             const harness::RunResult& result) const override;
+  void store(const std::string& key, const harness::RunResult& result) const;
 
   /// Raw-text layer the sweep service server runs on: the same probe /
   /// atomic-publish semantics, but the result payload stays an opaque

@@ -26,39 +26,6 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"cache_io_s\":" << num(s.sweep.phases.cache_io) << "}"
      << ",\"events\":{\"experiments\":" << s.sweep.experiments
      << ",\"cycles\":" << s.cycles << "}";
-  if (s.shards.empty()) {
-    os << ",\"launch\":null";
-  } else {
-    std::size_t failed = 0;
-    for (const RunSummary::WorkerStatus& w : s.shards) failed += !w.ok;
-    os << ",\"launch\":{\"workers\":" << s.shards.size()
-       << ",\"ok\":" << boolean(failed == 0) << ",\"failed_shards\":" << failed
-       << ",\"shards\":[";
-    for (std::size_t i = 0; i < s.shards.size(); ++i) {
-      const RunSummary::WorkerStatus& w = s.shards[i];
-      if (i) os << ',';
-      os << "{\"shard\":" << i << ",\"ok\":" << boolean(w.ok)
-         << ",\"exit_code\":" << w.exit_code
-         << ",\"signal\":" << w.term_signal << "}";
-    }
-    os << "]}";
-  }
-  if (!s.net.enabled) {
-    os << ",\"net\":null";
-  } else {
-    os << ",\"net\":{\"server\":" << stats::json_quote(s.net.server)
-       << ",\"role\":" << stats::json_quote(s.net.role)
-       << ",\"jobs_pulled\":" << s.sweep.jobs_pulled
-       << ",\"gets\":" << s.net.gets << ",\"puts\":" << s.net.puts
-       << ",\"reconnects\":" << s.net.reconnects << ",\"workers\":{";
-    bool first = true;
-    for (const auto& [client, jobs] : s.net.workers) {
-      if (!first) os << ',';
-      first = false;
-      os << stats::json_quote(client) << ":" << jobs;
-    }
-    os << "}}";
-  }
   const ModelStats& model = s.sweep.model;
   if (!model.enabled) {
     os << ",\"model\":null";
@@ -102,9 +69,9 @@ void ResultSink::write_json(std::ostream& os) const {
   // removed from the per-result records below (2: + per-result "source").
   os << "\"schema_version\":2,";
   // Deliberately no execution counters (simulated/cache hits) here: the
-  // document is a pure function of the grid, so a cached, launched or
-  // networked run emits the same bytes as a cold single-process one. The
-  // counters live in the --summary-json (RunSummary).
+  // document is a pure function of the grid, so a cached or multi-threaded
+  // run emits the same bytes as a cold serial one. The counters live in the
+  // --summary-json (RunSummary).
   os << "\"sweep\":{\"points\":" << results_.size() << "},";
   os << "\"results\":[";
   for (std::size_t i = 0; i < results_.size(); ++i) {

@@ -74,29 +74,14 @@ double spearman_correlation(const std::vector<double>& a,
   return cov / std::sqrt(var_a * var_b);
 }
 
-/// In-process JobQueue: hands out a fixed job list in order, each job once.
-class ListQueue final : public JobQueue {
- public:
-  explicit ListQueue(std::vector<std::size_t> jobs) : jobs_(std::move(jobs)) {}
-  bool acquire(std::size_t* job) override {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= jobs_.size()) return false;
-    *job = jobs_[i];
-    return true;
-  }
-  void complete(std::size_t) override {}
-
- private:
-  const std::vector<std::size_t> jobs_;
-  std::atomic<std::size_t> next_{0};
-};
-
-/// Runs acquire -> body -> complete until `queue` drains: inline on the
-/// calling thread when `threads` <= 1, else on that many threads. A job
-/// that throws ends its thread's loop; the first exception (or a failure
-/// to start a thread) is rethrown once every started thread has joined.
-void drain(JobQueue& queue, std::size_t threads,
+/// Runs `body` on every entry of `jobs`, each once, started in list order:
+/// inline on the calling thread when `threads` <= 1, else on that many
+/// threads pulling from the list until it drains. A job that throws ends its
+/// thread's loop; the first exception (or a failure to start a thread) is
+/// rethrown once every started thread has joined.
+void drain(const std::vector<std::size_t>& jobs, std::size_t threads,
            const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr error;
   const auto keep_first_error = [&] {
@@ -105,10 +90,9 @@ void drain(JobQueue& queue, std::size_t threads,
   };
   const auto loop = [&] {
     try {
-      std::size_t job = 0;
-      while (queue.acquire(&job)) {
-        body(job);
-        queue.complete(job);
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < jobs.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+        body(jobs[i]);
       }
     } catch (...) {
       keep_first_error();
@@ -122,7 +106,7 @@ void drain(JobQueue& queue, std::size_t threads,
     try {
       while (workers.size() < threads) workers.emplace_back(loop);
     } catch (...) {
-      keep_first_error();  // the threads already running drain the queue
+      keep_first_error();  // the threads already running drain the list
     }
     for (std::thread& worker : workers) worker.join();
   }
@@ -155,7 +139,6 @@ SweepCounters& SweepCounters::operator+=(const SweepCounters& o) {
   cache_hits += o.cache_hits;
   cache_corrupt += o.cache_corrupt;
   experiments += o.experiments;
-  jobs_pulled += o.jobs_pulled;
   if (o.model.enabled) {
     model.enabled = true;
     model.top_k = o.model.top_k;
@@ -202,23 +185,15 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   const std::size_t num_schemes = grid.schemes.size();
   SweepResult result(num_traces, num_machines, num_schemes);
 
-  VCSTEER_CHECK_MSG(opt.prune_top_k == 0 || opt.queue == nullptr,
-                    "--prune-model needs the whole grid: incompatible with "
-                    "queue mode");
-
-  std::optional<ResultCache> local_cache;
-  ResultStore* store = opt.store;
-  if (store == nullptr && !opt.cache_dir.empty()) {
-    local_cache.emplace(opt.cache_dir);
-    store = &*local_cache;
-  }
+  std::optional<ResultCache> cache;
+  if (!opt.cache_dir.empty()) cache.emplace(opt.cache_dir);
 
   const std::size_t total_jobs = num_traces * num_machines;
   std::atomic<std::size_t> cache_corrupt{0};
   std::atomic<std::size_t> experiments{0};
   std::mutex phases_mutex;
   PhaseSeconds phases;
-  // Per point: whether the store served the result the point ends with.
+  // Per point: whether the cache served the result the point ends with.
   std::vector<char> hit(result.num_points(), 0);
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
@@ -226,7 +201,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   };
 
   // Scores `schemes` on the (trace, machine) cell with `evaluator`: probes
-  // the store for each under the evaluator's key namespace ("sim" or
+  // the cache for each under the evaluator's key namespace ("sim" or
   // "model"), evaluates the misses in one request, which lets the backend
   // share per-cell work among them, and stores them. Returns the number of
   // points evaluated.
@@ -244,12 +219,12 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     std::vector<std::string> keys(num_schemes);
     for (const std::size_t s : schemes) {
       CacheLookup looked = CacheLookup::kMiss;
-      if (store != nullptr) {
+      if (cache) {
         keys[s] = cache_key(profile, machine, grid.schemes[s].spec,
                             grid.budget, grid.schemes[s].custom_tag,
                             eval::source_name(evaluator.source()));
         const Clock::time_point t0 = Clock::now();
-        looked = store->lookup(keys[s], &slots[s]);
+        looked = cache->lookup(keys[s], &slots[s]);
         cell_phases.cache_io += seconds_since(t0);
       }
       hit[first + s] = looked == CacheLookup::kHit;
@@ -270,9 +245,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       for (std::size_t i = 0; i < missing.size(); ++i) {
         const std::size_t s = missing[i];
         slots[s] = std::move(response.results[i]);
-        if (store != nullptr) {
+        if (cache) {
           const Clock::time_point t0 = Clock::now();
-          store->store(keys[s], slots[s]);
+          cache->store(keys[s], slots[s]);
           cell_phases.cache_io += seconds_since(t0);
         }
       }
@@ -302,8 +277,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     eval::ModelEvaluator model_evaluator;
     std::vector<std::size_t> cells(total_jobs);
     std::iota(cells.begin(), cells.end(), std::size_t{0});
-    ListQueue queue(std::move(cells));
-    drain(queue, std::min<std::size_t>(opt.jobs, total_jobs),
+    drain(cells, std::min<std::size_t>(opt.jobs, total_jobs),
           [&](std::size_t job) {
             run_cell(model_evaluator, job / num_machines, job % num_machines,
                      every_scheme);
@@ -348,23 +322,18 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   // replay dominate point cost) behind SimEvaluator, and each scheme
   // re-annotates from scratch, so evaluating any subset of schemes yields
   // the same bits as evaluating all of them — which is why a pruned run's
-  // simulated frontier is byte-identical to the unpruned run's. In pull
-  // mode the jobs come from opt.queue; cells other workers pulled stay
-  // default, and the caller assembles them from the shared store afterwards.
+  // simulated frontier is byte-identical to the unpruned run's.
   std::vector<std::size_t> cells;
   for (std::size_t job = 0; job < total_jobs; ++job) {
     if (!sim_schemes[job % num_machines].empty()) cells.push_back(job);
   }
   const std::size_t num_jobs = cells.size();
-  ListQueue local_queue(std::move(cells));
-  JobQueue& queue = opt.queue != nullptr ? *opt.queue : local_queue;
   eval::SimEvaluator sim_evaluator;
   std::atomic<std::size_t> simulated{0};
   std::atomic<std::size_t> jobs_done{0};
   std::mutex progress_mutex;
-  drain(queue, std::min<std::size_t>(opt.jobs, num_jobs),
+  drain(cells, std::min<std::size_t>(opt.jobs, num_jobs),
         [&](std::size_t job) {
-          VCSTEER_CHECK_MSG(job < total_jobs, "leased job index out of range");
           const std::size_t m = job % num_machines;
           simulated.fetch_add(
               run_cell(sim_evaluator, job / num_machines, m, sim_schemes[m]),
@@ -415,7 +384,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     }
   }
 
-  result.jobs_pulled = opt.queue != nullptr ? jobs_done.load() : 0;
   result.simulated = simulated.load();
   result.cache_hits =
       static_cast<std::size_t>(std::count(hit.begin(), hit.end(), char{1}));

@@ -4,19 +4,16 @@
 // bench iterates. run_sweep() splits it into one job per (trace, machine)
 // pair — the granularity at which TraceExperiment amortises workload
 // generation and trace materialisation — and worker threads pull the jobs
-// from a JobQueue until it drains (`--jobs 1` runs them inline). Each job
-// owns its TraceExperiment and every RNG it touches is seeded from the
-// profile itself, so results are bit-identical no matter how many workers
-// run or in which order jobs finish: `--jobs 8` reproduces `--jobs 1`
-// exactly. Results land in pre-sized slots indexed by grid position, never
-// by completion order.
+// from one in-process list until it drains (`--jobs 1` runs them inline).
+// Each job owns its TraceExperiment and every RNG it touches is seeded from
+// the profile itself, so results are bit-identical no matter how many
+// workers run or in which order jobs finish: `--jobs 8` reproduces
+// `--jobs 1` exactly. Results land in pre-sized slots indexed by grid
+// position, never by completion order.
 //
-// With a ResultCache attached, each point is probed before simulating and
-// stored after; a job whose points are all cached never constructs its
-// TraceExperiment, which is what makes warm re-runs of a full figure sweep
-// near-instant. Spreading a sweep over processes goes through a JobQueue:
-// workers lease jobs from one vcsteer-sweepd (src/net/) and publish into
-// its store, and an assembly pass then reads the whole grid back.
+// With a ResultCache attached (SweepOptions::cache_dir), each point is
+// probed before simulating and stored after; a job whose points are all
+// cached never constructs its TraceExperiment.
 #pragma once
 
 #include <cstddef>
@@ -47,46 +44,17 @@ struct SweepGrid {
   harness::SimBudget budget;
 };
 
-/// Source of sweep jobs: run_sweep's worker threads acquire() jobs until it
-/// drains. A job is the linear index `trace * num_machines + machine` into
-/// the grid's (trace, machine) cells. run_sweep drains an in-process queue
-/// of its own unless SweepOptions::queue supplies one: the sweep service's
-/// NetJobQueue leases jobs from vcsteer-sweepd so idle workers steal work
-/// from slow ones.
-class JobQueue {
- public:
-  virtual ~JobQueue() = default;
-  /// Blocks until a job is granted (true) or the sweep is drained — every
-  /// job completed, possibly by other workers (false). Called concurrently
-  /// from worker threads.
-  virtual bool acquire(std::size_t* job) = 0;
-  /// Marks `job` finished; its results are already in the result store.
-  virtual void complete(std::size_t job) = 0;
-};
-
 struct SweepOptions {
   /// Worker threads; 1 runs every job inline on the calling thread.
   unsigned jobs = 1;
-  /// Result-cache directory; empty disables caching. Ignored when `store`
-  /// is set.
+  /// Result-cache directory; empty disables caching.
   std::string cache_dir;
-  /// Result store override: probed before simulating and written after,
-  /// exactly like cache_dir, but through any ResultStore (e.g. the sweep
-  /// service's networked store). Not owned.
-  ResultStore* store = nullptr;
-  /// Pull-mode scheduling: when set, the simulation stage's workers
-  /// acquire() jobs from this queue until it drains, instead of from
-  /// run_sweep's own queue of every cell. Jobs executed here count
-  /// into SweepCounters::jobs_pulled; cells this worker never pulled stay
-  /// default-initialised (empty trace) and are assembled from the shared
-  /// store afterwards. Not owned.
-  JobQueue* queue = nullptr;
   /// Extra salt added to every profile's seed_salt (--seed): shifts the
   /// whole sweep to a different deterministic universe.
   std::uint64_t seed_salt = 0;
   /// Called after each (trace, machine) job completes, from the worker
-  /// thread (serialised by the runner). done/total count the jobs this run
-  /// schedules (every job in queue mode).
+  /// thread (serialised by the runner). done/total count the jobs of the
+  /// simulation stage.
   std::function<void(std::size_t done, std::size_t total)> progress;
   /// Two-stage pruned search (--prune-model K; 0 = off). When set, every
   /// grid point is first scored by the analytical critical-path model
@@ -96,8 +64,7 @@ struct SweepOptions {
   /// SimEvaluator path as an unpruned run, so the simulated frontier's
   /// results (and cache entries) are byte-identical with and without
   /// pruning. Non-frontier slots carry the model estimates, tagged
-  /// source == "model". Incompatible with queue mode (the frontier needs the
-  /// whole grid's estimates).
+  /// source == "model".
   std::size_t prune_top_k = 0;
 };
 
@@ -138,12 +105,12 @@ struct ModelStats {
 /// What a sweep did, as opposed to what it found: every SweepResult carries
 /// one, and a bench run sums its sweeps' into exec::RunSummary with +=.
 struct SweepCounters {
-  /// Points simulated / served from the store. A point counts once, by
+  /// Points simulated / served from the cache. A point counts once, by
   /// the result it ends with, so simulated + cache_hits <= points.
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
-  /// Store entries found truncated/garbled (e.g. a worker killed mid-run on
-  /// a pre-fsync cache). Each stays in place until the store() of its
+  /// Cache entries found truncated/garbled (e.g. a process killed mid-run
+  /// on a pre-fsync cache). Each stays in place until the store() of its
   /// recomputed point replaces it: a simulated entry's point is
   /// re-simulated and also counts in `simulated`; a model entry's point is
   /// re-estimated.
@@ -151,9 +118,6 @@ struct SweepCounters {
   /// TraceExperiments actually constructed (jobs with at least one cache
   /// miss); 0 on a fully warm sweep.
   std::size_t experiments = 0;
-  /// Jobs acquired from SweepOptions::queue: the per-worker work-stealing
-  /// tally surfaced in --summary-json.
-  std::size_t jobs_pulled = 0;
   ModelStats model;
   /// Per-phase wall-clock spans, summed over all jobs.
   PhaseSeconds phases;
@@ -190,7 +154,7 @@ class SweepResult : public SweepCounters {
 
 /// Runs the grid. CHECK-fails before any work when a grid machine fails
 /// MachineConfig::validate(), naming the machine's index and the problem.
-/// An exception thrown by a job (its evaluator, store or progress callback)
+/// An exception thrown by a job (its evaluator, cache or progress callback)
 /// is rethrown here once every worker thread has joined.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt);
 
@@ -199,9 +163,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt);
 unsigned default_jobs();
 
 /// Deterministic 64-bit identity of a sweep: the hash of every point's
-/// canonical cache key (profiles already salted with `seed_salt`). Clients
-/// leasing jobs from a vcsteer-sweepd use it as the sweep id, so two workers
-/// only share a lease queue when they would produce byte-identical grids.
+/// canonical cache key (profiles already salted with `seed_salt`). Kept
+/// only because perfbench/ still calls it: its sweepd-lease workload uses it
+/// as the sweep id of the jobs it leases from a vcsteer-sweepd.
 std::uint64_t grid_fingerprint(const SweepGrid& grid, std::uint64_t seed_salt);
 
 // Always 1; kept only because perfbench/ still calls it.

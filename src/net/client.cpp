@@ -245,24 +245,6 @@ StoreClient::Counters StoreClient::counters() const {
   return counters_;
 }
 
-exec::CacheLookup NetResultStore::lookup(const std::string& key,
-                                         harness::RunResult* out) const {
-  std::string text;
-  const exec::CacheLookup looked = client_->get(key, &text);
-  if (looked != exec::CacheLookup::kHit) return looked;
-  // A garbled payload reads as corrupt, exactly like the on-disk cache.
-  return exec::decode_result(text, out) ? exec::CacheLookup::kHit
-                                        : exec::CacheLookup::kCorrupt;
-}
-
-void NetResultStore::store(const std::string& key,
-                           const harness::RunResult& result) const {
-  if (!client_->put(key, exec::encode_result(result))) {
-    VCSTEER_LOG_WARN(
-        "store client: PUT failed; the point stays local to this worker");
-  }
-}
-
 bool NetJobQueue::acquire(std::size_t* job) {
   for (;;) {
     switch (client_->lease(sweep_id_, njobs_, client_id_, job)) {
@@ -276,8 +258,7 @@ bool NetJobQueue::acquire(std::size_t* job) {
       case StoreClient::LeaseReply::kEmpty:
         return false;
       case StoreClient::LeaseReply::kError:
-        // Reconnect window exhausted: report the queue drained so the
-        // caller falls through to its store-backed assembly pass.
+        // Reconnect window exhausted: report the queue drained.
         return false;
     }
   }

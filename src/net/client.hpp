@@ -1,21 +1,17 @@
 // Client side of the sweep service: a blocking, reconnecting frame channel
-// (StoreClient) plus the two adapters that plug it into run_sweep —
-// NetResultStore (exec::ResultStore over GET/PUT) and NetJobQueue
-// (exec::JobQueue over LEASE/DONE).
+// (StoreClient) plus NetJobQueue, which leases a sweep's jobs over
+// LEASE/DONE. perfbench's sweepd-lease workload is their one user; no
+// bench or run_sweep path talks to a vcsteer-sweepd.
 //
 // Failure semantics: a failed request is retried through
 // reconnect-with-backoff within one ClientOptions::reconnect_window_s per
-// outage (covering a sweepd restart after a crash — the gate SIGKILLs the
-// server mid-sweep and restarts it). The window opens at the first failure
+// outage (covering a sweepd restart). The window opens at the first failure
 // and closes at the next success; once it has run out, each request makes
 // one connect attempt and fails, so an unreachable daemon costs the window
 // once, not once per request. All verbs are safe to resend: GET/PUT are
 // idempotent against the fsync-rename cache, and a duplicated LEASE at
-// worst double-grants a job whose re-execution is bit-identical and whose
-// store is atomic. When a request fails, NetResultStore degrades to
-// kMiss/no-op (the worker simulates locally and the run stays
-// byte-identical, merely slower) and NetJobQueue reports the queue drained
-// so the caller falls through to its assembly pass.
+// worst double-grants a job. When a request fails, GET reads as kMiss and
+// NetJobQueue reports the queue drained.
 #pragma once
 
 #include <chrono>
@@ -26,9 +22,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "exec/cache.hpp"
-#include "exec/sweep.hpp"
 #include "net/frame.hpp"
 
 namespace vcsteer::net {
@@ -89,24 +85,10 @@ class StoreClient {
   std::optional<std::chrono::steady_clock::time_point> outage_deadline_;
 };
 
-/// run_sweep result store backed by a sweepd: probes/publishes every point
-/// over GET/PUT instead of a local cache directory.
-class NetResultStore final : public exec::ResultStore {
- public:
-  explicit NetResultStore(StoreClient* client) : client_(client) {}
-  exec::CacheLookup lookup(const std::string& key,
-                           harness::RunResult* out) const override;
-  void store(const std::string& key,
-             const harness::RunResult& result) const override;
-
- private:
-  StoreClient* client_;
-};
-
-/// run_sweep job queue backed by a sweepd lease queue: acquire() polls
-/// LEASE (sleeping briefly on WAIT) until a job is granted or the sweep is
+/// A sweep's jobs leased from a sweepd lease queue: acquire() polls LEASE
+/// (sleeping briefly on WAIT) until a job is granted or the sweep is
 /// drained; complete() sends DONE.
-class NetJobQueue final : public exec::JobQueue {
+class NetJobQueue {
  public:
   NetJobQueue(StoreClient* client, std::uint64_t sweep_id, std::size_t njobs,
               std::string client_id)
@@ -115,8 +97,11 @@ class NetJobQueue final : public exec::JobQueue {
         njobs_(njobs),
         client_id_(std::move(client_id)) {}
 
-  bool acquire(std::size_t* job) override;
-  void complete(std::size_t job) override;
+  /// Blocks until a job is granted (true) or the sweep is drained — every
+  /// job completed, possibly by other clients — or unreachable (false).
+  bool acquire(std::size_t* job);
+  /// Marks `job` finished.
+  void complete(std::size_t job);
 
  private:
   StoreClient* client_;

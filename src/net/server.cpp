@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -83,7 +82,6 @@ struct SweepServer::Impl {
   exec::ResultCache cache;
   std::vector<Conn> conns;
   std::map<std::uint64_t, SweepState> sweeps;
-  std::uint64_t leases_granted = 0;
   std::uint64_t next_conn_id = 1;
 
   explicit Impl(const ServerOptions& o) : opt(o), cache(o.cache_dir) {}
@@ -202,14 +200,6 @@ struct SweepServer::Impl {
                    std::chrono::duration<double>(opt.lease_timeout_s)),
          conn});
     sweep.pulls[client] += 1;
-    ++leases_granted;
-    if (opt.crash_after_leases != 0 &&
-        leases_granted >= opt.crash_after_leases) {
-      // Deterministic mid-sweep crash for the recovery gate: die *before*
-      // the reply flushes, the most adversarial instant — the job is marked
-      // leased server-side but no client ever hears about it.
-      ::kill(::getpid(), SIGKILL);
-    }
     return "JOB " + std::to_string(job) + "\n";
   }
 

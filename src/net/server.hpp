@@ -61,10 +61,6 @@ struct ServerOptions {
   /// once; expiry is for a hung worker, or a TCP peer that vanished without
   /// closing.
   double lease_timeout_s = 30.0;
-  /// Test knob: after granting this many leases (across all sweeps), the
-  /// server SIGKILLs itself — a deterministic mid-sweep crash for the
-  /// crash-recovery gate. 0 disables.
-  std::uint64_t crash_after_leases = 0;
 };
 
 class SweepServer {

@@ -3,18 +3,15 @@
 //   vcsteer-sweepd --listen unix:/tmp/sweep.sock --cache-dir /path/cache
 //
 // Owns the authoritative result cache and the work-stealing lease queues
-// for any number of `--connect` sweep clients (see src/net/server.hpp for
-// the protocol). SIGINT/SIGTERM shut it down cleanly; SIGKILL at any
-// instant is safe — results are fsync-rename durable and lease state is
-// deliberately rebuilt from the first LEASE after a restart.
+// for any number of clients (see src/net/server.hpp for the protocol);
+// perfbench's sweepd-lease workload is the one that drives it.
+// SIGINT/SIGTERM shut it down cleanly; SIGKILL at any instant is safe —
+// results are fsync-rename durable and lease state is deliberately rebuilt
+// from the first LEASE after a restart.
 #include <signal.h>
 
-#include <cctype>
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/log.hpp"
@@ -32,41 +29,25 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --listen <unix:/path | [tcp:]host:port> --cache-dir DIR\n"
-      "          [--lease-timeout SECONDS] [--crash-after-leases N]\n"
+      "          [--lease-timeout SECONDS]\n"
       "\n"
       "Sweep-service daemon: serves GET/PUT result-store requests and\n"
-      "LEASE/DONE work-stealing job queues to vcsteer bench clients\n"
-      "running with --connect. --crash-after-leases is a test knob that\n"
-      "SIGKILLs the daemon after granting N leases (crash-recovery gate).\n",
+      "LEASE/DONE work-stealing job queues to its clients.\n",
       argv0);
   return 2;
 }
 
-/// A number flag's whole value must parse: "5x" exits 2, it never runs as 5.
-[[noreturn]] void bad_value(const char* flag, const char* v) {
-  std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
-  std::exit(2);
-}
-
-/// Seconds; the range (NaN and infinity included) is the SweepServer
-/// constructor's check.
+/// Seconds. The whole value must parse: "5x" exits 2, it never runs as 5.
+/// The range (NaN and infinity included) is the SweepServer constructor's
+/// check.
 double parse_seconds(const char* flag, const char* v) {
   char* end = nullptr;
   const double s = std::strtod(v, &end);
-  if (end == v || *end != '\0') bad_value(flag, v);
-  return s;
-}
-
-/// Unsigned decimal digits only, within 64 bits.
-std::uint64_t parse_count(const char* flag, const char* v) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
-      errno == ERANGE) {
-    bad_value(flag, v);
+  if (end == v || *end != '\0') {
+    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
+    std::exit(2);
   }
-  return n;
+  return s;
 }
 
 }  // namespace
@@ -90,9 +71,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--lease-timeout") {
       opt.lease_timeout_s = parse_seconds("--lease-timeout",
                                           value("--lease-timeout"));
-    } else if (arg == "--crash-after-leases") {
-      opt.crash_after_leases = parse_count("--crash-after-leases",
-                                           value("--crash-after-leases"));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -596,93 +595,6 @@ TEST(Sweep, PartialCacheSimulatesOnlyMissing) {
   EXPECT_EQ(mixed.simulated, grid.profiles.size());
 }
 
-// ------------------------------------------------------ queue / pull mode ---
-
-/// In-process JobQueue: a fixed list of job indices handed out in order.
-/// `grant_limit` caps how many jobs this queue grants (simulating the rest
-/// being stolen by other workers).
-class VectorQueue final : public JobQueue {
- public:
-  VectorQueue(std::size_t njobs, std::size_t grant_limit)
-      : njobs_(njobs), grant_limit_(grant_limit) {}
-
-  bool acquire(std::size_t* job) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (next_ >= njobs_ || next_ >= grant_limit_) return false;
-    *job = next_++;
-    return true;
-  }
-  void complete(std::size_t job) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    completed_.push_back(job);
-  }
-  std::vector<std::size_t> completed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return completed_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t njobs_;
-  std::size_t grant_limit_;
-  std::size_t next_ = 0;
-  std::vector<std::size_t> completed_;
-};
-
-TEST(Sweep, QueueModeBitIdenticalToStaticRun) {
-  ScratchDir dir;
-  const SweepGrid grid = small_grid();
-  const std::size_t njobs = grid.profiles.size() * grid.machines.size();
-
-  SweepOptions pull;
-  pull.jobs = 4;
-  pull.cache_dir = dir.path() + "/cache";
-  VectorQueue queue(njobs, njobs);
-  pull.queue = &queue;
-  const SweepResult pulled = run_sweep(grid, pull);
-  EXPECT_EQ(pulled.jobs_pulled, njobs);
-  EXPECT_EQ(pulled.simulated, pulled.num_points());
-  EXPECT_EQ(queue.completed().size(), njobs);
-
-  const SweepResult serial = run_sweep(grid, SweepOptions{});
-  for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-      expect_results_equal(serial.at(t, s), pulled.at(t, s));
-    }
-  }
-}
-
-TEST(Sweep, QueueDrainLeavesUnpulledCellsForAssembly) {
-  ScratchDir dir;
-  const SweepGrid grid = small_grid();
-  const std::size_t njobs = grid.profiles.size() * grid.machines.size();
-  ASSERT_GE(njobs, 2u);
-
-  // This worker is granted only the first job; the "other worker" runs the
-  // rest into the same cache.
-  SweepOptions opt;
-  opt.cache_dir = dir.path() + "/cache";
-  VectorQueue queue(njobs, 1);
-  opt.queue = &queue;
-  const SweepResult partial = run_sweep(grid, opt);
-  EXPECT_EQ(partial.jobs_pulled, 1u);
-  EXPECT_EQ(partial.simulated, grid.schemes.size());
-
-  // Assembly pass: no queue, same store — every missing cell must fill in,
-  // simulating only what no worker published.
-  SweepOptions assemble;
-  assemble.cache_dir = opt.cache_dir;
-  const SweepResult full = run_sweep(grid, assemble);
-  EXPECT_EQ(full.cache_hits, grid.schemes.size());
-  EXPECT_EQ(full.simulated, (njobs - 1) * grid.schemes.size());
-  const SweepResult serial = run_sweep(grid, SweepOptions{});
-  for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-      expect_results_equal(serial.at(t, s), full.at(t, s));
-    }
-  }
-}
-
 TEST(Sweep, GridFingerprintIdentifiesTheSweep) {
   const SweepGrid grid = small_grid();
   const std::uint64_t base = grid_fingerprint(grid, 0);
@@ -704,7 +616,6 @@ TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
   total.cache_hits = 1;
   total.cache_corrupt = 1;
   total.experiments = 2;
-  total.jobs_pulled = 4;
   total.phases.simulate = 1.0;
   total.phases.cache_io = 0.25;
   SweepCounters pruned;
@@ -720,7 +631,6 @@ TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
   EXPECT_EQ(total.cache_hits, 3u);
   EXPECT_EQ(total.cache_corrupt, 1u);
   EXPECT_EQ(total.experiments, 3u);
-  EXPECT_EQ(total.jobs_pulled, 4u);
   EXPECT_EQ(total.phases.trace_build, 0.5);
   EXPECT_EQ(total.phases.simulate, 3.0);
   EXPECT_EQ(total.phases.cache_io, 0.25);
@@ -735,10 +645,8 @@ TEST(SweepCounters, PlusEqualsSumsAndKeepsTheLastFrontier) {
   // An unpruned sweep adds its counts and leaves the frontier stats alone.
   SweepCounters plain;
   plain.simulated = 1;
-  plain.jobs_pulled = 2;
   total += plain;
   EXPECT_EQ(total.simulated, 14u);
-  EXPECT_EQ(total.jobs_pulled, 6u);
   EXPECT_TRUE(total.model.enabled);
   EXPECT_EQ(total.model.estimated, 80u);
   EXPECT_EQ(total.model.pruned, 60u);
@@ -782,10 +690,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.points = 25;
   s.sweep.simulated = 0;
   s.sweep.cache_hits = 25;
-  RunSummary::WorkerStatus w;
-  w.ok = true;
-  w.exit_code = 0;
-  s.shards = {w, w};
 
   std::ostringstream os;
   write_summary_json(os, s);
@@ -796,67 +700,10 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
                       "\"cache_hits\":25,"
                       "\"corrupt_recovered\":0}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"ok\":true,"
-                      "\"failed_shards\":0"),
-            std::string::npos);
-  EXPECT_NE(json.find("{\"shard\":1,\"ok\":true,\"exit_code\":0,"
-                      "\"signal\":0}"),
-            std::string::npos);
-  // No sweep service involved: the net field is explicitly null.
-  EXPECT_NE(json.find("\"net\":null"), std::string::npos);
-}
-
-TEST(RunSummary, NetSectionCarriesServiceCountersAndWorkerTallies) {
-  RunSummary s;
-  s.bench = "fig5_twocluster";
-  s.net.enabled = true;
-  s.net.server = "unix:/tmp/sweep.sock";
-  s.net.role = "serve";
-  s.sweep.jobs_pulled = 4;
-  s.net.gets = 30;
-  s.net.puts = 12;
-  s.net.reconnects = 1;
-  s.net.workers = {{"w0", 4}, {"w1", 2}};
-
-  std::ostringstream os;
-  write_summary_json(os, s);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"net\":{\"server\":\"unix:/tmp/sweep.sock\","
-                      "\"role\":\"serve\",\"jobs_pulled\":4,\"gets\":30,"
-                      "\"puts\":12,\"reconnects\":1,"
-                      "\"workers\":{\"w0\":4,\"w1\":2}}"),
-            std::string::npos);
-  EXPECT_EQ(json.find("\"net\":null"), std::string::npos);
-}
-
-TEST(RunSummary, NoLaunchMeansNullLaunchField) {
-  RunSummary s;
-  s.bench = "fig5_twocluster";
-  std::ostringstream os;
-  write_summary_json(os, s);
-  EXPECT_NE(os.str().find("\"launch\":null"), std::string::npos);
-}
-
-// A dead worker's jobs are finished by the others, so the run itself is
-// still ok; the launch section says which worker died and how.
-TEST(RunSummary, FailedShardSurfacesInJson) {
-  RunSummary s;
-  s.bench = "fig5_twocluster";
-  RunSummary::WorkerStatus dead;
-  dead.term_signal = 9;
-  s.shards = {RunSummary::WorkerStatus{true, 0, 0}, dead};
-
-  std::ostringstream os;
-  write_summary_json(os, s);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("{\"bench\":\"fig5_twocluster\",\"ok\":true"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"ok\":false,"
-                      "\"failed_shards\":1"),
-            std::string::npos);
-  EXPECT_NE(json.find("{\"shard\":1,\"ok\":false,\"exit_code\":-1,"
-                      "\"signal\":9}"),
-            std::string::npos);
+  // A bench runs in one process: the summary has no worker-status or
+  // sweep-service section.
+  EXPECT_EQ(json.find("\"launch\""), std::string::npos);
+  EXPECT_EQ(json.find("\"net\""), std::string::npos);
 }
 
 // ----------------------------------------------------- bench flag parsing ---
@@ -871,9 +718,9 @@ bench::Options parse_bench_args(std::vector<std::string> args) {
 }
 
 // Regression: the integer flags used a lenient strtol/strtoull, so
-// "--jobs 2x" ran 2 jobs, "--seed -1" ran seed 2^64-1 and "--launch 2x"
-// launched 2 workers. An empty, signed, non-numeric, out-of-range or
-// trailing-garbage value must be a usage error instead.
+// "--jobs 2x" ran 2 jobs and "--seed -1" ran seed 2^64-1. An empty,
+// signed, non-numeric, out-of-range or trailing-garbage value must be a
+// usage error instead.
 TEST(BenchArgsDeathTest, MalformedIntegerFlagsExitWithUsageError) {
   const std::vector<std::vector<std::string>> bad = {
       {"--jobs", "2x"},
@@ -884,8 +731,6 @@ TEST(BenchArgsDeathTest, MalformedIntegerFlagsExitWithUsageError) {
       {"--seed", "-1"},
       {"--seed", " 7"},
       {"--seed", "18446744073709551616"},
-      {"--launch", "2x", "--cache-dir", "d"},
-      {"--launch", "+3", "--cache-dir", "d"},
       {"--prune-model", "+3"},
       {"--prune-model", "3 "}};
   for (const std::vector<std::string>& args : bad) {
@@ -895,20 +740,22 @@ TEST(BenchArgsDeathTest, MalformedIntegerFlagsExitWithUsageError) {
   }
 }
 
-// Regression: the daemon reads a LEASE's client id as one token of at most
-// 127 bytes, so "--client-id 'w 1'" was tallied as "w" and a longer id was
-// cut short. Such an id is a usage error instead.
-TEST(BenchArgsDeathTest, ClientIdMustBeOneLeaseToken) {
-  const std::vector<std::string> bad = {"", "w 1", "w\t1", "w\xff",
-                                        std::string(128, 'w')};
-  for (const std::string& id : bad) {
-    EXPECT_EXIT(parse_bench_args({"--client-id", id}),
-                ::testing::ExitedWithCode(2),
-                "--client-id expects 1..127 printable non-space characters")
-        << "'" << id << "'";
+// The flags that spread a sweep over processes or cached it on disk are
+// gone: each is refused like any other unknown flag, never ignored. Flag
+// names are listed without their dashes, as the summary's option echo
+// writes them.
+TEST(BenchArgsDeathTest, UnknownFlagsExitWithUsageError) {
+  const std::vector<std::vector<std::string>> bad = {{"launch", "2"},
+                                                     {"connect", "unix:/x"},
+                                                     {"client-id", "w0"},
+                                                     {"cache-dir", "d"},
+                                                     {"bogus"}};
+  for (std::vector<std::string> args : bad) {
+    args[0] = "--" + args[0];
+    EXPECT_EXIT(parse_bench_args(args), ::testing::ExitedWithCode(2),
+                "unknown flag " + args[0])
+        << args[0];
   }
-  EXPECT_EQ(parse_bench_args({"--client-id", std::string(127, 'w')}).client_id,
-            std::string(127, 'w'));
 }
 
 TEST(BenchArgsDeathTest, IntegerFlagsKeepTheirRanges) {
@@ -916,13 +763,24 @@ TEST(BenchArgsDeathTest, IntegerFlagsKeepTheirRanges) {
   EXPECT_EQ(parse_bench_args({"--jobs", "9999"}).jobs, 512u);
   EXPECT_EQ(parse_bench_args({"--seed", "18446744073709551615"}).seed,
             18446744073709551615ull);
-  EXPECT_EQ(parse_bench_args({"--launch", "3", "--cache-dir", "d"}).launch,
-            3u);
   EXPECT_EQ(parse_bench_args({"--prune-model", "8"}).prune_model, 8u);
-  EXPECT_EXIT(parse_bench_args({"--launch", "1", "--cache-dir", "d"}),
-              ::testing::ExitedWithCode(2), "2..512");
   EXPECT_EXIT(parse_bench_args({"--prune-model", "0"}),
               ::testing::ExitedWithCode(2), "K >= 1");
+}
+
+// ------------------------------------------------------------ bench output ---
+
+// Regression: a --summary-json that could not be written was reported on
+// stderr, but the bench still exited 0 (an unwritable --json exited 1).
+TEST(BenchOutput, UnwritableSummaryJsonFailsFinish) {
+  ScratchDir dir;
+  bench::Options opt;
+  opt.bench_name = "exec_test";
+  opt.summary_json_path = dir.path() + "/missing/summary.json";
+  EXPECT_EQ(bench::Output(opt).finish(), 1);
+  opt.summary_json_path = dir.path() + "/summary.json";
+  EXPECT_EQ(bench::Output(opt).finish(), 0);
+  EXPECT_TRUE(std::filesystem::exists(opt.summary_json_path));
 }
 
 }  // namespace

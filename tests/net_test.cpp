@@ -1,9 +1,7 @@
 // Tests for the sweep service: wire framing, address parsing, the
 // GET/PUT/LEASE/DONE/STATS protocol against a live server on a unix
 // socket, lease expiry and release, crash-restart durability, the client's
-// reconnect window, and an end-to-end run_sweep through
-// NetJobQueue/NetResultStore that must be bit-identical to a local serial
-// sweep.
+// reconnect window, and a NetJobQueue drained by hand.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,12 +15,10 @@
 #include <vector>
 
 #include "exec/cache.hpp"
-#include "exec/sweep.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "scratch_dir.hpp"
-#include "workload/profiles.hpp"
 
 namespace vcsteer::net {
 namespace {
@@ -304,79 +300,6 @@ TEST(SweepService, ResultsSurviveServerRestart) {
   relauncher.join();
 }
 
-// ------------------------------------------------- end-to-end with sweeps ---
-
-exec::SweepGrid tiny_grid() {
-  exec::SweepGrid grid;
-  const auto profiles = workload::smoke_profiles();
-  grid.profiles.assign(profiles.begin(), profiles.begin() + 2);
-  grid.machines = {MachineConfig::two_cluster()};
-  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
-                  harness::SchemeSpec{steer::Scheme::kVc, 2}};
-  grid.budget = harness::SimBudget::smoke();
-  return grid;
-}
-
-TEST(SweepService, NetworkedSweepBitIdenticalToLocal) {
-  ScratchDir dir;
-  const std::string sock = dir.path() + "/sweep.sock";
-  ServerHandle server(server_options(sock, dir.path() + "/cache"));
-
-  const exec::SweepGrid grid = tiny_grid();
-  const std::uint64_t sweep_id = exec::grid_fingerprint(grid, 0);
-  const std::size_t njobs = grid.profiles.size() * grid.machines.size();
-
-  // Two workers lease jobs from the same queue and publish to the same
-  // server-side cache, exactly like two --connect processes.
-  auto worker = [&](const std::string& id) {
-    StoreClient client(client_options(sock));
-    NetResultStore store(&client);
-    NetJobQueue queue(&client, sweep_id, njobs, id);
-    exec::SweepOptions opt;
-    opt.store = &store;
-    opt.queue = &queue;
-    return run_sweep(grid, opt);
-  };
-  exec::SweepResult r0{1, 1, 1}, r1{1, 1, 1};
-  std::thread t0([&] { r0 = worker("w0"); });
-  std::thread t1([&] { r1 = worker("w1"); });
-  t0.join();
-  t1.join();
-  EXPECT_EQ(r0.jobs_pulled + r1.jobs_pulled, njobs);
-
-  // Assembly pass: a store-only sweep serves every point from the server.
-  StoreClient client(client_options(sock));
-  NetResultStore store(&client);
-  exec::SweepOptions assemble;
-  assemble.store = &store;
-  const exec::SweepResult assembled = run_sweep(grid, assemble);
-  EXPECT_EQ(assembled.cache_hits, assembled.num_points());
-  EXPECT_EQ(assembled.simulated, 0u);
-
-  // The networked run must be bit-identical to a plain local serial sweep.
-  const exec::SweepResult local = run_sweep(grid, exec::SweepOptions{});
-  ASSERT_EQ(assembled.num_points(), local.num_points());
-  for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-      const harness::RunResult& a = local.at(t, s);
-      const harness::RunResult& b = assembled.at(t, s);
-      EXPECT_EQ(a.trace, b.trace);
-      EXPECT_EQ(a.scheme, b.scheme);
-      EXPECT_EQ(a.ipc, b.ipc);
-      EXPECT_EQ(a.cycles, b.cycles);
-      EXPECT_EQ(a.committed_uops, b.committed_uops);
-      EXPECT_EQ(a.iq_occupancy_hist, b.iq_occupancy_hist);
-    }
-  }
-
-  // Per-worker pull tallies add up on the server side too.
-  std::map<std::string, std::uint64_t> pulls;
-  ASSERT_TRUE(client.stats(sweep_id, &pulls));
-  std::uint64_t total = 0;
-  for (const auto& [id, jobs] : pulls) total += jobs;
-  EXPECT_EQ(total, njobs);
-}
-
 // Regression: the server took a LEASE's job count on trust and queued one
 // entry per job, so one frame with a huge count (sscanf reads "-1" as
 // 2^64-1) made the daemon allocate until it died. Counts above the ceiling
@@ -395,16 +318,18 @@ TEST(SweepService, LeaseRefusesJobCountAboveCeiling) {
             StoreClient::LeaseReply::kError);
   EXPECT_TRUE(client.ping());
 
-  const exec::SweepGrid grid = tiny_grid();
-  const std::size_t njobs = grid.profiles.size() * grid.machines.size();
-  NetResultStore store(&client);
-  NetJobQueue queue(&client, exec::grid_fingerprint(grid, 0), njobs, "w0");
-  exec::SweepOptions opt;
-  opt.store = &store;
-  opt.queue = &queue;
-  const exec::SweepResult sweep = run_sweep(grid, opt);
-  EXPECT_EQ(sweep.jobs_pulled, njobs);
-  EXPECT_EQ(sweep.simulated, sweep.num_points());
+  // A NetJobQueue on the same server grants every job exactly once.
+  constexpr std::size_t kJobs = 5;
+  NetJobQueue queue(&client, 0x53, kJobs, "w0");
+  std::vector<int> granted(kJobs, 0);
+  std::size_t grants = 0;
+  while (queue.acquire(&job)) {
+    ASSERT_LT(job, kJobs);
+    ASSERT_LE(++grants, kJobs);  // a queue that never drains stops here
+    ++granted[job];
+    queue.complete(job);
+  }
+  EXPECT_EQ(granted, std::vector<int>(kJobs, 1));
 }
 
 // Regression: vcsteer-sweepd took any --lease-timeout above 0, NaN
@@ -441,20 +366,6 @@ TEST(SweepService, RejectsLeaseTimeoutItCannotRepresent) {
     const SweepServer server(opt);
     EXPECT_TRUE(server.ok()) << t << ": " << server.error();
   }
-}
-
-TEST(SweepService, GarbledStoredResultReadsAsCorrupt) {
-  ScratchDir dir;
-  const std::string sock = dir.path() + "/sweep.sock";
-  ServerHandle server(server_options(sock, dir.path() + "/cache"));
-  StoreClient client(client_options(sock));
-  NetResultStore store(&client);
-
-  // A result the decoder cannot parse: HIT on the wire, kCorrupt to the
-  // sweep — which then re-simulates, exactly like a corrupt disk entry.
-  ASSERT_TRUE(client.put("trace=a\n", "not a result\n"));
-  harness::RunResult out;
-  EXPECT_EQ(store.lookup("trace=a\n", &out), exec::CacheLookup::kCorrupt);
 }
 
 }  // namespace
