@@ -49,6 +49,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +58,7 @@
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
 #include "harness/experiment.hpp"
+#include "workload/profiles.hpp"
 
 namespace vcsteer::bench {
 
@@ -73,6 +75,11 @@ struct Options {
 
   harness::SimBudget budget() const {
     return smoke ? harness::SimBudget::smoke() : harness::SimBudget{};
+  }
+
+  /// The traces a figure sweeps: the reduced set with --smoke, else all 40.
+  std::span<const workload::WorkloadProfile> profiles() const {
+    return smoke ? workload::smoke_profiles() : workload::all_profiles();
   }
 
   /// Sweep options with a stderr dot per finished (trace, machine) job —

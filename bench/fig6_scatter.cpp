@@ -10,15 +10,15 @@
 // (workload balance improvement "is computed as the total reduction of the
 // allocation stalls in the issue queues").
 //
-// Expected shapes (see EXPERIMENTS.md): VC improves balance vs OB for most
-// traces; VC beats RHOP mainly via fewer/cheaper cut dependences while RHOP
-// balances better; VC generates *more* copies than OP but balances better.
+// Expected shapes (ROADMAP items 1 and 2 track which hold): VC improves
+// balance vs OB for most traces; VC beats RHOP mainly via fewer/cheaper cut
+// dependences while RHOP balances better; VC generates *more* copies than OP
+// but balances better.
 #include <string>
 #include <vector>
 
 #include "bench_main.hpp"
 #include "stats/table.hpp"
-#include "workload/profiles.hpp"
 
 namespace {
 
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   const bench::Options opt = bench::parse_args(argc, argv, "fig6_scatter");
 
   exec::SweepGrid grid;
-  const auto profiles =
-      opt.smoke ? workload::smoke_profiles() : workload::all_profiles();
+  const auto profiles = opt.profiles();
   grid.profiles.assign(profiles.begin(), profiles.end());
   grid.machines = {MachineConfig::two_cluster()};
   grid.schemes = {

@@ -6,15 +6,13 @@
 // steering scheme wins or loses on a given trace in Figures 5-7.
 #include "../bench/bench_main.hpp"
 #include "stats/table.hpp"
-#include "workload/profiles.hpp"
 
 int main(int argc, char** argv) {
   using namespace vcsteer;
   const bench::Options opt = bench::parse_args(argc, argv, "spec_sweep");
 
   exec::SweepGrid grid;
-  const auto profiles =
-      opt.smoke ? workload::smoke_profiles() : workload::all_profiles();
+  const auto profiles = opt.profiles();
   grid.profiles.assign(profiles.begin(), profiles.end());
   grid.machines = {MachineConfig::two_cluster()};
   grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0}};

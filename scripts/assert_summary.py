@@ -8,8 +8,8 @@ fields as names (plus `summary` for the whole document and the len/all/any/
 sum/min/max builtins). Every expression must be truthy; otherwise the
 failing expressions and the full summary are printed and the exit code is 1.
 
-    assert_summary.py warm.json 'ok' 'sweep["simulated"] == 0' \
-        'sweep["cache_hits"] == sweep["points"]'
+    assert_summary.py summary.json 'ok' \
+        'sweep["simulated"] == sweep["points"]'
 """
 import json
 import sys

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "common/check.hpp"
+#include "isa/uop.hpp"
 
 namespace vcsteer::compiler {
 
@@ -40,6 +41,12 @@ std::vector<Region> form_regions(const prog::Program& program,
     if (!taken[b]) grow_from(b);
   }
   return regions;
+}
+
+double static_latency(const isa::MicroOp& uop) {
+  double lat = isa::latency(uop.op);
+  if (uop.is_load()) lat += 3.0;  // assume L1 hit at compile time
+  return lat;
 }
 
 RegionDdg build_region_ddg(const prog::Program& program,

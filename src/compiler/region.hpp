@@ -22,7 +22,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "compiler/ddg.hpp"
+#include "graph/algorithms.hpp"
+#include "graph/digraph.hpp"
 #include "program/program.hpp"
 
 namespace vcsteer::compiler {
@@ -41,8 +42,15 @@ struct RegionFormationOptions {
 std::vector<Region> form_regions(const prog::Program& program,
                                  const RegionFormationOptions& options = {});
 
+/// Static latency estimate used by all software passes (loads assume an L1
+/// hit: address generation + 3-cycle cache).
+double static_latency(const isa::MicroOp& uop);
+
 /// DDG over a whole region: nodes are the region's micro-ops in path order;
-/// def-use edges thread through the expected path across block boundaries.
+/// an edge u -> v with weight latency(u) exists when v reads a register last
+/// defined by u earlier on the expected path, across block boundaries.
+/// Values entering the region have no producer node — the limited compiler
+/// visibility the paper contrasts with hardware steering.
 struct RegionDdg {
   graph::Digraph graph;
   std::vector<double> latency;        ///< static latency per node.

@@ -3,7 +3,7 @@
 // leaders.
 //
 // The three steps of Figure 2:
-//  1. Critical-path computation — depth + height per node (ddg.hpp).
+//  1. Critical-path computation — depth + height per node (region.hpp).
 //  2. Partition into virtual clusters — a top-down traversal assigning each
 //     instruction to the VC with the best expected benefit, where benefit is
 //     the estimated *completion time* of the instruction in that VC

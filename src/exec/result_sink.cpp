@@ -16,14 +16,11 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"ok\":" << boolean(s.ok)
      << ",\"wall_seconds\":" << num(s.wall_seconds)
      << ",\"sweep\":{\"points\":" << s.points
-     << ",\"simulated\":" << s.sweep.simulated
-     << ",\"cache_hits\":" << s.sweep.cache_hits
-     << ",\"corrupt_recovered\":" << s.sweep.cache_corrupt << "}"
+     << ",\"simulated\":" << s.sweep.simulated << "}"
      << ",\"phases\":{\"trace_build_s\":" << num(s.sweep.phases.trace_build)
      << ",\"annotate_s\":" << num(s.sweep.phases.annotate)
      << ",\"warmup_s\":" << num(s.sweep.phases.warmup)
-     << ",\"simulate_s\":" << num(s.sweep.phases.simulate)
-     << ",\"cache_io_s\":" << num(s.sweep.phases.cache_io) << "}"
+     << ",\"simulate_s\":" << num(s.sweep.phases.simulate) << "}"
      << ",\"events\":{\"experiments\":" << s.sweep.experiments
      << ",\"cycles\":" << s.cycles << "}";
   const ModelStats& model = s.sweep.model;

@@ -8,7 +8,7 @@
 // plotting/regression-diffing) and the rendered figure tables. The document
 // is a pure function of the grid — a run at any --jobs, or one served from
 // a result cache, emits identical bytes. Execution metadata
-// (simulated/cache-hit counts, wall time, phase spans) goes in the separate
+// (simulated counts, wall time, phase spans) goes in the separate
 // --summary-json document (RunSummary below) that CI gates assert on.
 #pragma once
 
@@ -46,9 +46,8 @@ struct RunSummary {
 
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
-///    "sweep":{"points","simulated","cache_hits","corrupt_recovered"},
-///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
-///              "cache_io_s"},
+///    "sweep":{"points","simulated"},
+///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s"},
 ///    "events":{"experiments","cycles"},
 ///    "model":null | {"top_k","estimated","pruned","spearman","top3_overlap"},
 ///    "options":{flag:final-value...}}

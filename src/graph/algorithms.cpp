@@ -25,23 +25,6 @@ std::vector<NodeId> topological_order(const Digraph& g) {
   return order;
 }
 
-bool is_dag(const Digraph& g) {
-  const std::size_t n = g.num_nodes();
-  std::vector<std::uint32_t> in_deg(n);
-  std::vector<NodeId> queue;
-  for (NodeId v = 0; v < n; ++v) {
-    in_deg[v] = static_cast<std::uint32_t>(g.in_degree(v));
-    if (in_deg[v] == 0) queue.push_back(v);
-  }
-  std::size_t seen = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head, ++seen) {
-    for (const HalfEdge& e : g.succs(queue[head])) {
-      if (--in_deg[e.to] == 0) queue.push_back(e.to);
-    }
-  }
-  return seen == n;
-}
-
 CriticalPathInfo critical_paths(const Digraph& g,
                                 const std::vector<double>& node_latency) {
   const std::size_t n = g.num_nodes();

@@ -15,9 +15,6 @@ namespace vcsteer::graph {
 /// by construction; feeding a cyclic graph is a programming error).
 std::vector<NodeId> topological_order(const Digraph& g);
 
-/// Returns true iff the graph is a DAG.
-bool is_dag(const Digraph& g);
-
 /// Longest-path analysis over a DAG with per-node latencies.
 ///
 /// depth(v)  = longest latency path from any root *ending at v's issue*

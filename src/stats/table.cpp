@@ -204,20 +204,11 @@ std::string Table::to_json() const {
 
 void Table::print(std::ostream& os) const { os << to_text(); }
 
-void Table::print_json(std::ostream& os) const { os << to_json() << '\n'; }
-
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double total = 0.0;
   for (const double x : xs) total += x;
   return total / static_cast<double>(xs.size());
-}
-
-double geomean_pct(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (const double x : xs) log_sum += std::log(1.0 + x / 100.0);
-  return (std::exp(log_sum / static_cast<double>(xs.size())) - 1.0) * 100.0;
 }
 
 double slowdown_pct(double base_ipc, double ipc) {

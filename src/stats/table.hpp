@@ -45,8 +45,6 @@ class Table {
 
   /// Convenience: to_text() to the stream.
   void print(std::ostream& os) const;
-  /// to_json() to the stream, newline-terminated.
-  void print_json(std::ostream& os) const;
 
  private:
   /// A cell keeps the raw value next to the display string so text/CSV
@@ -68,10 +66,6 @@ std::string json_quote(std::string_view s);
 
 /// Arithmetic mean; 0 for empty input.
 double mean(const std::vector<double>& xs);
-
-/// Geometric mean of (1 + x/100) - 1, in percent — the conventional way to
-/// average speedups; 0 for empty input.
-double geomean_pct(const std::vector<double>& xs);
 
 /// Slowdown of `ipc` relative to `base_ipc`, in percent (positive = slower),
 /// the paper's Figure 5/7 y-axis.

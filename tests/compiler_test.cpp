@@ -5,8 +5,8 @@
 
 #include <set>
 
-#include "compiler/ddg.hpp"
 #include "compiler/ob_pass.hpp"
+#include "compiler/region.hpp"
 #include "compiler/rhop_pass.hpp"
 #include "compiler/vc_pass.hpp"
 #include "program/program.hpp"
@@ -46,7 +46,7 @@ TEST(Ddg, EdgesFollowDefUse) {
   b.add(OpClass::kIntAlu, r(3), {r(1), r(2)}); // 3: depends on 2 and 1
   b.end_block({{0, 1.0}});
   const Program p = std::move(b).finish();
-  const BlockDdg ddg = build_ddg(p, p.block(0));
+  const RegionDdg ddg = build_region_ddg(p, Region{{0}, {1.0}});
   EXPECT_TRUE(ddg.graph.has_edge(0, 1));
   EXPECT_TRUE(ddg.graph.has_edge(1, 3));
   EXPECT_TRUE(ddg.graph.has_edge(2, 3));
@@ -56,7 +56,7 @@ TEST(Ddg, EdgesFollowDefUse) {
 
 TEST(Ddg, CrossBlockValuesHaveNoProducer) {
   const Program p = two_chain_program();
-  const BlockDdg ddg = build_ddg(p, p.block(0));
+  const RegionDdg ddg = build_region_ddg(p, Region{{0}, {1.0}});
   // First op of each chain reads a register with no in-block def: no preds.
   EXPECT_EQ(ddg.graph.in_degree(0), 0u);
   EXPECT_EQ(ddg.graph.in_degree(1), 0u);
@@ -77,7 +77,7 @@ TEST(Ddg, CriticalityOfSerialChain) {
   for (int i = 0; i < 5; ++i) b.add(OpClass::kIntAlu, r(1), {r(1)});
   b.end_block({{0, 1.0}});
   const Program p = std::move(b).finish();
-  const BlockDdg ddg = build_ddg(p, p.block(0));
+  const RegionDdg ddg = build_region_ddg(p, Region{{0}, {1.0}});
   EXPECT_DOUBLE_EQ(ddg.crit.critical_length, 5.0);
   for (std::uint32_t i = 0; i < 5; ++i) EXPECT_TRUE(ddg.crit.is_critical(i));
 }

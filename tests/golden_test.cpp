@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "../bench/paper_figures.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
 #include "workload/profiles.hpp"
@@ -262,43 +263,15 @@ void check_golden(const std::string& name, const exec::SweepGrid& grid,
   expect_documents_match(fixture.str(), produced, rel_tol);
 }
 
-// The grids mirror the --smoke grids of the corresponding benches (see
-// bench/fig5_twocluster.cpp, bench/fig7_fourcluster.cpp). The ablation
-// fixture trims bench/ablation_interconnect.cpp to its topology-aware core
-// — 4-cluster ideal/ring, knob off and on, OP and VC(2->4) — to keep the
-// suite's runtime in seconds while still pinning both steering settings on
-// both a uniform and a non-uniform fabric.
+// The Fig 5 and Fig 7 grids are the benches' own (bench/paper_figures.hpp)
+// over the smoke traces at the smoke budget: what `--smoke` runs. The
+// ablation fixture trims bench/ablation_interconnect.cpp to its
+// topology-aware core — 4-cluster ideal/ring, knob off and on, OP and
+// VC(2->4) — to keep the suite's runtime in seconds while still pinning both
+// steering settings on both a uniform and a non-uniform fabric.
 
-exec::SweepGrid fig5_grid() {
-  exec::SweepGrid grid;
-  const auto profiles = workload::smoke_profiles();
-  grid.profiles.assign(profiles.begin(), profiles.end());
-  grid.machines = {MachineConfig::two_cluster()};
-  grid.schemes = {
-      harness::SchemeSpec{steer::Scheme::kOp, 0},
-      harness::SchemeSpec{steer::Scheme::kOneCluster, 0},
-      harness::SchemeSpec{steer::Scheme::kOb, 0},
-      harness::SchemeSpec{steer::Scheme::kRhop, 0},
-      harness::SchemeSpec{steer::Scheme::kVc, 2},
-  };
-  grid.budget = harness::SimBudget::smoke();
-  return grid;
-}
-
-exec::SweepGrid fig7_grid() {
-  exec::SweepGrid grid;
-  const auto profiles = workload::smoke_profiles();
-  grid.profiles.assign(profiles.begin(), profiles.end());
-  grid.machines = {MachineConfig::four_cluster()};
-  grid.schemes = {
-      harness::SchemeSpec{steer::Scheme::kOp, 0},
-      harness::SchemeSpec{steer::Scheme::kOb, 0},
-      harness::SchemeSpec{steer::Scheme::kRhop, 0},
-      harness::SchemeSpec{steer::Scheme::kVc, 4},
-      harness::SchemeSpec{steer::Scheme::kVc, 2},
-  };
-  grid.budget = harness::SimBudget::smoke();
-  return grid;
+exec::SweepGrid smoke_grid(const bench::SlowdownFigure& fig) {
+  return fig.grid(workload::smoke_profiles(), harness::SimBudget::smoke());
 }
 
 exec::SweepGrid ablation_grid() {
@@ -323,11 +296,13 @@ exec::SweepGrid ablation_grid() {
 
 // Ideal-topology grids: the reproduction's headline figures, diffed exactly.
 TEST(Golden, Fig5TwoClusterSmoke) {
-  check_golden("fig5_twocluster_smoke", fig5_grid(), /*rel_tol=*/0.0);
+  check_golden("fig5_twocluster_smoke", smoke_grid(bench::kFig5),
+               /*rel_tol=*/0.0);
 }
 
 TEST(Golden, Fig7FourClusterSmoke) {
-  check_golden("fig7_fourcluster_smoke", fig7_grid(), /*rel_tol=*/0.0);
+  check_golden("fig7_fourcluster_smoke", smoke_grid(bench::kFig7),
+               /*rel_tol=*/0.0);
 }
 
 // Contention-modeled grid (both steering settings): tolerance covers

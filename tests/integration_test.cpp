@@ -118,8 +118,8 @@ TEST(EndToEnd, VcGeneratesMoreCopiesThanOpButBalancesBetter) {
 TEST(EndToEnd, VcBeatsObOnBalanceAndPerformance) {
   // Figure 6(b.1): VC improves workload balance over OB (fewer allocation
   // stalls), which is where OB's slowdown comes from in our reproduction
-  // (the copy axis of Fig. 6(a.1) does not reproduce — see EXPERIMENTS.md,
-  // deviation D2).
+  // (the copy axis of Fig. 6(a.1) does not reproduce — see ROADMAP
+  // item 2).
   const auto& all = results_for(2);
   EXPECT_GT(avg_metric(all, "OB", &RunResult::alloc_stalls_per_kuop),
             avg_metric(all, "VC(2->2)", &RunResult::alloc_stalls_per_kuop));

@@ -1,104 +1,113 @@
 // Regression guard: the headline shapes of the reproduction, asserted with
 // generous margins so legitimate model changes don't trip them, but tight
-// enough that a broken scheme (or broken determinism) fails loudly. Uses
-// the full 40-trace suite at the smoke budget.
+// enough that a broken scheme (or broken determinism) fails loudly. Sweeps
+// the Fig 5 and Fig 7 grids of bench/paper_figures.hpp over the full
+// 40-trace suite at the smoke budget.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
-#include "stats/table.hpp"
-#include "workload/profiles.hpp"
+#include "../bench/paper_figures.hpp"
 
 namespace vcsteer {
 namespace {
 
-struct SuiteAverages {
-  double one_cluster = 0.0;
-  double ob = 0.0;
-  double rhop = 0.0;
-  double vc = 0.0;
-};
+/// `fig`'s grid over the full suite at the smoke budget, swept once.
+exec::SweepResult suite_sweep(const bench::SlowdownFigure& fig) {
+  exec::SweepOptions opt;
+  opt.jobs = exec::default_jobs();  // results are jobs-invariant
+  return exec::run_sweep(
+      fig.grid(workload::all_profiles(), harness::SimBudget::smoke()), opt);
+}
 
-/// Average slowdowns vs OP over the full 40-trace suite, computed once.
-const SuiteAverages& suite_averages() {
-  static const SuiteAverages averages = [] {
-    const MachineConfig machine = MachineConfig::two_cluster();
-    const harness::SimBudget budget = harness::SimBudget::smoke();
-    const std::vector<harness::SchemeSpec> specs = {
-        {steer::Scheme::kOp, 0},
-        {steer::Scheme::kOneCluster, 0},
-        {steer::Scheme::kOb, 0},
-        {steer::Scheme::kRhop, 0},
-        {steer::Scheme::kVc, 2},
-    };
-    const std::vector<harness::SchemeRequest> requests(specs.begin(),
-                                                       specs.end());
-    std::vector<double> slows[4];
-    for (const auto& profile : workload::all_profiles()) {
-      harness::TraceExperiment experiment(profile, machine, budget);
-      const std::vector<harness::RunResult> runs =
-          experiment.evaluate(requests);
-      const double base = runs[0].ipc;
-      for (int s = 1; s <= 4; ++s) {
-        slows[s - 1].push_back(stats::slowdown_pct(base, runs[s].ipc));
-      }
-    }
-    SuiteAverages out;
-    out.one_cluster = stats::mean(slows[0]);
-    out.ob = stats::mean(slows[1]);
-    out.rhop = stats::mean(slows[2]);
-    out.vc = stats::mean(slows[3]);
-    return out;
-  }();
-  return averages;
+const exec::SweepResult& fig5_sweep() {
+  static const exec::SweepResult sweep = suite_sweep(bench::kFig5);
+  return sweep;
+}
+
+const exec::SweepResult& fig7_sweep() {
+  static const exec::SweepResult sweep = suite_sweep(bench::kFig7);
+  return sweep;
+}
+
+/// Fig 5(c)'s CPU2000 averages: one-cluster, OB, RHOP, VC slowdowns vs OP.
+const std::array<double, 4>& fig5_averages() {
+  static const bench::SlowdownAverages averages =
+      bench::kFig5.averages(workload::all_profiles(), fig5_sweep());
+  return averages.all;
 }
 
 TEST(Regression, OneClusterClearlyWorst) {
-  const SuiteAverages& avg = suite_averages();
-  EXPECT_GT(avg.one_cluster, 8.0);   // paper: 12.19
-  EXPECT_LT(avg.one_cluster, 30.0);  // but not absurd
-  EXPECT_GT(avg.one_cluster, avg.ob);
-  EXPECT_GT(avg.one_cluster, avg.rhop);
-  EXPECT_GT(avg.one_cluster, avg.vc);
+  const auto& [one_cluster, ob, rhop, vc] = fig5_averages();
+  EXPECT_GT(one_cluster, 8.0);   // paper: 12.19
+  EXPECT_LT(one_cluster, 30.0);  // but not absurd
+  EXPECT_GT(one_cluster, ob);
+  EXPECT_GT(one_cluster, rhop);
+  EXPECT_GT(one_cluster, vc);
 }
 
 TEST(Regression, SoftwareOnlySchemesPayMeasurably) {
-  const SuiteAverages& avg = suite_averages();
-  EXPECT_GT(avg.ob, 2.0);  // paper: 6.50
-  EXPECT_LT(avg.ob, 15.0);
-  EXPECT_GT(avg.rhop, -1.0);  // paper: 5.40 (see EXPERIMENTS.md D1)
-  EXPECT_LT(avg.rhop, 12.0);
+  const auto& [one_cluster, ob, rhop, vc] = fig5_averages();
+  EXPECT_GT(ob, 2.0);  // paper: 6.50
+  EXPECT_LT(ob, 15.0);
+  EXPECT_GT(rhop, -1.0);  // paper: 5.40 (see ROADMAP item 2)
+  EXPECT_LT(rhop, 12.0);
 }
 
 TEST(Regression, HybridStaysWithinReachOfHardwareOnly) {
-  const SuiteAverages& avg = suite_averages();
+  const auto& [one_cluster, ob, rhop, vc] = fig5_averages();
   // Paper: 2.62% average slowdown; we accept anything inside [-1.5, 4].
-  EXPECT_GT(avg.vc, -1.5);
-  EXPECT_LT(avg.vc, 4.0);
+  EXPECT_GT(vc, -1.5);
+  EXPECT_LT(vc, 4.0);
   // And the headline ordering: hybrid beats both software-only schemes.
-  EXPECT_LT(avg.vc, avg.ob);
-  EXPECT_LT(avg.vc, avg.rhop + 1.0);
+  EXPECT_LT(vc, ob);
+  EXPECT_LT(vc, rhop + 1.0);
 }
 
 TEST(Regression, FourClusterCopyExcessOfFineVcPartitions) {
   // §5.4: VC(4->4) generates ~28% more copies than VC(2->4).
-  const MachineConfig machine = MachineConfig::four_cluster();
-  const harness::SimBudget budget = harness::SimBudget::smoke();
-  const std::vector<harness::SchemeRequest> requests = {
-      harness::SchemeSpec{steer::Scheme::kVc, 4},
-      harness::SchemeSpec{steer::Scheme::kVc, 2}};
-  double copies44 = 0.0, copies24 = 0.0;
-  for (const auto& profile : workload::all_profiles()) {
-    harness::TraceExperiment experiment(profile, machine, budget);
-    const std::vector<harness::RunResult> runs = experiment.evaluate(requests);
-    copies44 += runs[0].copies_per_kuop;
-    copies24 += runs[1].copies_per_kuop;
+  const bench::CopyExcess copies = bench::copy_excess(fig7_sweep());
+  ASSERT_GT(copies.vc24_per_kuop, 0.0);
+  EXPECT_GT(copies.excess_pct, 10.0);  // paper: +28%, measured ~+29%
+  EXPECT_LT(copies.excess_pct, 60.0);
+}
+
+/// The (c) table's CPU2000 AVG column is `averages` at 2 decimals.
+void expect_cpu2000_column(const stats::Table& table,
+                           const std::array<double, 4>& averages) {
+  ASSERT_EQ(table.num_rows(), averages.size());
+  for (std::size_t s = 0; s < averages.size(); ++s) {
+    char cell[32];
+    std::snprintf(cell, sizeof(cell), "%.2f", averages[s]);
+    EXPECT_EQ(table.cell(s, 3), cell) << table.cell(s, 0);
   }
-  ASSERT_GT(copies24, 0.0);
-  const double excess = (copies44 / copies24 - 1.0) * 100.0;
-  EXPECT_GT(excess, 10.0);  // paper: +28%, measured ~+29%
-  EXPECT_LT(excess, 60.0);
+}
+
+TEST(Regression, PrintedTablesCarryThePaperAndTheAverages) {
+  const auto traces = workload::all_profiles();
+  const std::vector<stats::Table> fig5 =
+      bench::kFig5.tables(traces, fig5_sweep());
+  ASSERT_EQ(fig5.size(), 3u);
+  EXPECT_EQ(fig5[2].title(),
+            "Fig 5(c): average slowdown vs OP, 2 clusters (%)"
+            "  [paper: one-cluster 12.19, OB 6.50, RHOP 5.40, VC 2.62]");
+  expect_cpu2000_column(fig5[2], fig5_averages());
+
+  const std::vector<stats::Table> fig7 =
+      bench::kFig7.tables(traces, fig7_sweep());
+  ASSERT_EQ(fig7.size(), 3u);
+  EXPECT_EQ(fig7[2].title(),
+            "Fig 7(c): average slowdown vs OP, 4 clusters (%)"
+            "  [paper: OB 12.45, RHOP 12.69, VC(4->4) 12.96, VC(2->4) 3.64]");
+  expect_cpu2000_column(fig7[2],
+                        bench::kFig7.averages(traces, fig7_sweep()).all);
+
+  EXPECT_EQ(bench::copy_excess_title(),
+            "Sec 5.4: copy micro-ops, VC(4->4) vs VC(2->4)"
+            "  [paper: +28% on average]");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "stats/table.hpp"
 
@@ -74,14 +73,18 @@ TEST(Table, CsvQuotesSpecialCells) {
 
 TEST(Table, JsonKeepsFullPrecision) {
   Table t("json");
-  t.set_columns({"name", "v", "n"});
+  t.set_columns({"name", "v", "n", "d"});
   // Displayed at 2 digits, exported at full precision.
-  t.row().add("pi").add(3.14159265358979312, 2).add(std::uint64_t{7});
+  t.row()
+      .add("pi")
+      .add(3.14159265358979312, 2)
+      .add(std::uint64_t{7})
+      .add(std::int64_t{-3});
   EXPECT_EQ(t.cell(0, 1), "3.14");
   const std::string json = t.to_json();
   EXPECT_EQ(json,
-            "{\"title\":\"json\",\"columns\":[\"name\",\"v\",\"n\"],"
-            "\"rows\":[[\"pi\",3.1415926535897931,7]]}");
+            "{\"title\":\"json\",\"columns\":[\"name\",\"v\",\"n\",\"d\"],"
+            "\"rows\":[[\"pi\",3.1415926535897931,7,-3]]}");
 }
 
 TEST(Table, JsonRoundTripsExactDoubles) {
@@ -116,16 +119,6 @@ TEST(Table, JsonNonFiniteBecomesNull) {
   EXPECT_NE(json.find("[null,null]"), std::string::npos);
 }
 
-TEST(Table, PrintJsonWritesToStream) {
-  Table t("stream");
-  t.set_columns({"a"});
-  t.row().add(std::int64_t{-3});
-  std::ostringstream os;
-  t.print_json(os);
-  EXPECT_EQ(os.str(), t.to_json() + "\n");
-  EXPECT_NE(os.str().find("[[-3]]"), std::string::npos);
-}
-
 TEST(JsonQuote, EscapesControlCharacters) {
   EXPECT_EQ(json_quote("plain"), "\"plain\"");
   EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
@@ -150,13 +143,6 @@ TEST(Means, ArithmeticMean) {
   EXPECT_DOUBLE_EQ(mean({2.0}), 2.0);
   EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
   EXPECT_DOUBLE_EQ(mean({-5.0, 5.0}), 0.0);
-}
-
-TEST(Means, GeomeanOfPercentages) {
-  EXPECT_DOUBLE_EQ(geomean_pct({}), 0.0);
-  EXPECT_NEAR(geomean_pct({10.0, 10.0}), 10.0, 1e-9);
-  // geomean of +100% and -50%: sqrt(2 * 0.5) = 1 -> 0%.
-  EXPECT_NEAR(geomean_pct({100.0, -50.0}), 0.0, 1e-9);
 }
 
 TEST(SlowdownSpeedup, MatchPaperConventions) {
