@@ -8,23 +8,20 @@ namespace vcsteer::mem {
 
 Cache::Cache(const CacheConfig& config)
     : config_(config), num_sets_(config.num_sets()) {
-  VCSTEER_CHECK_MSG(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0,
+  VCSTEER_CHECK_MSG(std::has_single_bit(num_sets_),
                     "cache set count must be a power of two");
-  VCSTEER_CHECK_MSG(config_.line_bytes > 0 &&
-                        (config_.line_bytes & (config_.line_bytes - 1)) == 0,
+  VCSTEER_CHECK_MSG(std::has_single_bit(config_.line_bytes),
                     "cache line size must be a power of two");
-  line_shift_ = static_cast<std::uint32_t>(
-      std::countr_zero(static_cast<std::uint64_t>(config_.line_bytes)));
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(config_.line_bytes));
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
-  ways_.assign(num_sets_ * config_.associativity, Way{});
+  ways_.assign(std::size_t{num_sets_} * config_.associativity, Way{});
 }
 
-bool Cache::contains(std::uint64_t addr) const {
-  const std::uint64_t set = set_of(addr);
-  const std::uint64_t tag = tag_of(addr);
-  const Way* base = &ways_[set * config_.associativity];
+bool Cache::contains(std::uint32_t addr) const {
+  const std::uint32_t tag = tag_of(addr);
+  const Way* base = &ways_[std::size_t{set_of(addr)} * config_.associativity];
   for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+    if (base[w].tag == tag && base[w].lru != 0) return true;
   }
   return false;
 }

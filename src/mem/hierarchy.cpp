@@ -17,7 +17,7 @@ void MemoryHierarchy::reset() {
   writes_used_ = 0;
 }
 
-void MemoryHierarchy::warm(std::uint64_t addr) {
+void MemoryHierarchy::warm(std::uint32_t addr) {
   if (!l1_.access(addr)) l2_.access(addr);
 }
 

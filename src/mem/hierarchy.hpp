@@ -32,17 +32,17 @@ class MemoryHierarchy {
   /// Latency in cycles of a load whose address is available at `cycle`
   /// (includes port arbitration, cache lookup and any miss penalty).
   /// Defined inline below — queried once per simulated memory uop.
-  std::uint32_t load_latency(std::uint64_t addr, std::uint64_t cycle);
+  std::uint32_t load_latency(std::uint32_t addr, std::uint64_t cycle);
 
   /// Same for a store. Stores consume the write port; their latency only
   /// holds the LSQ slot (commit does not wait for it).
-  std::uint32_t store_latency(std::uint64_t addr, std::uint64_t cycle);
+  std::uint32_t store_latency(std::uint32_t addr, std::uint64_t cycle);
 
   /// Functional warming: install the line for `addr` in L1/L2 without
   /// touching ports or stats. Used to warm the hierarchy with the trace
   /// prefix preceding a simulation point (standard SimPoint methodology —
   /// cold-start misses would otherwise dominate short intervals).
-  void warm(std::uint64_t addr);
+  void warm(std::uint32_t addr);
 
   /// True when `other` has identical L1/L2 geometry, so its warmed cache
   /// contents are exactly what warm() over the same address stream would
@@ -61,7 +61,7 @@ class MemoryHierarchy {
   void reset();
 
  private:
-  std::uint32_t lookup_latency(std::uint64_t addr);
+  std::uint32_t lookup_latency(std::uint32_t addr);
   std::uint32_t arbitrate(std::uint64_t cycle, bool write);
 
   MachineConfig config_;
@@ -76,7 +76,7 @@ class MemoryHierarchy {
   std::uint32_t writes_used_ = 0;
 };
 
-inline std::uint32_t MemoryHierarchy::lookup_latency(std::uint64_t addr) {
+inline std::uint32_t MemoryHierarchy::lookup_latency(std::uint32_t addr) {
   if (l1_.access(addr)) {
     ++stats_.l1_hits;
     return config_.l1d.hit_latency;
@@ -114,14 +114,14 @@ inline std::uint32_t MemoryHierarchy::arbitrate(std::uint64_t cycle,
   return wait;
 }
 
-inline std::uint32_t MemoryHierarchy::load_latency(std::uint64_t addr,
+inline std::uint32_t MemoryHierarchy::load_latency(std::uint32_t addr,
                                                    std::uint64_t cycle) {
   ++stats_.loads;
   const std::uint32_t wait = arbitrate(cycle, /*write=*/false);
   return wait + lookup_latency(addr);
 }
 
-inline std::uint32_t MemoryHierarchy::store_latency(std::uint64_t addr,
+inline std::uint32_t MemoryHierarchy::store_latency(std::uint32_t addr,
                                                     std::uint64_t cycle) {
   ++stats_.stores;
   const std::uint32_t wait = arbitrate(cycle, /*write=*/true);

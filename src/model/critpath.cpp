@@ -260,8 +260,12 @@ class Walker {
     VCSTEER_CHECK_MSG(machine.num_clusters <= kMaxModelClusters,
                       "model supports at most 16 clusters");
     VCSTEER_CHECK_MSG(machine.fetch_width >= 1, "model needs fetch_width >= 1");
+    // Link pools only where they can bind (see operand_ready); a 0-wide
+    // copy port is unlimited, as in RatePool.
+    const std::uint32_t copy_port =
+        machine.issue_width_copy == 0 ? ~0u : machine.issue_width_copy;
     limited_bw_ = machine.interconnect.kind != Topology::kIdeal &&
-                  machine.interconnect.copies_per_link_cycle != ~0u;
+                  machine.interconnect.copies_per_link_cycle < copy_port;
     const std::uint32_t n = machine.num_clusters;
     decode_[0].configure(machine.decode_width_int);
     decode_[1].configure(machine.decode_width_fp);
@@ -378,6 +382,13 @@ class Walker {
   /// The endpoint charge is gated on a non-free fabric so a zero-latency
   /// interconnect still collapses exactly onto the single-cluster dataflow
   /// bound (the anchor tests/model_test.cpp pins).
+  ///
+  /// A (src, c) link pool's only feeder is copy_rate_[src], which books at
+  /// most issue_width_copy copies in any cycle, so a link pool at least
+  /// that wide returns every cycle it is given. The walker therefore builds
+  /// link pools only when copies_per_link_cycle < issue_width_copy
+  /// (limited_bw_); a pool with any other feeder must be built whatever
+  /// its width.
   std::uint64_t operand_ready(std::uint16_t reg, std::uint32_t c,
                               std::uint64_t disp, IntervalEstimate* est) {
     RegState& r = regs_[reg];

@@ -74,14 +74,19 @@
 // timing races, the exact stall-vs-steer occupancy feedback (the steering
 // stand-ins are deliberately resource-independent), and link bandwidth.
 // Copies are booked per source cluster at issue_width_copy per cycle
-// before the per-(src, dst) link pools; issue_width_copy is 1 on both
-// presets and in every grid in the repository, so with
-// copies_per_link_cycle >= 1 a link pool never binds. Ideal, bus and
-// crossbar machines therefore get identical estimates, as does a 2-cluster
-// ring, and a 4-cluster ring differs only by its hop counts — while the
+// before the per-(src, dst) link pools. That copy port is a link pool's
+// only feeder, so a pool at least issue_width_copy wide never binds, and
+// the walk builds link pools only when copies_per_link_cycle <
+// issue_width_copy. issue_width_copy is 1 on both presets and in every grid
+// in the repository, so no walk there builds one. Ideal, bus and crossbar
+// machines therefore get identical estimates, as does a 2-cluster ring,
+// and a 4-cluster ring differs only by its hop counts — while the
 // simulator's bus is one shared medium whose arbitration costs copies
-// cycles. Model numbers are estimates for *ranking* design points; they
-// are always labelled source == "model" and never enter golden fixtures.
+// cycles. Modelling that (one pool for the whole bus, one per ring
+// segment; ROADMAP item 16) gives a pool several feeders, so such pools
+// must be built whatever their width. Model numbers are estimates for
+// *ranking* design points; they are always labelled source == "model" and
+// never enter golden fixtures.
 #pragma once
 
 #include <cstdint>

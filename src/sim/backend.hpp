@@ -52,8 +52,6 @@ class ClusterBackend {
     }
   }
 
-  std::uint32_t cluster_index() const { return cluster_; }
-
  private:
   void issue_queue(ClusterState& cl, SlotPool<IqEntry>& pool,
                    std::uint32_t width, bool fp_queue) {

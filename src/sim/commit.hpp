@@ -33,7 +33,7 @@ struct RobEntry {
 /// store-to-load forwarding in the cluster back-ends.
 struct StoreRecord {
   std::uint64_t seq;
-  std::uint64_t addr;
+  std::uint32_t addr;
   bool addr_known = false;
 };
 
@@ -164,17 +164,10 @@ class CommitUnit {
   /// True when no micro-op occupies the ROB (the back-end has drained).
   bool empty() const { return rob_int_used_ + rob_fp_used_ == 0; }
 
-  /// True when commit() would retire at least the head this cycle — the
-  /// idle-cycle fast-forward must not jump over such a cycle.
-  bool head_completed() const {
-    return rob_int_used_ + rob_fp_used_ > 0 &&
-           rob_[rob_head_seq_ & rob_mask_].completed;
-  }
-
-  /// Conservative head_completed(): false proves the head is not completed;
-  /// true means a completion landed since commit() last recomputed. The
-  /// idle-cycle probe uses this flag instead of the ROB ring probe; a
-  /// stale-true merely steps one extra cycle (bit-identical).
+  /// Whether commit() may retire the head this cycle, which the idle-cycle
+  /// fast-forward must not jump over: false proves the ROB head is absent
+  /// or not completed; true means a completion landed since commit() last
+  /// recomputed. A stale true merely steps one extra cycle (bit-identical).
   bool maybe_commit() const { return maybe_commit_; }
 
  private:

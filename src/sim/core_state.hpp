@@ -42,8 +42,8 @@ constexpr std::uint64_t kCopySeq = ~0ULL;
 
 struct IqEntry {
   prog::UopId uop = prog::kInvalidUop;
+  std::uint32_t addr = 0;  ///< memory address (loads/stores).
   std::uint64_t seq = 0;   ///< dispatch order, for age-based select.
-  std::uint64_t addr = 0;  ///< memory address (loads/stores).
   std::array<Tag, 2> src_tags{kNoTag, kNoTag};
   Tag dst_tag = kNoTag;
   std::uint8_t num_srcs = 0;

@@ -163,7 +163,8 @@ class Flattener {
     out->clear();
     while (pos_ < text_.size() && text_[pos_] != '"') {
       if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) {
-        out->push_back(text_[pos_ + 1]);  // fixtures only escape \" and \\
+        // Fixtures escape only the quote and the backslash.
+        out->push_back(text_[pos_ + 1]);
         pos_ += 2;
       } else {
         out->push_back(text_[pos_]);
@@ -292,6 +293,22 @@ exec::SweepGrid ablation_grid() {
   };
   grid.budget = harness::SimBudget::smoke();
   return grid;
+}
+
+// An escape is consumed whole: the escaped quote does not end the key, and
+// the escaped backslash stays one character.
+TEST(Flattener, ReadsEscapedQuoteAndBackslash) {
+  const std::string text = R"({"a\"b": ["c\\d", 1]})";
+  std::vector<Leaf> leaves;
+  Flattener parser(text);
+  ASSERT_TRUE(parser.run(&leaves)) << parser.error();
+  ASSERT_EQ(leaves.size(), 2u);
+  EXPECT_EQ(leaves[0].path, "$.a\"b.0");
+  EXPECT_EQ(leaves[0].token, "c\\d");
+  EXPECT_FALSE(leaves[0].is_number);
+  EXPECT_EQ(leaves[1].path, "$.a\"b.1");
+  EXPECT_EQ(leaves[1].token, "1");
+  EXPECT_TRUE(leaves[1].is_number);
 }
 
 // Ideal-topology grids: the reproduction's headline figures, diffed exactly.

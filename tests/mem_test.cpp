@@ -2,6 +2,10 @@
 // latencies, port arbitration and functional warming.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
 
@@ -60,6 +64,69 @@ TEST(Cache, ResetClears) {
   EXPECT_FALSE(c.contains(0x40));
   EXPECT_EQ(c.hits(), 0u);
   EXPECT_EQ(c.misses(), 0u);
+}
+
+// Replays `order` (indices into `lines`, which share one set) and spells
+// the outcome of each access: '.' for a hit, '+' for a miss that filled an
+// empty way, or the letter ('a' = lines[0]) of the line the miss evicted.
+std::string replay(Cache& c, const std::vector<std::uint32_t>& lines,
+                   const std::vector<int>& order) {
+  std::string outcome;
+  for (const int i : order) {
+    std::vector<bool> before;
+    for (const std::uint32_t line : lines) before.push_back(c.contains(line));
+    if (c.access(lines[i])) {
+      outcome += '.';
+      continue;
+    }
+    char evicted = '+';
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      if (before[k] && !c.contains(lines[k])) {
+        evicted = static_cast<char>('a' + k);
+      }
+    }
+    outcome += evicted;
+  }
+  return outcome;
+}
+
+// Every 32-bit address keeps its full tag, with no tag value reserved for
+// an empty way: on a 1-byte-line, 1-set cache the tag is the address
+// itself, and on the Table 2 L2 0xFFFFFFFF falls in the last set with the
+// largest tag. The outcome strings pin the true-LRU eviction order.
+TEST(Cache, FullTagsAndEvictionOrder) {
+  const std::vector<int> small_order = {0, 1, 2, 3, 0, 4, 1, 5, 2, 0,
+                                        3, 4, 5, 1, 0, 2, 2, 4, 3, 5};
+  std::vector<int> l2_order;
+  for (int i = 0; i < 60; ++i) l2_order.push_back((i * 7 + i / 5) % 19);
+  std::vector<std::uint32_t> l2_lines = {0x1ffc0};  // set 2047, tag 0
+  for (std::uint32_t k = 0; k < 18; ++k) {
+    l2_lines.push_back(0xffffffffu - k * 0x20000);  // set 2047
+  }
+  struct Case {
+    const char* name;
+    CacheConfig config;
+    std::vector<std::uint32_t> lines;
+    std::vector<int> order;
+    const char* outcome;
+  };
+  const Case cases[] = {
+      {"1-byte-line, 1-set", CacheConfig{4, 4, 1, 1},
+       {0x0, 0xffffffffu, 0x1, 0x80000000u, 0x7fffffffu, 0xfffffffeu},
+       small_order, "++++.bcdaebfcade.fba"},
+      {"Table 2 L2", MachineConfig{}.l2, l2_lines, l2_order,
+       "++++++++..+++..+++..++o...cm...ak...ri...pg...ne...lc...ja.."},
+  };
+  for (const Case& k : cases) {
+    Cache c(k.config);
+    EXPECT_FALSE(c.contains(0x0)) << k.name;
+    EXPECT_FALSE(c.contains(0xffffffffu)) << k.name;
+    EXPECT_FALSE(c.access(0xffffffffu)) << k.name;
+    EXPECT_TRUE(c.access(0xffffffffu)) << k.name;
+    EXPECT_FALSE(c.contains(0x0)) << k.name;
+    c.reset();
+    EXPECT_EQ(replay(c, k.lines, k.order), k.outcome) << k.name;
+  }
 }
 
 TEST(Cache, Table2GeometriesConstruct) {

@@ -200,12 +200,20 @@ TEST(CritPath, RejectsMachinesItCannotWalk) {
                "model needs fetch_width >= 1");
 }
 
+// The schemes whose estimates the exact-estimate tests compare.
+const harness::SchemeSpec kPinnedSchemes[] = {
+    {steer::Scheme::kOneCluster, 0}, {steer::Scheme::kOp, 0},
+    {steer::Scheme::kParallelOp, 0}, {steer::Scheme::kOb, 0},
+    {steer::Scheme::kRhop, 0},       {steer::Scheme::kVc, 2},
+};
+
 // Exact estimates, recorded from the model and pinned so that a change to
 // the constraint primitives' storage or evaluation order cannot move a
 // single cycle unnoticed. The machines cover the corners of that storage:
 // presets, a binding ring, every capacity and width at 1, unlimited
 // resources, a 5000-cycle memory that books issue and copy slots far
-// beyond the dispatch frontier, and ROB sizes that are not powers of two.
+// beyond the dispatch frontier, ROB sizes that are not powers of two, and
+// a copy port wider than its links.
 TEST(CritPath, EstimatesMatchRecordedValues) {
   MachineConfig minimal = MachineConfig::two_cluster();
   minimal.fetch_width = 1;
@@ -238,23 +246,26 @@ TEST(CritPath, EstimatesMatchRecordedValues) {
   far_memory.interconnect.copies_per_link_cycle = 1;
 
   // ROB sizes that are not powers of two, so each ROB stream's ring (128 /
-  // 64) is larger than its back distance; and one-copy-per-cycle link pools
-  // per cluster pair, some booked so rarely that the dispatch floor passes
-  // the pool's whole ring between two placements — slots of the same
-  // residue left from the earlier lap must read as empty.
+  // 64) is larger than its back distance.
   MachineConfig odd_sizes = binding_ring();
   odd_sizes.rob_int_entries = 100;
   odd_sizes.rob_fp_entries = 60;
 
-  const harness::SchemeSpec schemes[] = {
-      {steer::Scheme::kOneCluster, 0}, {steer::Scheme::kOp, 0},
-      {steer::Scheme::kParallelOp, 0}, {steer::Scheme::kOb, 0},
-      {steer::Scheme::kRhop, 0},       {steer::Scheme::kVc, 2},
-  };
+  // A copy port two copies wide feeding one-copy-per-cycle links: the only
+  // machines here whose per-pair link pools can bind. In the odd-ROB
+  // variant some pools are booked so rarely that the dispatch floor passes
+  // the pool's whole ring between two placements — slots of the same
+  // residue left from the earlier lap must read as empty.
+  MachineConfig wide_port_ring = binding_ring();
+  wide_port_ring.issue_width_copy = 2;
+  MachineConfig wide_port_odd_sizes = wide_port_ring;
+  wide_port_odd_sizes.rob_int_entries = 100;
+  wide_port_odd_sizes.rob_fp_entries = 60;
+
   struct Pinned {
     const char* name;
     MachineConfig machine;
-    std::array<Totals, std::size(schemes)> totals;  ///< per scheme above.
+    std::array<Totals, std::size(kPinnedSchemes)> totals;  ///< per scheme.
   };
   const Pinned pinned[] = {
       {"two_cluster", MachineConfig::two_cluster(),
@@ -275,12 +286,45 @@ TEST(CritPath, EstimatesMatchRecordedValues) {
       {"odd_sizes", odd_sizes,
        {{{109955, 0, 0}, {92816, 10565, 21265}, {92816, 10565, 21265},
          {106339, 5768, 11235}, {94620, 9519, 18840}, {100503, 12749, 25798}}}},
+      {"wide_port_ring", wide_port_ring,
+       {{{102159, 0, 0}, {81247, 10565, 21265}, {81247, 10565, 21265},
+         {97873, 5768, 11235}, {83640, 9519, 18840}, {89031, 12749, 25798}}}},
+      {"wide_port_odd_sizes", wide_port_odd_sizes,
+       {{{109955, 0, 0}, {92729, 10565, 21265}, {92729, 10565, 21265},
+         {106200, 5768, 11235}, {94543, 9519, 18840},
+         {100348, 12749, 25798}}}},
   };
   for (const Pinned& p : pinned) {
     EXPECT_EQ(p.machine.validate(), "") << p.name;
-    for (std::size_t s = 0; s < std::size(schemes); ++s) {
-      EXPECT_EQ(predicted_totals(p.machine, schemes[s]), p.totals[s])
-          << p.name << " / " << schemes[s].label(p.machine);
+    for (std::size_t s = 0; s < std::size(kPinnedSchemes); ++s) {
+      EXPECT_EQ(predicted_totals(p.machine, kPinnedSchemes[s]), p.totals[s])
+          << p.name << " / " << kPinnedSchemes[s].label(p.machine);
+    }
+  }
+}
+
+// A link pool's only feeder is its source's copy port, which books at most
+// issue_width_copy copies in any cycle, so a link at least that wide
+// returns every cycle it is given: the estimates with such links equal the
+// estimates with unlimited ones, on every fabric with per-pair pools.
+TEST(CritPath, LinkPoolsAtLeastAsWideAsTheCopyPortNeverBind) {
+  for (const Topology kind :
+       {Topology::kBus, Topology::kRing, Topology::kCrossbar}) {
+    MachineConfig base = binding_ring();
+    base.interconnect.kind = kind;
+    base.issue_width_copy = 2;
+    for (const harness::SchemeSpec& spec : kPinnedSchemes) {
+      MachineConfig unlimited = base;
+      unlimited.interconnect.copies_per_link_cycle = ~0u;
+      const Totals expected = predicted_totals(unlimited, spec);
+      for (const std::uint32_t links :
+           {base.issue_width_copy, base.issue_width_copy + 1}) {
+        MachineConfig machine = base;
+        machine.interconnect.copies_per_link_cycle = links;
+        EXPECT_EQ(predicted_totals(machine, spec), expected)
+            << topology_name(kind) << " / " << spec.label(machine)
+            << " / links " << links;
+      }
     }
   }
 }
