@@ -2,15 +2,16 @@
 //
 // Table 2 fixes the copy fabric at an ideal 1-cycle point-to-point link;
 // this sweep replaces it with contention-modeled topologies (shared bus,
-// unidirectional ring, per-pair crossbar — see src/sim/interconnect.hpp)
-// on the 2- and 4-cluster machines, plus the classic link-latency sweep on
-// the ideal fabric. Copy-heavy schemes degrade fastest as the fabric gets
-// slower or narrower; the ring separates further on 4 clusters where hop
-// counts become non-uniform.
+// unidirectional ring, per-pair crossbar — src/sim/interconnect.hpp, where
+// a topology is the route of links a copy claims) on the 2- and 4-cluster
+// machines, plus the classic link-latency sweep on the ideal fabric.
+// Copy-heavy schemes degrade fastest as the fabric gets slower or narrower;
+// the ring separates further on 4 clusters where hop counts become
+// non-uniform.
 //
 // The final block re-runs the 4-cluster machines with
-// steer.topology_aware on (policies weigh candidate clusters by hop count
-// and observed link contention; software passes use the per-pair topology
+// steer.topology_aware on (policies weigh candidate clusters by hop cost
+// plus observed link contention; software passes use the per-pair topology
 // cost matrix) and quantifies the win per topology against the flat
 // policies. The win concentrates on the ring, where distances are
 // non-uniform; on uniform fabrics only the cost-based divert/remap
@@ -57,20 +58,12 @@ int main(int argc, char** argv) {
   }
   // Topology-aware block: the 4-cluster machines again with the steering
   // knob on; paired with the flat 4-cluster block for the comparison table.
-  // The congestion-term weight is swept around its 1.0 default (first, so
-  // the flat-vs-aware tables keep reading the default block); the weight
-  // only matters where links actually contend, so the ideal rows are
-  // insensitive to it by construction.
-  const std::vector<double> contention_weights = {1.0, 0.5, 2.0};
   const std::size_t aware_base = grid.machines.size();
-  for (const double weight : contention_weights) {
-    for (const Topology topo : topologies) {
-      MachineConfig machine = MachineConfig::four_cluster();
-      machine.interconnect.kind = topo;
-      machine.steer.topology_aware = true;
-      machine.steer.contention_weight = weight;
-      grid.machines.push_back(machine);
-    }
+  for (const Topology topo : topologies) {
+    MachineConfig machine = MachineConfig::four_cluster();
+    machine.interconnect.kind = topo;
+    machine.steer.topology_aware = true;
+    grid.machines.push_back(machine);
   }
   grid.schemes = {
       harness::SchemeSpec{steer::Scheme::kOp, 0},
@@ -173,32 +166,5 @@ int main(int argc, char** argv) {
   }
   out.add(aware_table);
   out.add(hops_table);
-
-  // Congestion-weight tuning (ROADMAP follow-through): IPC gain of each
-  // aware weight over the flat policy, per topology, for the dynamic
-  // schemes the weight can steer (OP) and the hybrid (VC). The per-topology
-  // argmax is what the README's topology-aware section records.
-  stats::Table weight_table(
-      "steer.contention_weight sweep, 4 clusters, topology-aware: avg IPC "
-      "gain vs flat (%)");
-  weight_table.set_columns({"topology", "OP w=0.5", "OP w=1", "OP w=2",
-                            "VC w=0.5", "VC w=1", "VC w=2"});
-  const std::vector<std::size_t> weight_order = {1, 0, 2};  // 0.5, 1, 2
-  for (std::size_t ti = 0; ti < num_topos; ++ti) {
-    const std::size_t flat_m = num_topos + ti;
-    weight_table.row().add(std::string(topology_name(topologies[ti])));
-    for (const std::size_t s : {std::size_t{0}, std::size_t{3}}) {
-      for (const std::size_t wi : weight_order) {
-        const std::size_t aware_m = aware_base + wi * num_topos + ti;
-        double gain = 0;
-        for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-          gain += stats::speedup_pct(sweep.at(t, aware_m, s).ipc,
-                                     sweep.at(t, flat_m, s).ipc);
-        }
-        weight_table.add(gain / n, 3);
-      }
-    }
-  }
-  out.add(weight_table);
   return out.finish();
 }

@@ -2,14 +2,15 @@
 // does to a program — regions, criticality, virtual-cluster assignment,
 // chains and chain leaders (paper Figures 2 and 3).
 //
-//   $ ./examples/compiler_explorer [trace-name] [num-vcs]
+//   $ ./examples/compiler_explorer [trace-name] [num-vcs 1-254]
 //
 // Prints the annotated micro-ops of the first few regions, one line per
 // micro-op, plus the pass statistics, and contrasts the OB and RHOP static
-// assignments for the same code.
+// assignments for the same code. A malformed or out-of-range VC count, or
+// an extra argument, prints the usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli_args.hpp"
 #include "compiler/ob_pass.hpp"
 #include "compiler/region.hpp"
 #include "compiler/rhop_pass.hpp"
@@ -21,8 +22,14 @@ int main(int argc, char** argv) {
   using namespace vcsteer;
 
   const char* trace_name = argc > 1 ? argv[1] : "164.gzip-1";
-  const std::uint32_t num_vcs =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 2;
+  // VC ids stay below isa::SteerHint::kNoVc (255).
+  const std::optional<std::uint32_t> num_vcs =
+      argc > 2 ? cli::parse_in_range(argv[2], 1, 254) : 2;
+  if (argc > 3 || !num_vcs) {
+    std::fprintf(stderr,
+                 "usage: compiler_explorer [trace-name] [num-vcs 1-254]\n");
+    return 2;
+  }
   const workload::WorkloadProfile* profile =
       workload::find_profile(trace_name);
   if (profile == nullptr) {
@@ -57,7 +64,7 @@ int main(int argc, char** argv) {
 
   wl.program.clear_hints();
   compiler::VcOptions vc_opt;
-  vc_opt.num_vcs = num_vcs;
+  vc_opt.num_vcs = *num_vcs;
   const compiler::VcPassStats vc_stats =
       compiler::assign_virtual_clusters(wl.program, vc_opt);
 

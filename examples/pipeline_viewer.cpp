@@ -2,9 +2,13 @@
 // segment, recorded through the TimelineObserver sink (sim/observer.hpp).
 //
 //   pipeline_viewer [--trace NAME] [--scheme op|one-cluster|ob|rhop|vc|
-//                   op-parallel] [--vcs N] [--clusters N] [--uops N]
-//                   [--skip N] [--window START:LEN] [--capacity N]
-//                   [--print N] [--json FILE] [--quiet] [--list]
+//                   op-parallel] [--vcs 0-254] [--clusters 1-8]
+//                   [--uops 1-10000000] [--skip 0-1000000000]
+//                   [--window START:LEN] [--capacity N] [--print N]
+//                   [--json FILE] [--quiet] [--list]
+//
+// A malformed, signed, out-of-range or missing flag value prints the usage
+// and exits 2 before any simulation starts.
 //
 // Runs the first --uops micro-ops of the trace (after --skip) on a
 // ClusteredCoreT<TimelineObserver>, prints a text timeline of the recorded
@@ -23,10 +27,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "harness/experiment.hpp"
 #include "sim/core.hpp"
 #include "stats/table.hpp"
@@ -37,25 +43,23 @@ namespace {
 
 using namespace vcsteer;
 
-std::optional<steer::Scheme> parse_scheme(const std::string& s) {
-  if (s == "op") return steer::Scheme::kOp;
-  if (s == "one-cluster" || s == "one") return steer::Scheme::kOneCluster;
-  if (s == "ob") return steer::Scheme::kOb;
-  if (s == "rhop") return steer::Scheme::kRhop;
-  if (s == "vc") return steer::Scheme::kVc;
-  if (s == "op-parallel" || s == "par") return steer::Scheme::kParallelOp;
-  return std::nullopt;
-}
+/// The longest segment the viewer materialises (8 bytes per micro-op), and
+/// the longest prefix it walks past (about 10 s at 100M micro-ops/s).
+constexpr std::uint64_t kMaxUops = 10'000'000;
+constexpr std::uint64_t kMaxSkip = 1'000'000'000;
+constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
 
 int usage() {
   std::fprintf(
       stderr,
       "usage: pipeline_viewer [--trace NAME] [--scheme op|one-cluster|ob|"
       "rhop|vc|op-parallel]\n"
-      "                       [--vcs N] [--clusters N] [--uops N] [--skip N]\n"
-      "                       [--window START:LEN] [--capacity N] "
-      "[--print N]\n"
-      "                       [--json FILE] [--quiet] [--list]\n");
+      "                       [--vcs 0-254] [--clusters 1-%u] "
+      "[--uops 1-%" PRIu64 "]\n"
+      "                       [--skip 0-%" PRIu64 "] [--window START:LEN] "
+      "[--capacity N] [--print N]\n"
+      "                       [--json FILE] [--quiet] [--list]\n",
+      sim::kMaxClusters, kMaxUops, kMaxSkip);
   return 2;
 }
 
@@ -300,41 +304,58 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // The flag's value, or null when the flag comes last.
     auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+      return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    // Stores the flag's value in `out`; false when it is missing.
+    auto text = [&](std::string& out) {
+      const char* v = value();
+      if (v != nullptr) out = v;
+      return v != nullptr;
+    };
+    // Stores the flag's value in `out`; false unless it is a whole decimal
+    // number in [lo, hi].
+    auto number = [&]<typename T>(T& out, std::type_identity_t<T> lo,
+                                  std::type_identity_t<T> hi) {
+      const std::optional<T> n = cli::parse_in_range<T>(value(), lo, hi);
+      if (n) out = *n;
+      return n.has_value();
     };
     if (arg == "--trace") {
-      trace = value();
+      if (!text(trace)) return usage();
     } else if (arg == "--scheme") {
-      scheme_name = value();
+      if (!text(scheme_name)) return usage();
     } else if (arg == "--vcs") {
-      vcs = static_cast<std::uint32_t>(std::atoi(value()));
+      // VC ids stay below isa::SteerHint::kNoVc (255).
+      if (!number(vcs, 0, 254)) return usage();
     } else if (arg == "--clusters") {
-      clusters = static_cast<std::uint32_t>(std::atoi(value()));
+      if (!number(clusters, 1, sim::kMaxClusters)) return usage();
     } else if (arg == "--uops") {
-      uops = std::strtoull(value(), nullptr, 10);
+      if (!number(uops, 1, kMaxUops)) return usage();
     } else if (arg == "--skip") {
-      skip = std::strtoull(value(), nullptr, 10);
+      if (!number(skip, 0, kMaxSkip)) return usage();
     } else if (arg == "--window") {
-      const char* v = value();
-      char* end = nullptr;
-      window_start = std::strtoull(v, &end, 10);
-      if (end == v || *end != ':') {
-        std::fprintf(stderr, "--window expects START:LEN, got '%s'\n", v);
-        return usage();
-      }
-      window_length = std::strtoull(end + 1, nullptr, 10);
-      if (window_length == 0) {
-        std::fprintf(stderr, "--window length must be > 0\n");
-        return usage();
-      }
+      // START:LEN, with LEN > 0.
+      std::string v;
+      if (!text(v)) return usage();
+      const std::size_t colon = v.find(':');
+      if (colon == std::string::npos) return usage();
+      const auto start = cli::parse_in_range<std::uint64_t>(
+          v.substr(0, colon).c_str(), 0, kNoLimit);
+      const auto length = cli::parse_in_range<std::uint64_t>(
+          v.c_str() + colon + 1, 1, kNoLimit);
+      if (!start || !length) return usage();
+      window_start = *start;
+      window_length = *length;
     } else if (arg == "--capacity") {
-      capacity = std::strtoull(value(), nullptr, 10);
-      if (capacity == 0) capacity = 1;
+      if (!number(capacity, 1, std::numeric_limits<std::size_t>::max())) {
+        return usage();
+      }
     } else if (arg == "--print") {
-      print_cycles = std::strtoull(value(), nullptr, 10);
+      if (!number(print_cycles, 0, kNoLimit)) return usage();
     } else if (arg == "--json") {
-      json_path = value();
+      if (!text(json_path)) return usage();
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--list") {
@@ -352,16 +373,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown trace '%s' (try --list)\n", trace.c_str());
     return 1;
   }
-  if (clusters == 0 || clusters > sim::kMaxClusters) {
-    std::fprintf(stderr, "--clusters must be in [1, %u]\n", sim::kMaxClusters);
-    return 1;
-  }
-  const auto scheme = parse_scheme(scheme_name);
+  const auto scheme = cli::parse_scheme(scheme_name);
   if (!scheme) return usage();
-  if (uops == 0) {
-    std::fprintf(stderr, "--uops must be > 0\n");
-    return 1;
-  }
 
   MachineConfig machine = MachineConfig::two_cluster();
   machine.num_clusters = clusters;

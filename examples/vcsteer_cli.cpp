@@ -6,14 +6,11 @@
 // Runs one (trace, machine, scheme) evaluation and prints the metrics; with
 // --all-schemes, compares every Table 3 configuration on the trace. This is
 // the entry point for scripting custom sweeps without writing C++.
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 
+#include "cli_args.hpp"
 #include "harness/experiment.hpp"
 #include "stats/table.hpp"
 #include "workload/profiles.hpp"
@@ -21,30 +18,6 @@
 namespace {
 
 using namespace vcsteer;
-
-std::optional<steer::Scheme> parse_scheme(const std::string& s) {
-  if (s == "op") return steer::Scheme::kOp;
-  if (s == "one-cluster" || s == "one") return steer::Scheme::kOneCluster;
-  if (s == "ob") return steer::Scheme::kOb;
-  if (s == "rhop") return steer::Scheme::kRhop;
-  if (s == "vc") return steer::Scheme::kVc;
-  if (s == "op-parallel" || s == "par") return steer::Scheme::kParallelOp;
-  return std::nullopt;
-}
-
-/// `v` as a whole unsigned decimal token in [lo, hi]; nullopt for a missing,
-/// signed, non-numeric, trailing-garbage or out-of-range value.
-std::optional<std::uint32_t> parse_in_range(const char* v, std::uint32_t lo,
-                                            std::uint32_t hi) {
-  if (v == nullptr || !std::isdigit(static_cast<unsigned char>(*v))) {
-    return std::nullopt;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (*end != '\0' || errno == ERANGE || n < lo || n > hi) return std::nullopt;
-  return static_cast<std::uint32_t>(n);
-}
 
 int usage() {
   std::fprintf(
@@ -84,11 +57,11 @@ int main(int argc, char** argv) {
       scheme_name = v;
     } else if (arg == "--vcs") {
       // VC ids stay below isa::SteerHint::kNoVc (255).
-      const auto n = parse_in_range(value(), 0, 254);
+      const auto n = cli::parse_in_range(value(), 0, 254);
       if (!n) return usage();
       vcs = *n;
     } else if (arg == "--clusters") {
-      const auto n = parse_in_range(value(), 1, 8);
+      const auto n = cli::parse_in_range(value(), 1, 8);
       if (!n) return usage();
       clusters = *n;
     } else if (arg == "--budget") {
@@ -128,7 +101,7 @@ int main(int argc, char** argv) {
              {steer::Scheme::kOb, 0},   {steer::Scheme::kRhop, 0},
              {steer::Scheme::kVc, vcs}, {steer::Scheme::kParallelOp, 0}};
   } else {
-    const auto parsed = parse_scheme(scheme_name);
+    const auto parsed = cli::parse_scheme(scheme_name);
     if (!parsed) return usage();
     specs = {{steer::Scheme::kOp, 0}};  // baseline for the slowdown column
     if (*parsed != steer::Scheme::kOp) specs.push_back({*parsed, vcs});

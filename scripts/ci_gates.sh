@@ -26,8 +26,7 @@
 #             simulator's own SimStats counters
 #   perf      perf trajectory: runs every workload BENCHMARK.json lists
 #             once through perfbench (seed 0, run_seconds) via
-#             scripts/perf_gate.py, plus the tracked microbench kernels as
-#             3-repetition medians, and writes BENCH_perf.json at the repo
+#             scripts/perf_gate.py and writes BENCH_perf.json at the repo
 #             root (from a Release BUILD_DIR only; other build types write
 #             it to $GATE_OUT). A run that is not correct, seed-0 digests
 #             included, fails the gate; a timing never does (compare
@@ -138,17 +137,6 @@ gate_model() {
 }
 
 gate_perf() {
-  # Kernel-level trajectory, recorded when the google-benchmark binary was
-  # built (find_package(benchmark) is optional). Repetitions give
-  # perf_gate.py per-kernel median aggregates.
-  local microbench_json=""
-  if [[ -x "$BUILD_DIR/microbench" ]]; then
-    microbench_json="$GATE_OUT/perf_microbench.json"
-    "$BUILD_DIR/microbench" \
-      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_ModelEstimateInterval|BM_TraceExperimentBuild' \
-      --benchmark_repetitions=3 \
-      --benchmark_format=json > "$microbench_json"
-  fi
   # Only a Release run may rewrite the repo-root file; numbers from any
   # other build type land in $GATE_OUT so a default `ci_gates.sh` run from
   # a dev tree cannot silently degrade the committed BENCH_perf.json.
@@ -161,8 +149,7 @@ gate_perf() {
   fi
   # perfbench builds its own optimised copy of src/ and runs from the repo
   # root; a run that is not correct (seed-0 digests included) fails here.
-  (cd "$ROOT" && python3 scripts/perf_gate.py "$perf_out" \
-    ${microbench_json:+"$microbench_json"})
+  (cd "$ROOT" && python3 scripts/perf_gate.py "$perf_out")
 }
 
 gate_ablation() {

@@ -74,8 +74,6 @@ std::string MachineConfig::validate() const {
   if (interconnect.link_latency == 0) return "link_latency must be > 0";
   if (interconnect.copies_per_link_cycle == 0)
     return "copies_per_link_cycle must be > 0";
-  if (steer.contention_weight < 0.0)
-    return "steer.contention_weight must be >= 0";
   return "";
 }
 

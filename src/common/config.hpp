@@ -44,14 +44,11 @@ std::uint32_t topology_distance(Topology kind, std::uint32_t num_clusters,
 /// other axis, part of the exec cache key) rather than per-scheme options.
 struct SteerConfig {
   /// When set, the hardware policies weigh candidate clusters by topology
-  /// hop count and observed link contention instead of the flat occupancy
-  /// tiebreak, and the software passes use the per-pair topology cost
-  /// matrix instead of a scalar comm_cost. Off reproduces the flat
-  /// (pre-topology) behaviour bit-identically.
+  /// hop cost plus observed link contention (both in cycles) instead of the
+  /// flat occupancy tiebreak, and the software passes use the per-pair
+  /// topology cost matrix instead of a scalar comm_cost. Off reproduces the
+  /// flat (pre-topology) behaviour bit-identically.
   bool topology_aware = false;
-  /// Weight of the observed-congestion term (recent per-link wait EWMA,
-  /// cycles) relative to the static hop cost in the topology-aware score.
-  double contention_weight = 1.0;
 };
 
 /// Cache geometry + timing for one level of the hierarchy.

@@ -1,8 +1,12 @@
 // Point-evaluation API.
 //
-// A sweep grid is a set of (trace, machine, scheme) points; an Evaluator is
+// A sweep grid is a set of (trace, machine, scheme) points; an evaluator is
 // a backend that answers "what does this point score" — the seam the sweep
-// engine plugs cost/accuracy trade-offs into:
+// engine plugs cost/accuracy trade-offs into. There are two, and
+// exec::run_sweep calls either through the same two members: source(),
+// which also names the result-cache key namespace, and
+// evaluate(EvalRequest), which is thread-safe (the sweep calls it
+// concurrently from its worker threads, one call per (trace, machine) cell):
 //
 //   SimEvaluator    cycle-accurate TraceExperiment, bit-identical to the
 //                   historical direct run path; results tagged source "sim".
@@ -58,17 +62,6 @@ struct EvalResponse {
   /// Trace experiments constructed serving this call (0 when the backend
   /// reused a memoised trace).
   std::size_t experiments = 0;
-};
-
-class Evaluator {
- public:
-  virtual ~Evaluator() = default;
-  /// The backend, which also names the store key namespace run_sweep
-  /// probes and fills for it.
-  virtual Source source() const = 0;
-  /// Thread-safe: the sweep engine calls this concurrently from its worker
-  /// threads, one call per (trace, machine) cell.
-  virtual EvalResponse evaluate(const EvalRequest& request) = 0;
 };
 
 }  // namespace vcsteer::eval

@@ -1,5 +1,5 @@
 // Analytical evaluation backend: the src/model/ critical-path estimator
-// behind the Evaluator interface.
+// behind the point-evaluation API (eval/evaluator.hpp).
 #pragma once
 
 #include <memory>
@@ -24,13 +24,13 @@ namespace vcsteer::eval {
 /// itself reads nearly every machine field and runs per cell. Estimates are
 /// bit-identical to doing all of this per cell; each memoised entry bills
 /// its build time to the response that built it.
-class ModelEvaluator final : public Evaluator {
+class ModelEvaluator {
  public:
   ModelEvaluator();
-  ~ModelEvaluator() override;
+  ~ModelEvaluator();
 
-  Source source() const override { return Source::kModel; }
-  EvalResponse evaluate(const EvalRequest& request) override;
+  Source source() const { return Source::kModel; }
+  EvalResponse evaluate(const EvalRequest& request);
 
  private:
   struct TraceData;

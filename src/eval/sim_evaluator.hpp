@@ -8,10 +8,10 @@ namespace vcsteer::eval {
 /// Stateless — each call builds the cell's TraceExperiment, exactly like
 /// the sweep engine's historical direct path, so results (and the cache
 /// entries derived from them) are bit-identical to it.
-class SimEvaluator final : public Evaluator {
+class SimEvaluator {
  public:
-  Source source() const override { return Source::kSim; }
-  EvalResponse evaluate(const EvalRequest& request) override;
+  Source source() const { return Source::kSim; }
+  EvalResponse evaluate(const EvalRequest& request);
 };
 
 }  // namespace vcsteer::eval

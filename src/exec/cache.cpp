@@ -237,7 +237,6 @@ std::string cache_key(const workload::WorkloadProfile& p,
           std::uint64_t{static_cast<unsigned>(m.interconnect.kind)});
   w.field("machine.steer.topology_aware",
           std::uint64_t{m.steer.topology_aware});
-  w.field("machine.steer.contention_weight", m.steer.contention_weight);
   for (const auto& [tag, cache] :
        {std::pair<const char*, const CacheConfig&>{"l1d", m.l1d},
         std::pair<const char*, const CacheConfig&>{"l2", m.l2}}) {

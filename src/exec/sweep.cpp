@@ -205,8 +205,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   // "model"), evaluates the misses in one request, which lets the backend
   // share per-cell work among them, and stores them. Returns the number of
   // points evaluated.
-  const auto run_cell = [&](eval::Evaluator& evaluator, std::size_t t,
-                            std::size_t m,
+  const auto run_cell = [&](auto& evaluator, std::size_t t, std::size_t m,
                             const std::vector<std::size_t>& schemes) {
     workload::WorkloadProfile profile = grid.profiles[t];
     profile.seed_salt += opt.seed_salt;

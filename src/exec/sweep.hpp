@@ -33,7 +33,7 @@ namespace vcsteer::exec {
 /// One scheme-axis entry: the evaluation API's shared request currency
 /// (either a built-in SchemeSpec or a caller-constructed policy factory
 /// labelled/cache-keyed by its custom tag). Historically a distinct struct
-/// with exactly this shape; now the same type the Evaluator interface and
+/// with exactly this shape; now the same type both evaluators (src/eval/) and
 /// TraceExperiment::evaluate consume, so grids flow through unconverted.
 using SweepScheme = harness::SchemeRequest;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "common/check.hpp"
 #include "mem/hierarchy.hpp"
@@ -116,17 +115,6 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
   return cost;
 }
 
-double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n) {
-  VCSTEER_CHECK(matrix.size() == static_cast<std::size_t>(n) * n);
-  double best = std::numeric_limits<double>::max();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (i != j) best = std::min(best, matrix[i * n + j]);
-    }
-  }
-  return n > 1 ? best : 0.0;
-}
-
 PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
   switch (spec.scheme) {
     case steer::Scheme::kOb: {
@@ -135,13 +123,13 @@ PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
       // SPDI models a cheap operand network (EDGE grids), so it
       // underestimates the copy cost of a clustered machine and splits
       // chains more freely than VC does — the copy excess of Fig. 6(a.1).
-      // Half a cycle per hop, no fixed cost: the flat scalar is the
-      // nearest-neighbour entry of this matrix (0.5).
-      const std::vector<double> matrix =
-          comm_cost_matrix(machine, machine.num_clusters, /*per_hop=*/0.5,
-                           /*fixed=*/0.0);
-      opt.comm_cost = min_comm_cost(matrix, machine.num_clusters);
-      if (machine.steer.topology_aware) opt.comm_cost_matrix = matrix;
+      // Half a cycle per hop, no fixed cost; the flat scalar is one hop.
+      constexpr double kPerHop = 0.5;
+      opt.comm_cost = kPerHop;
+      if (machine.steer.topology_aware) {
+        opt.comm_cost_matrix = comm_cost_matrix(machine, machine.num_clusters,
+                                                kPerHop, /*fixed=*/0.0);
+      }
       return opt;
     }
     case steer::Scheme::kRhop: {
@@ -157,15 +145,17 @@ PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
       compiler::VcOptions opt;
       opt.num_vcs = spec.num_vcs == 0 ? machine.num_clusters : spec.num_vcs;
       // One link transit per hop plus one cycle of copy issue/writeback.
-      // The scalar estimate is the matrix's nearest-neighbour entry
-      // (link_latency + 1 on every topology — the pre-topology value);
-      // topology-aware runs hand the pass the full per-pair matrix.
-      const std::vector<double> matrix = comm_cost_matrix(
-          machine, opt.num_vcs,
-          /*per_hop=*/static_cast<double>(machine.interconnect.link_latency),
-          /*fixed=*/1.0);
-      opt.comm_cost = min_comm_cost(matrix, opt.num_vcs);
-      if (machine.steer.topology_aware) opt.comm_cost_matrix = matrix;
+      // The flat scalar is the one-hop cost (link_latency + 1, the
+      // pre-topology value); topology-aware runs hand the pass the full
+      // per-pair matrix.
+      const auto per_hop =
+          static_cast<double>(machine.interconnect.link_latency);
+      constexpr double kFixed = 1.0;
+      opt.comm_cost = kFixed + per_hop;
+      if (machine.steer.topology_aware) {
+        opt.comm_cost_matrix =
+            comm_cost_matrix(machine, opt.num_vcs, per_hop, kFixed);
+      }
       opt.issue_width = machine.issue_width_int;
       if (spec.vc_min_leader_chain != 0) {
         opt.min_leader_chain = spec.vc_min_leader_chain;

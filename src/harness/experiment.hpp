@@ -231,13 +231,6 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
                                      std::uint32_t n, double per_hop,
                                      double fixed);
 
-/// Smallest off-diagonal entry of an n x n cost matrix: the
-/// nearest-neighbour communication cost, which is what the flat (scalar)
-/// software passes charge every pair. Equals fixed + per_hop on every
-/// supported topology, so deriving the scalar this way reproduces the
-/// pre-topology estimates bit-identically.
-double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n);
-
 /// Everything a scheme's software pass reads besides the program: the
 /// options of its OB, RHOP or VC pass, or std::monostate for the
 /// hardware-only schemes, which have no pass. Two (spec, machine) pairs with
@@ -248,7 +241,7 @@ using PassOptions = std::variant<std::monostate, compiler::ObOptions,
 /// The options of `spec`'s software pass for `machine`. When
 /// machine.steer.topology_aware is set, the OB and VC passes estimate
 /// communication with the per-pair topology matrix instead of the flat
-/// nearest-neighbour scalar.
+/// scalar, which is the one-hop cost of that matrix.
 PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine);
 
 /// Clears `program`'s hints, then runs the pass `options` names (none for

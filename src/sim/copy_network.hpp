@@ -1,5 +1,5 @@
-// Copy network: the per-cluster copy issue queues plus the pluggable
-// interconnect that carries inter-cluster register copies.
+// Copy network: the per-cluster copy issue queues plus the interconnect
+// that carries inter-cluster register copies.
 //
 // A copy micro-op is created at dispatch (request_copy) in the *producer*
 // cluster's copy queue whenever a consumer is steered away from one of its
@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "common/check.hpp"
 #include "sim/core_state.hpp"
@@ -30,11 +29,9 @@ template <Observer Obs>
 class CopyNetwork {
  public:
   CopyNetwork(CoreState& state, Obs& obs)
-      : state_(state),
-        obs_(obs),
-        interconnect_(make_interconnect(state.config)) {}
+      : state_(state), obs_(obs), interconnect_(state.config) {}
 
-  void reset() { interconnect_->reset(); }
+  void reset() { interconnect_.reset(); }
 
   /// Ensures a replica of `tag` is (or will be) in `cluster`, creating a
   /// copy micro-op aged with the dispatching consumer's `seq`. Returns false
@@ -102,10 +99,10 @@ class CopyNetwork {
       // Arrival = network transit (topology + contention) + one cycle to
       // write the value into the target cluster's register file.
       const std::uint64_t crossed =
-          interconnect_->route_copy(cluster, e.to, state_.cycle);
+          interconnect_.route_copy(cluster, e.to, state_.cycle);
       if constexpr (Obs::enabled) {
         obs_.on_copy_inject(CopyInjectEvent{
-            e.src_tag, cluster, e.to, interconnect_->distance(cluster, e.to),
+            e.src_tag, cluster, e.to, interconnect_.distance(cluster, e.to),
             state_.cycle, crossed + 1});
       }
       state_.completions.push(Completion{crossed + 1, kCopySeq, e.src_tag,
@@ -120,11 +117,11 @@ class CopyNetwork {
     }
   }
 
-  const Interconnect& interconnect() const { return *interconnect_; }
+  const Interconnect& interconnect() const { return interconnect_; }
 
   /// Folds the interconnect counters into the run's SimStats (end of run).
   void flush_stats() {
-    const InterconnectStats& s = interconnect_->stats();
+    const InterconnectStats& s = interconnect_.stats();
     state_.stats.copies_routed = s.copies_routed;
     state_.stats.copy_hops = s.copy_hops;
     state_.stats.link_busy_cycles = s.link_busy_cycles;
@@ -134,7 +131,7 @@ class CopyNetwork {
  private:
   CoreState& state_;
   Obs& obs_;
-  std::unique_ptr<Interconnect> interconnect_;
+  Interconnect interconnect_;
 };
 
 }  // namespace vcsteer::sim

@@ -5,8 +5,9 @@
 //   FrontEnd        trace-driven fetch into the fetch-to-dispatch pipe
 //   SteerStage      in-order decode/rename/steer, consults the policy
 //   ClusterBackend  per-cluster INT/FP issue + execute
-//   CopyNetwork     copy queues + pluggable Interconnect (ideal / bus /
-//                   ring / crossbar — see sim/interconnect.hpp)
+//   CopyNetwork     copy queues + the Interconnect, whose topology (ideal /
+//                   bus / ring / crossbar) picks the links a copy claims —
+//                   see sim/interconnect.hpp
 //   CommitUnit      ROB, unified LSQ, completion drain, in-order commit
 //
 // The stages run in reverse pipeline order each cycle so a value produced

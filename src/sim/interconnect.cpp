@@ -1,163 +1,19 @@
 #include "sim/interconnect.hpp"
 
-#include "common/check.hpp"
-
 namespace vcsteer::sim {
 namespace {
 
-class IdealInterconnect final : public Interconnect {
- public:
-  explicit IdealInterconnect(const MachineConfig& config)
-      : latency_(config.interconnect.link_latency) {}
-
-  std::uint64_t route_copy(std::uint32_t /*from*/, std::uint32_t /*to*/,
-                           std::uint64_t cycle) override {
-    ++stats_.copies_routed;
-    ++stats_.copy_hops;
-    ++stats_.link_busy_cycles;
-    return cycle + latency_;
+/// Links the topology's hops claim: none on the contention-free kIdeal
+/// fabric, one shared bus, one per ring segment, one per ordered pair.
+std::size_t num_links(Topology kind, std::uint32_t n) {
+  switch (kind) {
+    case Topology::kIdeal: return 0;
+    case Topology::kBus: return 1;
+    case Topology::kRing: return n;
+    case Topology::kCrossbar: return static_cast<std::size_t>(n) * n;
   }
-
-  std::uint32_t distance(std::uint32_t from, std::uint32_t to) const override {
-    return from == to ? 0 : 1;
-  }
-
-  const char* name() const override { return "ideal"; }
-
- private:
-  std::uint32_t latency_;
-};
-
-class BusInterconnect final : public Interconnect {
- public:
-  explicit BusInterconnect(const MachineConfig& config)
-      : n_(config.num_clusters),
-        latency_(config.interconnect.link_latency),
-        bandwidth_(config.interconnect.copies_per_link_cycle) {}
-
-  std::uint64_t route_copy(std::uint32_t /*from*/, std::uint32_t /*to*/,
-                           std::uint64_t cycle) override {
-    const std::uint64_t slot = bus_.claim(cycle, cycle, bandwidth_);
-    ++stats_.copies_routed;
-    ++stats_.copy_hops;
-    ++stats_.link_busy_cycles;
-    stats_.link_contention_cycles += slot - cycle;
-    return slot + latency_;
-  }
-
-  std::uint32_t distance(std::uint32_t from, std::uint32_t to) const override {
-    return topology_distance(Topology::kBus, n_, from, to);
-  }
-
-  double congestion(std::uint32_t from, std::uint32_t to) const override {
-    return from == to ? 0.0 : bus_.wait_ewma();
-  }
-
-  const char* name() const override { return "bus"; }
-
-  void reset() override {
-    Interconnect::reset();
-    bus_.reset();
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint32_t latency_;
-  std::uint32_t bandwidth_;
-  LinkState bus_;
-};
-
-class CrossbarInterconnect final : public Interconnect {
- public:
-  explicit CrossbarInterconnect(const MachineConfig& config)
-      : n_(config.num_clusters),
-        latency_(config.interconnect.link_latency),
-        bandwidth_(config.interconnect.copies_per_link_cycle),
-        links_(static_cast<std::size_t>(n_) * n_) {}
-
-  std::uint64_t route_copy(std::uint32_t from, std::uint32_t to,
-                           std::uint64_t cycle) override {
-    const std::uint64_t slot =
-        links_[from * n_ + to].claim(cycle, cycle, bandwidth_);
-    ++stats_.copies_routed;
-    ++stats_.copy_hops;
-    ++stats_.link_busy_cycles;
-    stats_.link_contention_cycles += slot - cycle;
-    return slot + latency_;
-  }
-
-  std::uint32_t distance(std::uint32_t from, std::uint32_t to) const override {
-    return topology_distance(Topology::kCrossbar, n_, from, to);
-  }
-
-  double congestion(std::uint32_t from, std::uint32_t to) const override {
-    return from == to ? 0.0 : links_[from * n_ + to].wait_ewma();
-  }
-
-  const char* name() const override { return "crossbar"; }
-
-  void reset() override {
-    Interconnect::reset();
-    for (LinkState& link : links_) link.reset();
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint32_t latency_;
-  std::uint32_t bandwidth_;
-  std::vector<LinkState> links_;
-};
-
-class RingInterconnect final : public Interconnect {
- public:
-  explicit RingInterconnect(const MachineConfig& config)
-      : n_(config.num_clusters),
-        latency_(config.interconnect.link_latency),
-        bandwidth_(config.interconnect.copies_per_link_cycle),
-        links_(n_) {}  ///< link c carries c -> (c+1) % n traffic.
-
-  std::uint64_t route_copy(std::uint32_t from, std::uint32_t to,
-                           std::uint64_t cycle) override {
-    const std::uint32_t hops = distance(from, to);
-    std::uint64_t t = cycle;
-    for (std::uint32_t h = 0; h < hops; ++h) {
-      const std::uint64_t slot =
-          links_[(from + h) % n_].claim(t, cycle, bandwidth_);
-      stats_.link_contention_cycles += slot - t;
-      t = slot + latency_;
-    }
-    ++stats_.copies_routed;
-    stats_.copy_hops += hops;
-    stats_.link_busy_cycles += hops;
-    return t;
-  }
-
-  std::uint32_t distance(std::uint32_t from, std::uint32_t to) const override {
-    return topology_distance(Topology::kRing, n_, from, to);
-  }
-
-  double congestion(std::uint32_t from, std::uint32_t to) const override {
-    double sum = 0.0;
-    const std::uint32_t hops = distance(from, to);
-    for (std::uint32_t h = 0; h < hops; ++h) {
-      sum += links_[(from + h) % n_].wait_ewma();
-    }
-    return sum;
-  }
-
-  const char* name() const override { return "ring"; }
-
-  void reset() override {
-    Interconnect::reset();
-    for (LinkState& link : links_) link.reset();
-  }
-
- private:
-  std::uint32_t n_;
-  std::uint32_t latency_;
-  std::uint32_t bandwidth_;
-  std::vector<LinkState> links_;
-};
+  return 0;
+}
 
 }  // namespace
 
@@ -176,18 +32,56 @@ std::uint64_t LinkState::claim(std::uint64_t earliest,
   return t;
 }
 
-std::unique_ptr<Interconnect> make_interconnect(const MachineConfig& config) {
-  switch (config.interconnect.kind) {
-    case Topology::kIdeal:
-      return std::make_unique<IdealInterconnect>(config);
-    case Topology::kBus:
-      return std::make_unique<BusInterconnect>(config);
-    case Topology::kRing:
-      return std::make_unique<RingInterconnect>(config);
-    case Topology::kCrossbar:
-      return std::make_unique<CrossbarInterconnect>(config);
+Interconnect::Interconnect(const MachineConfig& config)
+    : kind_(config.interconnect.kind),
+      n_(config.num_clusters),
+      latency_(config.interconnect.link_latency),
+      bandwidth_(config.interconnect.copies_per_link_cycle),
+      links_(num_links(kind_, n_)) {}
+
+std::uint32_t Interconnect::link(std::uint32_t from, std::uint32_t to,
+                                 std::uint32_t hop) const {
+  switch (kind_) {
+    case Topology::kIdeal: return kNoLink;
+    case Topology::kBus: return 0;
+    case Topology::kRing: return (from + hop) % n_;
+    case Topology::kCrossbar: return from * n_ + to;
   }
-  VCSTEER_CHECK_MSG(false, "unknown interconnect topology");
+  return kNoLink;
+}
+
+std::uint64_t Interconnect::route_copy(std::uint32_t from, std::uint32_t to,
+                                       std::uint64_t cycle) {
+  const std::uint32_t hops = distance(from, to);
+  std::uint64_t t = cycle;
+  for (std::uint32_t h = 0; h < hops; ++h) {
+    const std::uint32_t l = link(from, to, h);
+    if (l != kNoLink) {
+      const std::uint64_t slot = links_[l].claim(t, cycle, bandwidth_);
+      stats_.link_contention_cycles += slot - t;
+      t = slot;
+    }
+    t += latency_;
+  }
+  ++stats_.copies_routed;
+  stats_.copy_hops += hops;
+  stats_.link_busy_cycles += hops;
+  return t;
+}
+
+double Interconnect::congestion(std::uint32_t from, std::uint32_t to) const {
+  double sum = 0.0;
+  const std::uint32_t hops = distance(from, to);
+  for (std::uint32_t h = 0; h < hops; ++h) {
+    const std::uint32_t l = link(from, to, h);
+    if (l != kNoLink) sum += links_[l].wait_ewma();
+  }
+  return sum;
+}
+
+void Interconnect::reset() {
+  stats_ = InterconnectStats{};
+  for (LinkState& state : links_) state.reset();
 }
 
 }  // namespace vcsteer::sim

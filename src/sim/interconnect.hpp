@@ -1,19 +1,20 @@
-// Pluggable inter-cluster copy interconnect.
+// Inter-cluster copy interconnect.
 //
 // The copy network's selection logic (sim/copy_network.hpp) picks which
 // copies leave each cluster's copy queue; the Interconnect decides *when
 // they arrive*: per-link bandwidth arbitration plus hop-count latency.
-// Topologies (common/config.hpp Topology):
-//   * kIdeal    — contention-free point-to-point link, the paper's Table 2
-//                 model: arrival = select + link_latency (+1 regfile write,
-//                 charged by the copy network, not here).
-//   * kCrossbar — dedicated link per ordered (src, dst) pair; each link
-//                 accepts copies_per_link_cycle copies per cycle. With an
+// A copy from `from` to `to` crosses topology_distance() hops, paying
+// link_latency per hop; a topology (common/config.hpp Topology) only picks
+// which link each hop claims:
+//   * kIdeal    — none: the contention-free point-to-point link of the
+//                 paper's Table 2 model, arrival = select + link_latency
+//                 (+1 regfile write, charged by the copy network, not here).
+//   * kBus      — link 0, one shared medium: every copy in the machine
+//                 arbitrates for the same copies_per_link_cycle slots.
+//   * kCrossbar — link from * n + to, dedicated to the ordered pair. With an
 //                 unlimited link (~0u) it is bit-identical to kIdeal.
-//   * kBus      — one shared medium: every copy in the machine arbitrates
-//                 for the same copies_per_link_cycle slots per cycle.
-//   * kRing     — unidirectional ring; a copy from c traverses links
-//                 c->c+1->... one hop at a time, arbitrating for each link.
+//   * kRing     — link (from + h) % n on hop h of a unidirectional ring: a
+//                 copy from c traverses links c->c+1->... one at a time.
 //
 // A copy that loses arbitration is buffered inside the network (its copy
 // queue slot and issue-width slot were already consumed at select time);
@@ -25,7 +26,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -68,40 +68,45 @@ class LinkState {
 
 class Interconnect {
  public:
-  virtual ~Interconnect() = default;
+  explicit Interconnect(const MachineConfig& config);
 
   /// Routes one register copy from cluster `from` to `to` (from != to),
   /// selected in `cycle` (nondecreasing across calls). Returns the cycle the
   /// value has fully crossed the network; the caller charges the regfile
   /// write on top.
-  virtual std::uint64_t route_copy(std::uint32_t from, std::uint32_t to,
-                                   std::uint64_t cycle) = 0;
+  std::uint64_t route_copy(std::uint32_t from, std::uint32_t to,
+                           std::uint64_t cycle);
 
   /// Links a copy from `from` to `to` traverses (0 when equal). This is the
   /// static topology distance steering policies may consult through
-  /// SteerView::copy_distance — independent of current load. Always agrees
-  /// with topology_distance() in common/config.hpp.
-  virtual std::uint32_t distance(std::uint32_t from, std::uint32_t to) const = 0;
+  /// SteerView::copy_distance — independent of current load.
+  std::uint32_t distance(std::uint32_t from, std::uint32_t to) const {
+    return topology_distance(kind_, n_, from, to);
+  }
 
   /// Recent congestion on the from -> to path: the sum of the wait EWMAs of
-  /// every link the copy would traverse, in cycles of expected extra delay.
+  /// every link the copy would claim, in cycles of expected extra delay.
   /// 0 on a contention-free fabric (and always 0 for kIdeal). Steering
   /// policies read it through SteerView::link_congestion to dodge hot links
   /// before queueing behind them.
-  virtual double congestion(std::uint32_t /*from*/,
-                            std::uint32_t /*to*/) const {
-    return 0.0;
-  }
+  double congestion(std::uint32_t from, std::uint32_t to) const;
 
-  virtual const char* name() const = 0;
-
-  virtual void reset() { stats_ = InterconnectStats{}; }
+  void reset();
   const InterconnectStats& stats() const { return stats_; }
 
- protected:
+ private:
+  static constexpr std::uint32_t kNoLink = ~0u;
+
+  /// The link hop `hop` of a from -> to copy claims; kNoLink on kIdeal.
+  std::uint32_t link(std::uint32_t from, std::uint32_t to,
+                     std::uint32_t hop) const;
+
+  Topology kind_;
+  std::uint32_t n_;
+  std::uint32_t latency_;
+  std::uint32_t bandwidth_;
+  std::vector<LinkState> links_;
   InterconnectStats stats_;
 };
-
-std::unique_ptr<Interconnect> make_interconnect(const MachineConfig& config);
 
 }  // namespace vcsteer::sim

@@ -93,7 +93,7 @@ double OpPolicy::comm_cost(const isa::MicroOp& uop, const SteerView& view,
     const auto h = static_cast<std::uint32_t>(home);
     cost += weight *
             (static_cast<double>(view.copy_distance(h, cluster)) * per_hop +
-             config_.steer.contention_weight * view.link_congestion(h, cluster));
+             view.link_congestion(h, cluster));
   }
   return cost;
 }

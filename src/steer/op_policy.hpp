@@ -12,9 +12,8 @@
 // With MachineConfig::steer.topology_aware set, the vote count is replaced
 // by a communication-cost score: each missing source charges its topology
 // transit (SteerView::copy_distance x link latency) plus the recent
-// congestion on that path (SteerView::link_congestion, weighted by
-// steer.contention_weight), so OP prefers near, quiet clusters over far or
-// contended ones on non-uniform fabrics (ring). On a uniform contention-free
+// congestion on that path (SteerView::link_congestion), so OP prefers near,
+// quiet clusters over far or contended ones on non-uniform fabrics (ring). On a uniform contention-free
 // fabric the score degenerates to the vote count; with the knob off the
 // original flat path runs unchanged, bit for bit.
 //

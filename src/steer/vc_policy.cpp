@@ -7,7 +7,7 @@
 namespace vcsteer::steer {
 
 VcPolicy::VcPolicy(const MachineConfig& config, std::uint32_t num_vcs)
-    : steer_(config.steer),
+    : topology_aware_(config.steer.topology_aware),
       link_latency_(config.interconnect.link_latency),
       num_vcs_(num_vcs) {
   VCSTEER_CHECK(num_vcs >= 1 && num_vcs < isa::SteerHint::kNoVc);
@@ -52,7 +52,7 @@ std::uint32_t VcPolicy::aware_remap(const SteerView& view, int prev) {
     return static_cast<double>(view.inflight(c)) +
            static_cast<double>(view.copy_distance(p, c)) *
                static_cast<double>(link_latency_) +
-           steer_.contention_weight * view.link_congestion(p, c);
+           view.link_congestion(p, c);
   };
   std::uint32_t best = 0;
   double best_score = std::numeric_limits<double>::max();
@@ -80,7 +80,7 @@ SteerDecision VcPolicy::choose(const isa::MicroOp& uop,
   const std::uint32_t vc = uop.hint.vc_id % num_vcs_;
   if (uop.hint.chain_leader || table_[vc] == kNoHome) {
     // Figure 4: chain leader -> check workload counters, remap the VC.
-    if (steer_.topology_aware) {
+    if (topology_aware_) {
       return SteerDecision::to(aware_remap(view, table_[vc]));
     }
     return SteerDecision::to(least_loaded(view));

@@ -48,7 +48,7 @@ class VcPolicy : public SteeringPolicy {
   /// moving the chain's live values from `prev`.
   std::uint32_t aware_remap(const SteerView& view, int prev);
 
-  SteerConfig steer_;
+  bool topology_aware_;
   std::uint32_t link_latency_;
   std::uint32_t num_vcs_;
   std::vector<int> table_;  ///< VC -> physical cluster, kNoHome when unmapped.

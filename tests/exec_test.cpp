@@ -473,8 +473,6 @@ TEST(CacheKey, SensitiveToEveryMachineField) {
        [](MachineConfig& m) { m.interconnect.copies_per_link_cycle += 1; }},
       {"steer.topology_aware",
        [](MachineConfig& m) { m.steer.topology_aware = true; }},
-      {"steer.contention_weight",
-       [](MachineConfig& m) { m.steer.contention_weight += 0.5; }},
       {"l1d.size_bytes", [](MachineConfig& m) { m.l1d.size_bytes *= 2; }},
       {"l1d.associativity", [](MachineConfig& m) { m.l1d.associativity *= 2; }},
       {"l1d.line_bytes", [](MachineConfig& m) { m.l1d.line_bytes *= 2; }},

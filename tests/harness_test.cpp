@@ -41,18 +41,30 @@ TEST(SchemeSpec, Labels) {
 }
 
 // Pins the communication-cost values annotate_for_scheme derives from each
-// topology kind: the scalar fallback is the nearest-neighbour matrix entry
+// topology kind: the flat VC pass's scalar is the one-hop matrix entry
 // (link_latency + 1 on every fabric — the pre-topology estimate, so flat
 // runs stay bit-identical), and the per-pair matrix reflects the directed
 // hop counts of the active topology.
 TEST(Annotate, CommCostMatrixDerivesFromTopology) {
-  auto vc_matrix = [](Topology kind, std::uint32_t link_latency,
-                      std::uint32_t n) {
+  auto machine = [](Topology kind, std::uint32_t link_latency) {
     MachineConfig m = MachineConfig::four_cluster();
     m.interconnect.kind = kind;
     m.interconnect.link_latency = link_latency;
-    return comm_cost_matrix(
-        m, n, /*per_hop=*/static_cast<double>(link_latency), /*fixed=*/1.0);
+    return m;
+  };
+  auto vc_matrix = [&](Topology kind, std::uint32_t link_latency,
+                       std::uint32_t n) {
+    return comm_cost_matrix(machine(kind, link_latency), n,
+                            /*per_hop=*/static_cast<double>(link_latency),
+                            /*fixed=*/1.0);
+  };
+  // The scalar the flat VC(n) pass charges every cross-VC pair.
+  auto vc_scalar = [&](Topology kind, std::uint32_t link_latency,
+                       std::uint32_t n) {
+    return std::get<compiler::VcOptions>(
+               pass_options({steer::Scheme::kVc, n},
+                            machine(kind, link_latency)))
+        .comm_cost;
   };
 
   // Uniform single-hop fabrics: every off-diagonal pair costs latency + 1.
@@ -65,7 +77,7 @@ TEST(Annotate, CommCostMatrixDerivesFromTopology) {
             << topology_name(kind);
       }
     }
-    EXPECT_DOUBLE_EQ(min_comm_cost(m, 4), 3.0);
+    EXPECT_DOUBLE_EQ(vc_scalar(kind, 2, 4), 3.0) << topology_name(kind);
   }
 
   // Ring, latency 2: directed hops, 2 * hops + 1 per pair.
@@ -76,15 +88,15 @@ TEST(Annotate, CommCostMatrixDerivesFromTopology) {
   EXPECT_DOUBLE_EQ(ring[3 * 4 + 0], 3.0);   // wrap-around is 1 hop
   EXPECT_DOUBLE_EQ(ring[1 * 4 + 0], 7.0);   // backwards = the long way
   EXPECT_DOUBLE_EQ(ring[2 * 4 + 2], 0.0);
-  // The scalar the flat pass uses is the nearest-neighbour entry — exactly
-  // the historical link_latency + 1, even on the non-uniform ring.
-  EXPECT_DOUBLE_EQ(min_comm_cost(ring, 4), 3.0);
+  // The scalar the flat pass uses is the one-hop entry — exactly the
+  // historical link_latency + 1, even on the non-uniform ring.
+  EXPECT_DOUBLE_EQ(vc_scalar(Topology::kRing, 2, 4), 3.0);
 
   // VC(2->4): two virtual clusters mapped onto clusters 0 and 1.
   const std::vector<double> vc24 = vc_matrix(Topology::kRing, 1, 2);
   EXPECT_DOUBLE_EQ(vc24[0 * 2 + 1], 2.0);  // d(0,1) = 1 hop
   EXPECT_DOUBLE_EQ(vc24[1 * 2 + 0], 4.0);  // d(1,0) = 3 hops
-  EXPECT_DOUBLE_EQ(min_comm_cost(vc24, 2), 2.0);
+  EXPECT_DOUBLE_EQ(vc_scalar(Topology::kRing, 1, 2), 2.0);
 
   // More placement targets than clusters: aliased targets (0 and 4 both
   // map to cluster 0) are still estimated at least one hop apart.
@@ -103,6 +115,24 @@ TEST(Annotate, TopologyAwareKnobHandsThePassesTheMatrix) {
   MachineConfig ideal = MachineConfig::four_cluster();
   MachineConfig aware_ideal = ideal;
   aware_ideal.steer.topology_aware = true;
+  // Only the aware machine's passes get a matrix; the flat ones charge the
+  // one-hop scalar (OB: half a cycle per hop, no fixed cost).
+  auto ob = [](const MachineConfig& m) {
+    return std::get<compiler::ObOptions>(
+        pass_options({steer::Scheme::kOb, 0}, m));
+  };
+  auto vc = [](const MachineConfig& m) {
+    return std::get<compiler::VcOptions>(
+        pass_options({steer::Scheme::kVc, 2}, m));
+  };
+  EXPECT_TRUE(ob(ideal).comm_cost_matrix.empty());
+  EXPECT_TRUE(vc(ideal).comm_cost_matrix.empty());
+  EXPECT_DOUBLE_EQ(ob(ideal).comm_cost, 0.5);
+  EXPECT_DOUBLE_EQ(vc(ideal).comm_cost, 2.0);
+  EXPECT_EQ(ob(aware_ideal).comm_cost_matrix,
+            comm_cost_matrix(ideal, 4, 0.5, 0.0));
+  EXPECT_EQ(vc(aware_ideal).comm_cost_matrix,
+            comm_cost_matrix(ideal, 2, 1.0, 1.0));
   annotate_for_scheme(flat_wl.program, {steer::Scheme::kVc, 2}, ideal);
   annotate_for_scheme(aware_wl.program, {steer::Scheme::kVc, 2}, aware_ideal);
   for (prog::UopId u = 0; u < flat_wl.program.num_uops(); ++u) {

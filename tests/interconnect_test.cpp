@@ -1,4 +1,4 @@
-// Tests for the pluggable inter-cluster interconnect: topology distances,
+// Tests for the inter-cluster interconnect: topology distances,
 // per-link bandwidth arbitration (bus/ring/crossbar serialisation), the
 // crossbar-with-unlimited-links == ideal-link equivalence (unit level and
 // bit-for-bit at the simulator level), contention surfacing in SimStats,
@@ -121,76 +121,75 @@ void expect_stats_equal(const SimStats& a, const SimStats& b) {
 // -------------------------------------------------------------- unit level --
 
 TEST(Interconnect, IdealIsContentionFree) {
-  const auto ic = make_interconnect(machine_with(4, Topology::kIdeal));
-  EXPECT_EQ(ic->route_copy(0, 1, 10), 11u);
-  EXPECT_EQ(ic->route_copy(0, 1, 10), 11u);  // unlimited bandwidth
-  EXPECT_EQ(ic->route_copy(2, 3, 10), 11u);
-  EXPECT_EQ(ic->stats().copies_routed, 3u);
-  EXPECT_EQ(ic->stats().link_contention_cycles, 0u);
-  EXPECT_EQ(ic->distance(1, 1), 0u);
-  EXPECT_EQ(ic->distance(0, 3), 1u);
+  Interconnect ic(machine_with(4, Topology::kIdeal));
+  EXPECT_EQ(ic.route_copy(0, 1, 10), 11u);
+  EXPECT_EQ(ic.route_copy(0, 1, 10), 11u);  // unlimited bandwidth
+  EXPECT_EQ(ic.route_copy(2, 3, 10), 11u);
+  EXPECT_EQ(ic.stats().copies_routed, 3u);
+  EXPECT_EQ(ic.stats().link_contention_cycles, 0u);
+  EXPECT_EQ(ic.distance(1, 1), 0u);
+  EXPECT_EQ(ic.distance(0, 3), 1u);
 }
 
 TEST(Interconnect, CrossbarWithUnlimitedLinksMatchesIdeal) {
-  const auto ideal = make_interconnect(machine_with(4, Topology::kIdeal));
-  const auto xbar =
-      make_interconnect(machine_with(4, Topology::kCrossbar, kUnlimited));
+  Interconnect ideal(machine_with(4, Topology::kIdeal));
+  Interconnect xbar(machine_with(4, Topology::kCrossbar, kUnlimited));
   for (std::uint64_t cycle = 5; cycle < 30; ++cycle) {
     for (std::uint32_t from = 0; from < 4; ++from) {
       for (std::uint32_t to = 0; to < 4; ++to) {
         if (from == to) continue;
-        EXPECT_EQ(xbar->route_copy(from, to, cycle),
-                  ideal->route_copy(from, to, cycle));
+        EXPECT_EQ(xbar.route_copy(from, to, cycle),
+                  ideal.route_copy(from, to, cycle));
       }
     }
   }
-  EXPECT_EQ(xbar->stats().link_contention_cycles, 0u);
+  EXPECT_EQ(xbar.stats().link_contention_cycles, 0u);
 }
 
 TEST(Interconnect, CrossbarSerialisesPerPairButNotAcrossPairs) {
-  const auto ic = make_interconnect(machine_with(4, Topology::kCrossbar));
-  EXPECT_EQ(ic->route_copy(0, 1, 10), 11u);
-  EXPECT_EQ(ic->route_copy(0, 1, 10), 12u);  // same link: next cycle
-  EXPECT_EQ(ic->route_copy(0, 2, 10), 11u);  // different link: no contention
-  EXPECT_EQ(ic->route_copy(2, 1, 10), 11u);
-  EXPECT_EQ(ic->stats().link_contention_cycles, 1u);
+  Interconnect ic(machine_with(4, Topology::kCrossbar));
+  EXPECT_EQ(ic.route_copy(0, 1, 10), 11u);
+  EXPECT_EQ(ic.route_copy(0, 1, 10), 12u);  // same link: next cycle
+  EXPECT_EQ(ic.route_copy(0, 2, 10), 11u);  // different link: no contention
+  EXPECT_EQ(ic.route_copy(2, 1, 10), 11u);
+  EXPECT_EQ(ic.stats().link_contention_cycles, 1u);
 }
 
 TEST(Interconnect, BusSerialisesAllContendingCopies) {
-  const auto ic = make_interconnect(machine_with(4, Topology::kBus));
-  EXPECT_EQ(ic->route_copy(0, 1, 10), 11u);
-  EXPECT_EQ(ic->route_copy(2, 3, 10), 12u);  // one shared medium
-  EXPECT_EQ(ic->route_copy(3, 1, 10), 13u);
-  EXPECT_EQ(ic->route_copy(1, 0, 14), 15u);  // bus free again
-  EXPECT_EQ(ic->stats().link_contention_cycles, 3u);
+  Interconnect ic(machine_with(4, Topology::kBus));
+  EXPECT_EQ(ic.route_copy(0, 1, 10), 11u);
+  EXPECT_EQ(ic.route_copy(2, 3, 10), 12u);  // one shared medium
+  EXPECT_EQ(ic.route_copy(3, 1, 10), 13u);
+  EXPECT_EQ(ic.route_copy(1, 0, 14), 15u);  // bus free again
+  EXPECT_EQ(ic.stats().link_contention_cycles, 3u);
 
-  const auto wide = make_interconnect(machine_with(4, Topology::kBus, 2));
-  EXPECT_EQ(wide->route_copy(0, 1, 10), 11u);
-  EXPECT_EQ(wide->route_copy(2, 3, 10), 11u);  // 2 copies/cycle fit
-  EXPECT_EQ(wide->route_copy(3, 1, 10), 12u);
+  Interconnect wide(machine_with(4, Topology::kBus, 2));
+  EXPECT_EQ(wide.route_copy(0, 1, 10), 11u);
+  EXPECT_EQ(wide.route_copy(2, 3, 10), 11u);  // 2 copies/cycle fit
+  EXPECT_EQ(wide.route_copy(3, 1, 10), 12u);
 }
 
 TEST(Interconnect, RingDistanceIsDirectedHopCount) {
-  const auto ic = make_interconnect(machine_with(4, Topology::kRing));
-  EXPECT_EQ(ic->distance(0, 1), 1u);
-  EXPECT_EQ(ic->distance(0, 3), 3u);
-  EXPECT_EQ(ic->distance(3, 0), 1u);
-  EXPECT_EQ(ic->distance(1, 0), 3u);
-  EXPECT_EQ(ic->distance(2, 2), 0u);
+  Interconnect ic(machine_with(4, Topology::kRing));
+  EXPECT_EQ(ic.distance(0, 1), 1u);
+  EXPECT_EQ(ic.distance(0, 3), 3u);
+  EXPECT_EQ(ic.distance(3, 0), 1u);
+  EXPECT_EQ(ic.distance(1, 0), 3u);
+  EXPECT_EQ(ic.distance(2, 2), 0u);
 }
 
 TEST(Interconnect, RingPaysOneLatencyPerHopAndSerialisesSharedLinks) {
-  const auto ic = make_interconnect(machine_with(4, Topology::kRing));
-  EXPECT_EQ(ic->route_copy(0, 2, 10), 12u);  // 2 hops x 1 cycle
+  Interconnect ic(machine_with(4, Topology::kRing));
+  EXPECT_EQ(ic.route_copy(0, 2, 10), 12u);  // 2 hops x 1 cycle
   // Two copies over the same 1->2 link in the same cycle serialise.
-  EXPECT_EQ(ic->route_copy(1, 2, 20), 21u);
-  EXPECT_EQ(ic->route_copy(1, 2, 20), 22u);
-  EXPECT_EQ(ic->stats().link_contention_cycles, 1u);
-  EXPECT_EQ(ic->stats().copy_hops, 4u);
+  EXPECT_EQ(ic.route_copy(1, 2, 20), 21u);
+  EXPECT_EQ(ic.route_copy(1, 2, 20), 22u);
+  EXPECT_EQ(ic.stats().link_contention_cycles, 1u);
+  EXPECT_EQ(ic.stats().copy_hops, 4u);
 
-  const auto slow = make_interconnect(
+  Interconnect slow(
       machine_with(4, Topology::kRing, /*bandwidth=*/1, /*latency=*/3));
-  EXPECT_EQ(slow->route_copy(0, 3, 10), 19u);  // 3 hops x 3 cycles
+  EXPECT_EQ(slow.route_copy(0, 3, 10), 19u);  // 3 hops x 3 cycles
 }
 
 // --------------------------------------------------------- property level --
@@ -201,13 +200,13 @@ constexpr Topology kAllTopologies[] = {Topology::kIdeal, Topology::kBus,
 TEST(InterconnectProperties, DistanceZeroIffEqualAndMatchesSharedHelper) {
   for (const Topology kind : kAllTopologies) {
     for (const std::uint32_t n : {2u, 4u, 8u}) {
-      const auto ic = make_interconnect(machine_with(n, kind));
+      Interconnect ic(machine_with(n, kind));
       for (std::uint32_t a = 0; a < n; ++a) {
         for (std::uint32_t b = 0; b < n; ++b) {
-          const std::uint32_t d = ic->distance(a, b);
-          EXPECT_EQ(d == 0, a == b) << ic->name() << " n=" << n;
+          const std::uint32_t d = ic.distance(a, b);
+          EXPECT_EQ(d == 0, a == b) << topology_name(kind) << " n=" << n;
           EXPECT_EQ(d, topology_distance(kind, n, a, b))
-              << ic->name() << " n=" << n << " " << a << "->" << b;
+              << topology_name(kind) << " n=" << n << " " << a << "->" << b;
         }
       }
     }
@@ -217,13 +216,13 @@ TEST(InterconnectProperties, DistanceZeroIffEqualAndMatchesSharedHelper) {
 TEST(InterconnectProperties, TriangleInequalityHoldsOnEveryTopology) {
   for (const Topology kind : kAllTopologies) {
     for (const std::uint32_t n : {2u, 4u, 8u}) {
-      const auto ic = make_interconnect(machine_with(n, kind));
+      Interconnect ic(machine_with(n, kind));
       for (std::uint32_t a = 0; a < n; ++a) {
         for (std::uint32_t b = 0; b < n; ++b) {
           for (std::uint32_t c = 0; c < n; ++c) {
-            EXPECT_LE(ic->distance(a, c),
-                      ic->distance(a, b) + ic->distance(b, c))
-                << ic->name() << " n=" << n << " via " << b;
+            EXPECT_LE(ic.distance(a, c),
+                      ic.distance(a, b) + ic.distance(b, c))
+                << topology_name(kind) << " n=" << n << " via " << b;
           }
         }
       }
@@ -236,12 +235,12 @@ TEST(InterconnectProperties, SingleMediumFabricsAreSymmetricSingleHop) {
   // apart — the crossbar's dedicated links are all length 1.
   for (const Topology kind :
        {Topology::kIdeal, Topology::kBus, Topology::kCrossbar}) {
-    const auto ic = make_interconnect(machine_with(4, kind));
+    Interconnect ic(machine_with(4, kind));
     for (std::uint32_t a = 0; a < 4; ++a) {
       for (std::uint32_t b = 0; b < 4; ++b) {
         if (a == b) continue;
-        EXPECT_EQ(ic->distance(a, b), 1u) << ic->name();
-        EXPECT_EQ(ic->distance(a, b), ic->distance(b, a)) << ic->name();
+        EXPECT_EQ(ic.distance(a, b), 1u) << topology_name(kind);
+        EXPECT_EQ(ic.distance(a, b), ic.distance(b, a)) << topology_name(kind);
       }
     }
   }
@@ -251,12 +250,12 @@ TEST(InterconnectProperties, RingDistanceIsDirectedWithFullRoundTrips) {
   // The unidirectional ring is the one asymmetric fabric: going back means
   // going the long way round, so every a != b round trip is exactly n hops.
   for (const std::uint32_t n : {2u, 4u, 8u}) {
-    const auto ic = make_interconnect(machine_with(n, Topology::kRing));
+    Interconnect ic(machine_with(n, Topology::kRing));
     for (std::uint32_t a = 0; a < n; ++a) {
       for (std::uint32_t b = 0; b < n; ++b) {
-        EXPECT_EQ(ic->distance(a, b), (b + n - a) % n);
+        EXPECT_EQ(ic.distance(a, b), (b + n - a) % n);
         if (a != b) {
-          EXPECT_EQ(ic->distance(a, b) + ic->distance(b, a), n);
+          EXPECT_EQ(ic.distance(a, b) + ic.distance(b, a), n);
         }
       }
     }
@@ -268,8 +267,7 @@ TEST(InterconnectProperties, RandomTrafficConservesCopiesAndHops) {
   // traverses exactly its path's links (copy_hops == sum of distances), and
   // never arrives before the contention-free transit time.
   for (const Topology kind : kAllTopologies) {
-    const auto ic = make_interconnect(
-        machine_with(4, kind, /*bandwidth=*/1, /*latency=*/2));
+    Interconnect ic(machine_with(4, kind, /*bandwidth=*/1, /*latency=*/2));
     Rng rng("conservation", static_cast<std::uint64_t>(kind));
     std::uint64_t cycle = 0;
     std::uint64_t expected_hops = 0;
@@ -279,14 +277,14 @@ TEST(InterconnectProperties, RandomTrafficConservesCopiesAndHops) {
       const auto from = static_cast<std::uint32_t>(rng() % 4);
       auto to = static_cast<std::uint32_t>(rng() % 4);
       if (to == from) to = (to + 1) % 4;
-      const std::uint32_t hops = ic->distance(from, to);
+      const std::uint32_t hops = ic.distance(from, to);
       expected_hops += hops;
-      const std::uint64_t arrival = ic->route_copy(from, to, cycle);
-      EXPECT_GE(arrival, cycle + 2ull * hops) << ic->name();
+      const std::uint64_t arrival = ic.route_copy(from, to, cycle);
+      EXPECT_GE(arrival, cycle + 2ull * hops) << topology_name(kind);
     }
-    EXPECT_EQ(ic->stats().copies_routed, kCopies) << ic->name();
-    EXPECT_EQ(ic->stats().copy_hops, expected_hops) << ic->name();
-    EXPECT_EQ(ic->stats().link_busy_cycles, expected_hops) << ic->name();
+    EXPECT_EQ(ic.stats().copies_routed, kCopies) << topology_name(kind);
+    EXPECT_EQ(ic.stats().copy_hops, expected_hops) << topology_name(kind);
+    EXPECT_EQ(ic.stats().link_busy_cycles, expected_hops) << topology_name(kind);
   }
 }
 
@@ -304,57 +302,57 @@ TEST(InterconnectProperties, SimLevelConservationForEveryTopology) {
 // ------------------------------------------------------- congestion EWMA --
 
 TEST(InterconnectCongestion, IdleLinksReportZeroAndIdealAlwaysDoes) {
-  const auto ideal = make_interconnect(machine_with(4, Topology::kIdeal));
-  const auto bus = make_interconnect(machine_with(4, Topology::kBus));
-  EXPECT_EQ(bus->congestion(0, 1), 0.0);
+  Interconnect ideal(machine_with(4, Topology::kIdeal));
+  Interconnect bus(machine_with(4, Topology::kBus));
+  EXPECT_EQ(bus.congestion(0, 1), 0.0);
   for (int i = 0; i < 50; ++i) {
-    ideal->route_copy(0, 1, 10);
-    bus->route_copy(0, 1, static_cast<std::uint64_t>(100 + 10 * i));
+    ideal.route_copy(0, 1, 10);
+    bus.route_copy(0, 1, static_cast<std::uint64_t>(100 + 10 * i));
   }
-  EXPECT_EQ(ideal->congestion(0, 1), 0.0);  // contention-free by definition
-  EXPECT_EQ(bus->congestion(0, 1), 0.0);    // spaced-out traffic never waits
-  EXPECT_EQ(bus->congestion(2, 2), 0.0);    // self path is free
+  EXPECT_EQ(ideal.congestion(0, 1), 0.0);  // contention-free by definition
+  EXPECT_EQ(bus.congestion(0, 1), 0.0);    // spaced-out traffic never waits
+  EXPECT_EQ(bus.congestion(2, 2), 0.0);    // self path is free
 }
 
 TEST(InterconnectCongestion, BusEwmaRisesUnderContentionAndDecaysAfter) {
-  const auto bus = make_interconnect(machine_with(4, Topology::kBus));
-  for (int i = 0; i < 32; ++i) bus->route_copy(i % 3, 3, 10);  // same cycle
-  const double hot = bus->congestion(0, 1);
+  Interconnect bus(machine_with(4, Topology::kBus));
+  for (int i = 0; i < 32; ++i) bus.route_copy(i % 3, 3, 10);  // same cycle
+  const double hot = bus.congestion(0, 1);
   EXPECT_GT(hot, 1.0);  // waits grew linearly; EWMA follows them up
   // The shared medium reports the same signal for every pair.
-  EXPECT_EQ(bus->congestion(2, 0), hot);
+  EXPECT_EQ(bus.congestion(2, 0), hot);
   // Conflict-free traffic far in the future pulls the EWMA back down.
   for (int i = 0; i < 32; ++i) {
-    bus->route_copy(0, 1, static_cast<std::uint64_t>(1000 + 10 * i));
+    bus.route_copy(0, 1, static_cast<std::uint64_t>(1000 + 10 * i));
   }
-  EXPECT_LT(bus->congestion(0, 1), hot / 10.0);
+  EXPECT_LT(bus.congestion(0, 1), hot / 10.0);
 }
 
 TEST(InterconnectCongestion, CrossbarIsolatesPairsAndRingSumsPathLinks) {
-  const auto xbar = make_interconnect(machine_with(4, Topology::kCrossbar));
-  for (int i = 0; i < 16; ++i) xbar->route_copy(0, 1, 10);
-  EXPECT_GT(xbar->congestion(0, 1), 1.0);
-  EXPECT_EQ(xbar->congestion(1, 0), 0.0);  // dedicated reverse link is idle
-  EXPECT_EQ(xbar->congestion(2, 3), 0.0);
+  Interconnect xbar(machine_with(4, Topology::kCrossbar));
+  for (int i = 0; i < 16; ++i) xbar.route_copy(0, 1, 10);
+  EXPECT_GT(xbar.congestion(0, 1), 1.0);
+  EXPECT_EQ(xbar.congestion(1, 0), 0.0);  // dedicated reverse link is idle
+  EXPECT_EQ(xbar.congestion(2, 3), 0.0);
 
-  const auto ring = make_interconnect(machine_with(4, Topology::kRing));
-  for (int i = 0; i < 16; ++i) ring->route_copy(1, 2, 10);  // hammer link 1->2
-  const double link = ring->congestion(1, 2);
+  Interconnect ring(machine_with(4, Topology::kRing));
+  for (int i = 0; i < 16; ++i) ring.route_copy(1, 2, 10);  // hammer link 1->2
+  const double link = ring.congestion(1, 2);
   EXPECT_GT(link, 1.0);
   // Any path crossing the hot 1->2 link inherits its wait estimate...
-  EXPECT_GE(ring->congestion(0, 2), link);
-  EXPECT_GE(ring->congestion(1, 3), link);
+  EXPECT_GE(ring.congestion(0, 2), link);
+  EXPECT_GE(ring.congestion(1, 3), link);
   // ...and the disjoint 3->0 hop stays clean.
-  EXPECT_EQ(ring->congestion(3, 0), 0.0);
+  EXPECT_EQ(ring.congestion(3, 0), 0.0);
 }
 
 TEST(InterconnectCongestion, ResetClearsTheSignal) {
-  const auto bus = make_interconnect(machine_with(4, Topology::kBus));
-  for (int i = 0; i < 16; ++i) bus->route_copy(0, 1, 10);
-  EXPECT_GT(bus->congestion(0, 1), 0.0);
-  bus->reset();
-  EXPECT_EQ(bus->congestion(0, 1), 0.0);
-  EXPECT_EQ(bus->stats().copies_routed, 0u);
+  Interconnect bus(machine_with(4, Topology::kBus));
+  for (int i = 0; i < 16; ++i) bus.route_copy(0, 1, 10);
+  EXPECT_GT(bus.congestion(0, 1), 0.0);
+  bus.reset();
+  EXPECT_EQ(bus.congestion(0, 1), 0.0);
+  EXPECT_EQ(bus.stats().copies_routed, 0u);
 }
 
 // --------------------------------------------------------- simulator level --

@@ -337,5 +337,109 @@ TEST(SharedWarmPass, CarriedWarmMatchesLocalWarming) {
   }
 }
 
+// ----- completion wheel far overflow ---------------------------------------
+
+// Events kBuckets (2048) or more cycles ahead of the push go to the wheel's
+// far-overflow list and reach the ring only through migrate(); a simulated
+// machine posts them only when one memory round trip is that long.
+constexpr std::uint64_t kWheelBuckets = 2048;
+
+/// Drives a wheel the way the core does, from cycle 0 until every event has
+/// drained: due() only where maybe_due() allows (CommitUnit::complete), at
+/// every cycle or, with `jump`, only at the cycles next_due() names
+/// (ClusteredCoreT::skip_idle_cycles). Pushes `initial` at cycle 0; each
+/// drained event with seq < 64 pushes a follow-up up to 8999 cycles ahead,
+/// so far events are also posted mid-run. Every event must drain exactly at
+/// its cycle. Returns the number drained.
+std::size_t drain_wheel(sim::CompletionWheel& wheel,
+                        const std::vector<std::uint64_t>& initial,
+                        bool jump) {
+  wheel.reset();
+  std::uint64_t next_seq = 0;
+  std::size_t pending = 0;
+  auto push = [&](std::uint64_t cycle, std::uint64_t now) {
+    wheel.push(sim::Completion{cycle, next_seq++, sim::kNoTag, 0, false},
+               now);
+    ++pending;
+  };
+  for (const std::uint64_t cycle : initial) push(cycle, 0);
+  std::size_t drained = 0;
+  std::uint64_t now = 0;
+  while (pending > 0) {
+    if (jump) {
+      const std::uint64_t target = wheel.next_due(now);
+      EXPECT_NE(target, sim::CompletionWheel::kNone) << "at cycle " << now;
+      EXPECT_GE(target, now);
+      if (target == sim::CompletionWheel::kNone || target < now) break;
+      now = target;
+    }
+    if (wheel.maybe_due(now)) {
+      std::vector<sim::Completion>& due = wheel.due(now);
+      std::vector<sim::Completion> batch(due.begin(), due.end());
+      due.clear();
+      for (const sim::Completion& c : batch) {
+        EXPECT_EQ(c.cycle, now) << "event " << c.seq;
+        --pending;
+        ++drained;
+        if (c.seq < 64) push(now + kWheelBuckets + (c.seq * 997) % 7000, now);
+      }
+    }
+    ++now;
+    if (now > 1'000'000) {
+      ADD_FAILURE() << pending << " events never drained";
+      break;
+    }
+  }
+  return drained;
+}
+
+std::vector<std::uint64_t> far_and_near_events() {
+  return {1,    5,    2047, 2048, 2049, 2050, 3000,  3071, 3072,
+          3073, 4095, 4096, 4097, 5000, 6143, 9000, 20000, 20000};
+}
+
+TEST(CompletionWheel, FarEventsDrainAtTheirCycleWhenProbedEveryCycle) {
+  sim::CompletionWheel wheel;
+  const std::vector<std::uint64_t> events = far_and_near_events();
+  EXPECT_EQ(drain_wheel(wheel, events, /*jump=*/false), events.size() + 64);
+}
+
+TEST(CompletionWheel, FarEventsDrainAtTheirCycleWhenNextDueJumps) {
+  sim::CompletionWheel wheel;
+  const std::vector<std::uint64_t> events = far_and_near_events();
+  EXPECT_EQ(drain_wheel(wheel, events, /*jump=*/true), events.size() + 64);
+  // A lone far event: next_due() must stop short of it until it migrates.
+  EXPECT_EQ(drain_wheel(wheel, {12345}, /*jump=*/true), 65u);
+}
+
+// A memory round trip longer than the wheel's ring sends every miss through
+// the far list. The StatsObserver core jumps idle cycles with next_due();
+// the CountingObserver core steps every cycle. Their SimStats must agree.
+TEST(CompletionWheel, MissesBeyondTheRingTimeTheSameSkippedOrStepped) {
+  MachineConfig machine = MachineConfig::two_cluster();
+  machine.memory_latency = 3000;
+  for (const char* name : {"181.mcf", "164.gzip-1", "179.art-1"}) {
+    SCOPED_TRACE(name);
+    workload::GeneratedWorkload wl =
+        workload::generate(*workload::find_profile(name));
+    const harness::SchemeSpec spec{steer::Scheme::kVc, 2};
+    harness::annotate_for_scheme(wl.program, spec, machine);
+    workload::TraceSource source(wl);
+    const std::vector<TraceEntry> trace = source.take(20'000);
+    const std::unique_ptr<steer::SteeringPolicy> policy =
+        harness::policy_for_scheme(spec, machine);
+    sim::ClusteredCoreT<sim::StatsObserver> skipping(machine, wl.program);
+    sim::ClusteredCoreT<sim::CountingObserver> stepping(machine, wl.program);
+    sim::SimStats skipped = skipping.run(trace, *policy);
+    const sim::SimStats stepped = stepping.run(trace, *policy);
+    EXPECT_GT(skipped.memory.l2_misses, 0u);
+    // The occupancy sums are StatsObserver's own recordings; every other
+    // counter comes from the simulation itself.
+    skipped.occupancy_sum = {};
+    skipped.copyq_occupancy_sum = {};
+    expect_stats_equal(skipped, stepped);
+  }
+}
+
 }  // namespace
 }  // namespace vcsteer
