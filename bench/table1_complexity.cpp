@@ -41,17 +41,9 @@ class FixedView : public steer::SteerView {
   }
   std::uint32_t iq_capacity(isa::OpClass) const override { return 48; }
   std::uint32_t inflight(std::uint32_t c) const override { return 20 + c; }
-  int value_home(ArchReg reg) const override {
-    return homes_[isa::flat_reg(reg)];
-  }
-  int value_home_stale(ArchReg reg) const override {
-    return homes_[isa::flat_reg(reg)];
-  }
-  bool value_in_cluster(ArchReg reg, std::uint32_t c) const override {
-    return homes_[isa::flat_reg(reg)] == static_cast<int>(c);
-  }
-  bool value_in_flight(ArchReg reg) const override {
-    return isa::flat_reg(reg) % 3 == 0;
+  steer::Operand operand(ArchReg reg) const override {
+    const std::uint16_t f = isa::flat_reg(reg);
+    return {homes_[f], 1u << homes_[f], f % 3 == 0};
   }
 
  private:
@@ -80,10 +72,13 @@ void run_policy_bench(benchmark::State& state, MakePolicy make) {
   cfg.num_clusters = clusters;
   FixedView view(clusters);
   auto policy = make(cfg);
-  int i = 0;
+  std::uint32_t i = 0;
   for (auto _ : state) {
-    const MicroOp uop = sample_uop(i++);
-    policy->begin_cycle(view);
+    // One decode cycle steers a bundle of decode_width_int micro-ops (the
+    // sample micro-ops are all integer), so the cycle-start hook runs once
+    // per bundle.
+    if (i % cfg.decode_width_int == 0) policy->begin_cycle(view);
+    const MicroOp uop = sample_uop(static_cast<int>(i++));
     auto decision = policy->choose(uop, view);
     benchmark::DoNotOptimize(decision);
     if (!decision.is_stall()) {

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "isa/uop.hpp"
+
 namespace vcsteer {
 namespace {
 
@@ -54,13 +56,23 @@ std::string MachineConfig::summary() const {
 std::string MachineConfig::validate() const {
   if (num_clusters == 0) return "num_clusters must be > 0";
   if (fetch_width == 0) return "fetch_width must be > 0";
-  if (decode_width() == 0) return "decode width must be > 0";
+  if (decode_width_int == 0 || decode_width_fp == 0)
+    return "decode widths must be > 0";
+  if (commit_width_int == 0 || commit_width_fp == 0)
+    return "commit widths must be > 0";
   if (iq_int_entries == 0 || iq_fp_entries == 0 || iq_copy_entries == 0)
     return "issue queues must be non-empty";
   if (issue_width_int == 0 || issue_width_fp == 0 || issue_width_copy == 0)
     return "issue widths must be > 0";
   if (rob_int_entries == 0 || rob_fp_entries == 0) return "ROB must be non-empty";
   if (lsq_entries == 0) return "LSQ must be non-empty";
+  if (l1_read_ports == 0 || l1_write_ports == 0)
+    return "L1 port counts must be > 0";
+  // With the ROB drained a cluster holds at most one value per
+  // architectural register of a kind, and the next micro-op copies in only
+  // values it lacks: one register more fits its destination and copies.
+  if (regfile_int <= isa::kNumArchRegs || regfile_fp <= isa::kNumArchRegs)
+    return "register files must exceed the architectural register count";
   for (const CacheConfig* c : {&l1d, &l2}) {
     if (c->size_bytes == 0 || c->associativity == 0 || c->line_bytes == 0)
       return "cache geometry must be non-zero";

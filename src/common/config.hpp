@@ -107,9 +107,6 @@ struct MachineConfig {
   /// Table 2 — it is the tunable of the occupancy-aware scheme [15].
   double op_occupancy_threshold = 0.75;
 
-  /// Total rename/steer width per cycle.
-  std::uint32_t decode_width() const { return decode_width_int + decode_width_fp; }
-
   /// Named presets used throughout benches and tests.
   static MachineConfig two_cluster();
   static MachineConfig four_cluster();
@@ -117,8 +114,10 @@ struct MachineConfig {
   /// Human-readable one-line summary, e.g. "2-cluster, 48/48/24 IQ".
   std::string summary() const;
 
-  /// Validate invariants (non-zero widths, power-of-two cache sets, ...).
+  /// Validate invariants (non-zero widths and ports, register files larger
+  /// than the architectural register count, power-of-two cache sets, ...).
   /// Returns an empty string when valid, else a description of the problem.
+  /// A valid machine can still livelock on a trace (sim::max_commit_gap).
   std::string validate() const;
 };
 

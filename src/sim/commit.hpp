@@ -58,6 +58,7 @@ class CommitUnit {
     rob_int_used_ = rob_fp_used_ = 0;
     lsq_used_ = 0;
     maybe_commit_ = false;
+    last_commit_cycle_ = 0;
     store_records_.clear();
   }
 
@@ -92,6 +93,7 @@ class CommitUnit {
       }
       if (head.prev_tag != kNoTag) state_.release_value(head.prev_tag);
       ++state_.stats.committed_uops;
+      last_commit_cycle_ = state_.cycle;
       if constexpr (Obs::enabled) {
         obs_.on_commit(
             CommitEvent{head.uop, rob_head_seq_, head.cluster, state_.cycle});
@@ -170,6 +172,9 @@ class CommitUnit {
   /// recomputed. A stale true merely steps one extra cycle (bit-identical).
   bool maybe_commit() const { return maybe_commit_; }
 
+  /// Cycle of the run's latest commit (0 before the first).
+  std::uint64_t last_commit_cycle() const { return last_commit_cycle_; }
+
  private:
   CoreState& state_;
   Obs& obs_;
@@ -184,6 +189,7 @@ class CommitUnit {
   std::uint32_t rob_fp_used_ = 0;
   /// A completion may have made the head retirable (see maybe_commit()).
   bool maybe_commit_ = false;
+  std::uint64_t last_commit_cycle_ = 0;
 
   std::uint32_t lsq_used_ = 0;
   std::vector<StoreRecord> store_records_;

@@ -39,8 +39,7 @@ class CopyNetwork {
   bool request_copy(Tag tag, std::uint32_t cluster, std::uint64_t seq) {
     const std::uint8_t home = state_.values.home(tag);
     const bool fp = state_.values.fp(tag);
-    VCSTEER_DCHECK((state_.values.copy_mask(tag) & cluster_bit(cluster)) == 0 &&
-                   home != cluster);
+    VCSTEER_DCHECK((state_.values.holders(tag) & cluster_bit(cluster)) == 0);
     ClusterState& producer = state_.clusters[home];
     if (producer.copy_used >= state_.config.iq_copy_entries) return false;
     std::uint32_t& target_regs = fp ? state_.clusters[cluster].regs_used_fp

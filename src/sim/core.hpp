@@ -29,7 +29,10 @@
 // occupancy histograms and steer provenance that RunResult surfaces.
 #pragma once
 
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <vector>
 
@@ -50,6 +53,30 @@
 
 namespace vcsteer::sim {
 
+/// Cycles a run on `config` can go without a commit before the livelock
+/// watchdog fails it. After a commit, the next micro-op to retire is the
+/// oldest in the machine and every stage serves it first, so it reaches
+/// dispatch through the fetch pipe and, if the ROB is empty, finds every
+/// queue empty and (validate()) registers free; each of its two copies
+/// waits per hop at most behind every copy in the network (two per ROB
+/// entry) plus the link; it may wait a divide for the divider; and it
+/// executes in the longest latency plus, for a load, lsq_entries port
+/// claims and the slowest cache level. Doubled as a margin. A machine whose
+/// next micro-op can never dispatch (decode narrower than a micro-op plus
+/// its copies, a 1-entry copy queue for two copies) fails here instead.
+inline std::uint64_t max_commit_gap(const MachineConfig& config) {
+  const std::uint64_t rob =
+      std::uint64_t{config.rob_int_entries} + config.rob_fp_entries;
+  const std::uint64_t divide = isa::latency(isa::OpClass::kIntDiv);
+  const std::uint64_t copies =
+      2 + (config.num_clusters - 1ULL) *
+              (2 * rob + config.interconnect.link_latency) + 1;
+  const std::uint64_t slowest_level = std::max(
+      {config.l1d.hit_latency, config.l2.hit_latency, config.memory_latency});
+  return 2 * (2 + config.fetch_to_dispatch + copies + 2 * divide +
+              config.lsq_entries + slowest_level + 1);
+}
+
 template <Observer Obs = StatsObserver>
 class ClusteredCoreT : public steer::SteerView {
  public:
@@ -61,7 +88,8 @@ class ClusteredCoreT : public steer::SteerView {
         frontend_(config_),
         commit_(state_, obs_),
         copies_(state_, obs_),
-        steer_(state_, frontend_, commit_, copies_, obs_) {
+        steer_(state_, frontend_, commit_, copies_, obs_),
+        max_commit_gap_(max_commit_gap(config_)) {
     VCSTEER_CHECK_MSG(config_.validate().empty(), config_.validate().c_str());
     VCSTEER_CHECK(config_.num_clusters <= kMaxClusters);
     backends_.reserve(config_.num_clusters);
@@ -95,7 +123,6 @@ class ClusteredCoreT : public steer::SteerView {
     policy.reset();
     trace_ = trace;
     policy_ = &policy;
-    state_.track_stale_view = policy.uses_stale_view();
     for (const std::uint32_t addr : warm_addrs) memory_.warm(addr);
     if constexpr (Obs::enabled) obs_.on_run_begin(state_);
   }
@@ -111,7 +138,6 @@ class ClusteredCoreT : public steer::SteerView {
     policy.reset();
     trace_ = trace;
     policy_ = &policy;
-    state_.track_stale_view = policy.uses_stale_view();
     memory_.adopt_warm_state(warmed);
     if constexpr (Obs::enabled) obs_.on_run_begin(state_);
   }
@@ -160,26 +186,12 @@ class ClusteredCoreT : public steer::SteerView {
     VCSTEER_DCHECK(cluster < state_.clusters.size());
     return state_.clusters[cluster].inflight;
   }
-  int value_home(isa::ArchReg reg) const override {
+  steer::Operand operand(isa::ArchReg reg) const override {
     const Tag tag = state_.rename[isa::flat_reg(reg)];
-    if (tag == kNoTag) return steer::kNoHome;
-    return state_.values.home(tag);
-  }
-  int value_home_stale(isa::ArchReg reg) const override {
-    return state_.stale_home[isa::flat_reg(reg)];
-  }
-  bool value_in_cluster(isa::ArchReg reg,
-                        std::uint32_t cluster) const override {
-    const Tag tag = state_.rename[isa::flat_reg(reg)];
-    if (tag == kNoTag) return true;  // architected cold value: no copy needed
-    return state_.values.home(tag) == cluster ||
-           ((state_.values.avail_mask(tag) | state_.values.copy_mask(tag)) &
-            cluster_bit(cluster));
-  }
-  bool value_in_flight(isa::ArchReg reg) const override {
-    const Tag tag = state_.rename[isa::flat_reg(reg)];
-    if (tag == kNoTag) return false;
-    return state_.values.avail_mask(tag) == 0;  // producer not completed yet
+    if (tag == kNoTag) return {};  // architected cold value: no copy needed
+    const ValueTable& v = state_.values;
+    return {v.home(tag), v.holders(tag),
+            v.avail_mask(tag) == 0};  // producer not completed yet
   }
   std::uint32_t copy_distance(std::uint32_t from,
                               std::uint32_t to) const override {
@@ -189,8 +201,6 @@ class ClusteredCoreT : public steer::SteerView {
     return copies_.interconnect().congestion(from, to);
   }
 
-  const MachineConfig& config() const { return config_; }
-  const Interconnect& interconnect() const { return copies_.interconnect(); }
   /// The run's observer sink (histograms, timelines, counts — whatever the
   /// instantiated Obs records). Harvest between run() calls: run() re-arms
   /// it through on_run_begin.
@@ -198,8 +208,6 @@ class ClusteredCoreT : public steer::SteerView {
   const Obs& observer() const { return obs_; }
 
  private:
-  static constexpr std::uint64_t kCycleLimit = 1ULL << 40;  // hang detector
-
   /// Idle-cycle fast-forward enabled only when the observer opted in
   /// (Obs::cycle_skip_safe); observers recording per-cycle data keep the
   /// full stepping. Results are bit-identical either way.
@@ -247,7 +255,26 @@ class ClusteredCoreT : public steer::SteerView {
     // counters — bit-identical to the previously inlined loop).
     if constexpr (Obs::enabled) obs_.on_cycle_end(state_);
     ++state_.cycle;
-    VCSTEER_CHECK_MSG(state_.cycle < kCycleLimit, "simulator wedged");
+    if (state_.cycle - commit_.last_commit_cycle() > max_commit_gap_) {
+      wedged();
+    }
+  }
+
+  /// The livelock watchdog's failure: no commit for max_commit_gap cycles.
+  [[noreturn]] void wedged() const {
+    const SimStats& s = state_.stats;
+    char msg[512];
+    std::snprintf(msg, sizeof(msg),
+                  "no commit for %" PRIu64 " cycles (cycle %" PRIu64
+                  ", %" PRIu64 " committed); dispatch stalls: frontend_empty "
+                  "%" PRIu64 ", rob %" PRIu64 ", lsq %" PRIu64
+                  ", policy %" PRIu64 ", alloc %" PRIu64 ", regfile %" PRIu64
+                  ", copyq %" PRIu64 ", copy_bandwidth %" PRIu64,
+                  state_.cycle - commit_.last_commit_cycle(), state_.cycle,
+                  s.committed_uops, s.frontend_empty, s.rob_stalls,
+                  s.lsq_stalls, s.policy_stalls, s.alloc_stalls,
+                  s.regfile_stalls, s.copyq_stalls, s.copy_bandwidth_stalls);
+    check_failed("simulator wedged", __FILE__, __LINE__, msg);
   }
 
   /// Fast-forward over provably idle cycles. A cycle can be jumped only
@@ -280,11 +307,6 @@ class ClusteredCoreT : public steer::SteerView {
     if (dispatch_ready) {
       const isa::MicroOp& uop = state_.program.uop(frontend_.front().uop);
       const bool fp = isa::uses_fp_queue(uop.op);
-      // Dispatch checks the decode budget before any hazard; a zero-width
-      // decode kind stalls silently and is not provably counter-exact here.
-      if ((fp ? config_.decode_width_fp : config_.decode_width_int) == 0) {
-        return;
-      }
       std::uint64_t* memo = steer_.head_stall_counter();
       if (commit_.rob_full(fp)) {
         stall_counter = &state_.stats.rob_stalls;
@@ -333,6 +355,7 @@ class ClusteredCoreT : public steer::SteerView {
   CopyNetwork<Obs> copies_;
   SteerStage<Obs> steer_;
   std::vector<ClusterBackend<Obs>> backends_;
+  const std::uint64_t max_commit_gap_;
 
   // Armed by begin_run for the stepwise API; cleared by finish_run.
   std::span<const workload::TraceEntry> trace_{};

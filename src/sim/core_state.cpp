@@ -1,9 +1,6 @@
 #include "sim/core_state.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
-#include "steer/policy.hpp"
 
 namespace vcsteer::sim {
 
@@ -21,7 +18,6 @@ CoreState::CoreState(const MachineConfig& config, const prog::Program& program)
     cl.iq_fp.bind_ready_summary(&ready_summary, ready_bit(c, 1));
     cl.iq_copy.bind_ready_summary(&ready_summary, ready_bit(c, 2));
   }
-  renamed_regs.reserve(isa::kNumFlatRegs);
   reset();
 }
 
@@ -42,8 +38,6 @@ void CoreState::reset() {
   waiter_free.clear();
   copy_ties = 0;
   rename.fill(kNoTag);
-  stale_home.fill(steer::kNoHome);
-  renamed_regs.clear();
   completions.reset();
   cycle = 0;
   stats = SimStats{};

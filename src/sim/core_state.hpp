@@ -4,11 +4,11 @@
 // (FrontEnd, SteerStage, ClusterBackend, CopyNetwork, CommitUnit — see
 // sim/core.hpp); CoreState is the small piece of state they all read and
 // write: the dynamic value table (who produced what, where replicas live),
-// the rename table and its cycle-start snapshot, the per-cluster queue and
-// register-file occupancy counters, the completion event queue, the cycle
-// counter and the run's statistics. Each component owns the state only it
-// touches (the ROB/LSQ live in CommitUnit, the fetch pipe in FrontEnd, the
-// interconnect in CopyNetwork).
+// the rename table, the per-cluster queue and register-file occupancy
+// counters, the completion event queue, the cycle counter and the run's
+// statistics. Each component owns the state only it touches (the ROB/LSQ
+// live in CommitUnit, the fetch pipe in FrontEnd, the interconnect in
+// CopyNetwork).
 //
 // The wakeup/select machinery is event-driven — the structure the clustered
 // microarchitecture literature treats as the cycle-time-critical loop (see
@@ -338,20 +338,6 @@ struct CoreState {
   /// pick them this very cycle), copies become selectable next cycle.
   void publish(Tag tag, std::uint8_t cluster, std::uint64_t cycle);
 
-  // ----- stale rename view (parallel-steering ablation) -----
-  /// Record that architectural register `flat` was renamed this dispatch
-  /// cycle; the stale view picks the change up at the next cycle's
-  /// refresh_stale_view(). Only the parallel-steering ablation reads the
-  /// stale view (SteeringPolicy::uses_stale_view), so the run arms
-  /// `track_stale_view` per policy and every other scheme pays neither the
-  /// delta recording here nor the per-cycle apply.
-  void note_renamed(std::uint16_t flat) {
-    if (track_stale_view) renamed_regs.push_back(flat);
-  }
-  /// Apply the previous dispatch cycle's rename deltas to stale_home —
-  /// O(renames last cycle) instead of re-snapshotting the whole table.
-  void refresh_stale_view();
-
   // ----- queue plumbing -----
   SlotPool<IqEntry>& queue_for(ClusterState& c, isa::OpClass op) {
     return isa::uses_fp_queue(op) ? c.iq_fp : c.iq_int;
@@ -398,13 +384,6 @@ struct CoreState {
 
   /// Rename table: architectural register -> tag of current value.
   std::array<Tag, isa::kNumFlatRegs> rename{};
-  /// Snapshot of value homes at the start of the dispatch cycle (stale view
-  /// for the parallel-steering ablation), maintained incrementally from
-  /// `renamed_regs`.
-  std::array<int, isa::kNumFlatRegs> stale_home{};
-  std::vector<std::uint16_t> renamed_regs;
-  /// Armed by begin_run when the active policy reads the stale view.
-  bool track_stale_view = false;
 
   CompletionWheel completions;
 
@@ -422,8 +401,7 @@ inline void CoreState::release_value(Tag tag) {
   // commits, so no queue entry can still be waiting on it.
   VCSTEER_DCHECK(values.waiters(tag) == kNilIdx);
   const bool fp = values.fp(tag);
-  const std::uint8_t holders = static_cast<std::uint8_t>(
-      values.copy_mask(tag) | cluster_bit(values.home(tag)));
+  const std::uint8_t holders = values.holders(tag);
   for (std::uint32_t c = 0; c < config.num_clusters; ++c) {
     if ((holders & cluster_bit(c)) == 0) continue;
     std::uint32_t& used =
@@ -485,18 +463,6 @@ inline void CoreState::publish(Tag tag, std::uint8_t cluster,
       if (--e.waiting_srcs == 0) pool.ready_insert(w.entry);
     }
   }
-}
-
-inline void CoreState::refresh_stale_view() {
-  if (renamed_regs.empty()) return;  // stall cycles leave no rename deltas
-  // A renamed register always maps to a live value (the new tag cannot be
-  // freed before its own overwriter commits), so rename[r] is never kNoTag.
-  // Duplicate registers in the delta list are idempotent: rename[] is
-  // already final for the cycle, so every store writes the same home.
-  for (const std::uint16_t r : renamed_regs) {
-    stale_home[r] = values.home(rename[r]);
-  }
-  renamed_regs.clear();
 }
 
 }  // namespace vcsteer::sim

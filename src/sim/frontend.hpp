@@ -39,10 +39,6 @@ class FrontEnd {
       ++trace_pos_;
     }
   }
-  void fetch(std::span<const workload::TraceEntry> trace, std::uint64_t cycle) {
-    NullObserver null;
-    fetch(trace, cycle, null);
-  }
 
   /// True once the whole trace has been fetched and the pipe has drained.
   bool drained(std::span<const workload::TraceEntry> trace) const {

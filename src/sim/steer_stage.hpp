@@ -54,21 +54,15 @@ class SteerStage {
   void dispatch(steer::SteeringPolicy& policy, const steer::SteerView& view) {
     if (!frontend_.has_ready(state_.cycle)) {
       // Empty front-end: nothing can dispatch, so the cycle reduces to the
-      // one stall bump. The pending stale-view deltas stay queued — renames
-      // only happen on dispatch commits and a value's home is fixed at
-      // allocation, so replaying them on the next dispatch-ready cycle
-      // yields identical stale values; and begin_cycle is not consulted
-      // (policies only observe cycles that could dispatch — the idle-cycle
-      // fast-forward already jumps such cycles without it).
+      // one stall bump, and begin_cycle is not consulted (policies only
+      // observe cycles that could dispatch — the idle-cycle fast-forward
+      // already jumps such cycles without it). Renames only happen on
+      // dispatch, so a cycle-start latch misses none.
       head_stall_counter_ = nullptr;
       dispatched_any_ = false;
       stall(StallReason::kFrontendEmpty, state_.stats.frontend_empty);
       return;
     }
-    // Bring the cycle-start rename view (parallel-steering ablation) up to
-    // date by replaying the rename deltas pending since the last
-    // dispatch-ready cycle.
-    state_.refresh_stale_view();
     policy.begin_cycle(view);
 
     const MachineConfig& config = state_.config;
@@ -124,11 +118,7 @@ class SteerStage {
       for (std::uint8_t s = 0; s < uop.num_srcs; ++s) {
         const Tag tag = state_.rename[isa::flat_reg(uop.srcs[s])];
         if (tag == kNoTag) continue;
-        if (state_.values.home(tag) == c ||
-            ((state_.values.avail_mask(tag) | state_.values.copy_mask(tag)) &
-             cluster_bit(c))) {
-          continue;
-        }
+        if ((state_.values.holders(tag) & cluster_bit(c)) != 0) continue;
         if (num_copies == 1 && copy_needed[0] == tag) continue;
         copy_needed[num_copies++] = tag;
       }
@@ -207,7 +197,6 @@ class SteerStage {
         const Tag tag =
             state_.alloc_value(static_cast<std::uint8_t>(c), dst_fp);
         state_.rename[flat] = tag;
-        state_.note_renamed(flat);
         rob.dst_tag = tag;
         iq.dst_tag = tag;
         (dst_fp ? cl.regs_used_fp : cl.regs_used_int) += 1;

@@ -3,9 +3,9 @@
 //
 // PR 5's event-driven kernel kept values as an array-of-structs (an ~80-byte
 // Value with an embedded per-cluster avail_cycle row), which made the hot
-// operations — alloc/free churn at dispatch/commit rate, availability-mask
-// probes from steer and wakeup registration, and the stale-rename-view
-// refresh — walk strided memory and clear 80 bytes per allocation. Here each
+// operations — alloc/free churn at dispatch/commit rate and
+// availability-mask probes from steer and wakeup registration — walk
+// strided memory and clear 80 bytes per allocation. Here each
 // field lives in its own densely-packed array indexed by tag: one byte per
 // value for home/avail_mask/copy_mask/fp, one u32 for the waiter-chain head,
 // and a [tag][cluster] u64 plane for avail cycles. The hot probes touch only
@@ -70,7 +70,12 @@ class ValueTable {
   std::uint8_t home(Tag tag) const { return home_[tag]; }
   bool fp(Tag tag) const { return fp_[tag] != 0; }
   std::uint8_t avail_mask(Tag tag) const { return avail_mask_[tag]; }
-  std::uint8_t copy_mask(Tag tag) const { return copy_mask_[tag]; }
+  /// Clusters holding `tag` or receiving a copy of it: the home and every
+  /// copy target. A value is only published where it is held, so
+  /// avail_mask is a subset.
+  std::uint8_t holders(Tag tag) const {
+    return static_cast<std::uint8_t>(cluster_bit(home_[tag]) | copy_mask_[tag]);
+  }
 
   void add_copy(Tag tag, std::uint32_t cluster) {
     copy_mask_[tag] |= cluster_bit(cluster);

@@ -3,21 +3,8 @@
 #include <limits>
 
 namespace vcsteer::steer {
-namespace {
 
-constexpr std::uint32_t kMaxClusters = 16;  // matches the votes array bound
-
-}  // namespace
-
-int OpPolicy::home_of(const SteerView& view, isa::ArchReg reg) const {
-  return view.value_home(reg);
-}
-
-int ParallelOpPolicy::home_of(const SteerView& view, isa::ArchReg reg) const {
-  return view.value_home_stale(reg);
-}
-
-std::uint32_t OpPolicy::flat_preferred(const isa::MicroOp& uop,
+std::uint32_t OpPolicy::flat_preferred(std::span<const Operand> srcs,
                                        const SteerView& view) const {
   const std::uint32_t n = view.num_clusters();
 
@@ -26,44 +13,27 @@ std::uint32_t OpPolicy::flat_preferred(const isa::MicroOp& uop,
   // copy. The rename-table replica bits provide this for free (§4.3). A
   // source still in flight weighs double: consuming it remotely puts a copy
   // on the critical path, whereas a long-ready value's copy can be hidden.
-  std::uint32_t votes[kMaxClusters] = {};
-  std::uint32_t total_votes = 0;
-  for (std::uint8_t s = 0; s < uop.num_srcs; ++s) {
-    const int home = home_of(view, uop.srcs[s]);
-    if (home == kNoHome) continue;
-    const std::uint32_t weight = view.value_in_flight(uop.srcs[s]) ? 2 : 1;
+  std::uint32_t votes[kScoreClusters] = {};
+  for (const Operand& src : srcs) {
+    if (src.home == kNoHome) continue;
+    const std::uint32_t weight = src.in_flight ? 2 : 1;
     for (std::uint32_t c = 0; c < n; ++c) {
-      if (static_cast<int>(c) == home ||
-          (replica_aware() && view.value_in_cluster(uop.srcs[s], c))) {
-        votes[c] += weight;
-        total_votes += weight;
-      }
+      if ((src.clusters >> c) & 1u) votes[c] += weight;
     }
   }
 
   num_scores_ = n;
   for (std::uint32_t c = 0; c < n; ++c) scores_[c] = votes[c];
 
-  if (total_votes == 0) {
-    std::uint32_t best = 0;
-    std::uint32_t best_load = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint32_t c = 0; c < n; ++c) {
-      const std::uint32_t load = view.inflight(c);
-      if (load < best_load) {
-        best_load = load;
-        best = c;
-      }
-    }
-    return best;
-  }
-  // Most votes; tie broken towards the least loaded cluster.
+  // Most votes; tie broken towards the least loaded cluster, so with no
+  // votes at all the least loaded cluster wins.
   std::uint32_t preferred = 0;
   std::uint32_t best_votes = 0;
   std::uint32_t best_load = std::numeric_limits<std::uint32_t>::max();
   for (std::uint32_t c = 0; c < n; ++c) {
     const std::uint32_t load = view.inflight(c);
     if (votes[c] > best_votes ||
-        (votes[c] == best_votes && votes[c] > 0 && load < best_load)) {
+        (votes[c] == best_votes && load < best_load)) {
       best_votes = votes[c];
       best_load = load;
       preferred = c;
@@ -72,9 +42,10 @@ std::uint32_t OpPolicy::flat_preferred(const isa::MicroOp& uop,
   return preferred;
 }
 
-double OpPolicy::comm_cost(const isa::MicroOp& uop, const SteerView& view,
+double OpPolicy::comm_cost(std::span<const Operand> srcs,
+                           const SteerView& view,
                            std::uint32_t cluster) const {
-  // Estimated cycles of communication steering `uop` to `cluster` incurs:
+  // Estimated cycles of communication steering to `cluster` incurs:
   // for every source whose value is not (and will not be) there, the
   // topology transit (hops x link latency) plus the recent congestion on
   // that path, weighted double when the copy would land on the critical
@@ -82,15 +53,10 @@ double OpPolicy::comm_cost(const isa::MicroOp& uop, const SteerView& view,
   // fabric, minimising it is maximising votes.
   const double per_hop = static_cast<double>(config_.interconnect.link_latency);
   double cost = 0.0;
-  for (std::uint8_t s = 0; s < uop.num_srcs; ++s) {
-    const int home = home_of(view, uop.srcs[s]);
-    if (home == kNoHome) continue;
-    if (static_cast<int>(cluster) == home ||
-        (replica_aware() && view.value_in_cluster(uop.srcs[s], cluster))) {
-      continue;
-    }
-    const double weight = view.value_in_flight(uop.srcs[s]) ? 2.0 : 1.0;
-    const auto h = static_cast<std::uint32_t>(home);
+  for (const Operand& src : srcs) {
+    if (src.home == kNoHome || ((src.clusters >> cluster) & 1u)) continue;
+    const double weight = src.in_flight ? 2.0 : 1.0;
+    const auto h = static_cast<std::uint32_t>(src.home);
     cost += weight *
             (static_cast<double>(view.copy_distance(h, cluster)) * per_hop +
              view.link_congestion(h, cluster));
@@ -98,15 +64,15 @@ double OpPolicy::comm_cost(const isa::MicroOp& uop, const SteerView& view,
   return cost;
 }
 
-std::uint32_t OpPolicy::aware_preferred(const isa::MicroOp& uop,
+std::uint32_t OpPolicy::aware_preferred(std::span<const Operand> srcs,
                                         const SteerView& view) {
   const std::uint32_t n = view.num_clusters();
-  double cost[kMaxClusters];
+  double cost[kScoreClusters];
   std::uint32_t preferred = 0;
   double best_cost = std::numeric_limits<double>::max();
   std::uint32_t best_load = std::numeric_limits<std::uint32_t>::max();
   for (std::uint32_t c = 0; c < n; ++c) {
-    cost[c] = comm_cost(uop, view, c);
+    cost[c] = comm_cost(srcs, view, c);
     const std::uint32_t load = view.inflight(c);
     if (cost[c] < best_cost || (cost[c] == best_cost && load < best_load)) {
       best_cost = cost[c];
@@ -117,7 +83,7 @@ std::uint32_t OpPolicy::aware_preferred(const isa::MicroOp& uop,
   // Diagnostics: did weighing distance/contention change the decision away
   // from a worse path? Counted only if the micro-op actually dispatches
   // there (on_dispatched), so stalled retries cannot inflate it.
-  const std::uint32_t flat = flat_preferred(uop, view);
+  const std::uint32_t flat = flat_preferred(srcs, view);
   // flat_preferred overwrote the provenance with its votes; the decision
   // was made on costs, so those are what last_scores() reports.
   num_scores_ = n;
@@ -133,9 +99,14 @@ SteerDecision OpPolicy::choose(const isa::MicroOp& uop,
                                const SteerView& view) {
   const std::uint32_t n = view.num_clusters();
   pending_avoided_cluster_ = -1;
+  Operand read[2];
+  for (std::uint8_t s = 0; s < uop.num_srcs; ++s) {
+    read[s] = source(view, uop.srcs[s]);
+  }
+  const std::span<const Operand> srcs(read, uop.num_srcs);
   const std::uint32_t preferred = config_.steer.topology_aware
-                                      ? aware_preferred(uop, view)
-                                      : flat_preferred(uop, view);
+                                      ? aware_preferred(srcs, view)
+                                      : flat_preferred(srcs, view);
 
   const std::uint32_t capacity = view.iq_capacity(uop.op);
   if (view.iq_occupancy(preferred, uop.op) < capacity) {
@@ -157,7 +128,7 @@ SteerDecision OpPolicy::choose(const isa::MicroOp& uop,
     const std::uint32_t occ = view.iq_occupancy(c, uop.op);
     if (occ >= threshold) continue;
     if (config_.steer.topology_aware) {
-      const double cost = comm_cost(uop, view, c);
+      const double cost = comm_cost(srcs, view, c);
       if (cost < alt_cost || (cost == alt_cost && occ < alt_occ)) {
         alt_cost = cost;
         alt_occ = occ;
@@ -187,6 +158,30 @@ void OpPolicy::on_dispatched(const isa::MicroOp& /*uop*/,
 void OpPolicy::reset() {
   avoided_contended_ = 0;
   pending_avoided_cluster_ = -1;
+}
+
+void ParallelOpPolicy::on_dispatched(const isa::MicroOp& uop,
+                                     std::uint32_t cluster) {
+  OpPolicy::on_dispatched(uop, cluster);
+  if (uop.has_dst) {
+    renamed_[isa::flat_reg(uop.dst)] = static_cast<std::int8_t>(cluster);
+  }
+}
+
+void ParallelOpPolicy::reset() {
+  OpPolicy::reset();
+  renamed_.fill(kNoHome);
+  latched_.fill(kNoHome);
+}
+
+Operand ParallelOpPolicy::source(const SteerView& view,
+                                 isa::ArchReg reg) const {
+  Operand src = view.operand(reg);
+  src.home = latched_[isa::flat_reg(reg)];
+  src.clusters = src.home == kNoHome
+                     ? Operand::kEveryCluster
+                     : 1u << static_cast<std::uint32_t>(src.home);
+  return src;
 }
 
 }  // namespace vcsteer::steer

@@ -19,10 +19,13 @@
 //
 // ParallelOpPolicy makes the same decision from the *cycle-start* rename
 // view (what a single-pass, renaming-like implementation could read), which
-// is exactly the degradation the paper's §2.1 example illustrates.
+// is exactly the degradation the paper's §2.1 example illustrates. It keeps
+// that view itself: the destinations it sees dispatched are latched at the
+// next begin_cycle, so a bundle's own renames stay invisible to it.
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "steer/policy.hpp"
 
@@ -51,30 +54,31 @@ class OpPolicy : public SteeringPolicy {
   }
 
  protected:
-  /// Hook distinguishing the sequential and parallel variants.
-  virtual int home_of(const SteerView& view, isa::ArchReg reg) const;
-  /// Sequential steering reads the live replica bits next to the rename
-  /// table; the single-pass parallel variant cannot (all its lookups are
-  /// cycle-start state).
-  virtual bool replica_aware() const { return true; }
+  /// The record the vote and cost loops read for source `reg` (sequential
+  /// steering: the live rename-table bits); the parallel variant's hook.
+  virtual Operand source(const SteerView& view, isa::ArchReg reg) const {
+    return view.operand(reg);
+  }
 
   MachineConfig config_;
 
  private:
   /// The original occupancy-aware preference: most votes, ties to load.
-  std::uint32_t flat_preferred(const isa::MicroOp& uop,
+  std::uint32_t flat_preferred(std::span<const Operand> srcs,
                                const SteerView& view) const;
   /// Topology-aware preference: least estimated communication cost, ties to
   /// load. Records the avoided-contended candidate for on_dispatched.
-  std::uint32_t aware_preferred(const isa::MicroOp& uop, const SteerView& view);
-  /// Estimated communication cycles of steering `uop` to `cluster`.
-  double comm_cost(const isa::MicroOp& uop, const SteerView& view,
+  std::uint32_t aware_preferred(std::span<const Operand> srcs,
+                                const SteerView& view);
+  /// Estimated communication cycles of steering `srcs`' reader to `cluster`.
+  double comm_cost(std::span<const Operand> srcs, const SteerView& view,
                    std::uint32_t cluster) const;
 
   std::uint64_t avoided_contended_ = 0;
   int pending_avoided_cluster_ = -1;
   // Provenance for last_scores(); written by choose() via flat_preferred /
-  // aware_preferred (mutable: the flat path is logically const).
+  // aware_preferred (mutable: the flat path is logically const). Also the
+  // bound of their per-cluster arrays.
   static constexpr std::uint32_t kScoreClusters = 16;
   mutable std::array<double, kScoreClusters> scores_{};
   mutable std::uint32_t num_scores_ = 0;
@@ -82,13 +86,29 @@ class OpPolicy : public SteeringPolicy {
 
 class ParallelOpPolicy : public OpPolicy {
  public:
-  explicit ParallelOpPolicy(const MachineConfig& config) : OpPolicy(config) {}
+  explicit ParallelOpPolicy(const MachineConfig& config) : OpPolicy(config) {
+    ParallelOpPolicy::reset();
+  }
+
+  /// Latches the homes renamed since the previous decode cycle.
+  void begin_cycle(const SteerView& /*view*/) override { latched_ = renamed_; }
+  /// Records where `uop`'s destination now lives; invisible to choose()
+  /// until the next begin_cycle.
+  void on_dispatched(const isa::MicroOp& uop, std::uint32_t cluster) override;
+  void reset() override;
   std::string name() const override { return "OP-parallel"; }
-  bool uses_stale_view() const override { return true; }
 
  protected:
-  int home_of(const SteerView& view, isa::ArchReg reg) const override;
-  bool replica_aware() const override { return false; }
+  /// The latched home, and only the home's bit: a single-pass lookup reads
+  /// no replica bits. The in-flight bit stays the live one.
+  Operand source(const SteerView& view, isa::ArchReg reg) const override;
+
+ private:
+  /// Home of each architectural register's value after the latest
+  /// dispatched rename (renamed_) and at the start of the current decode
+  /// cycle (latched_); kNoHome until the register's first rename in a run.
+  std::array<std::int8_t, isa::kNumFlatRegs> renamed_{};
+  std::array<std::int8_t, isa::kNumFlatRegs> latched_{};
 };
 
 }  // namespace vcsteer::steer

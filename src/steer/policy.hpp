@@ -7,10 +7,11 @@
 // information the corresponding hardware could wire in:
 //   * occupancy counters (all schemes),
 //   * the rename-table value-location bits (dependence-based schemes only —
-//     the paper's Table 1 "dependence check" row),
-//   * both the *sequential* view (updated after every steered micro-op) and
-//     the *cycle-start* view (what a renaming-style parallel implementation
-//     would see, §2.1).
+//     the paper's Table 1 "dependence check" row), as the *sequential* view:
+//     updated after every steered micro-op. The *cycle-start* view a
+//     renaming-style parallel implementation would see (§2.1) is state of
+//     that implementation, not of the machine: ParallelOpPolicy latches it
+//     itself from on_dispatched and begin_cycle (steer/op_policy.hpp).
 // The hybrid VC policy deliberately uses none of the dependence-check
 // machinery: only its VC->PC mapping table and the occupancy counters,
 // which is the complexity reduction the paper claims (Table 1).
@@ -28,15 +29,27 @@ namespace vcsteer::steer {
 
 constexpr int kNoHome = -1;
 
+/// What the rename table's value-location bits say about one source
+/// operand (SteerView::operand). A cold value (no producer in flight and
+/// no recorded home) has home kNoHome and needs no copy in any cluster.
+struct Operand {
+  static constexpr std::uint32_t kEveryCluster = ~0u;
+
+  int home = kNoHome;  ///< cluster producing/holding the current value.
+  /// Bit c set when the value is in cluster c or already being copied there.
+  std::uint32_t clusters = kEveryCluster;
+  /// The producer has not completed: a remote consumer would put a copy on
+  /// the critical path, which the occupancy-aware scheme avoids.
+  bool in_flight = false;
+};
+
 /// Read-only view of the machine state a steering unit can inspect.
 /// Implemented by the simulator core (and by lightweight mocks in tests).
 ///
-/// Contract the event-driven kernel preserves: the value-location reads
-/// (value_home / value_in_cluster / value_in_flight) are O(1) mask tests
-/// against the live value table and reflect every micro-op steered earlier
-/// in the *same* cycle (the sequential view); value_home_stale reads the
-/// incrementally-maintained cycle-start snapshot. Wakeup bookkeeping never
-/// changes what these return — policies cannot observe waiter lists or
+/// Contract the event-driven kernel preserves: operand() is a few O(1)
+/// reads of the live value table and reflects every micro-op steered
+/// earlier in the *same* cycle (the sequential view). Wakeup bookkeeping
+/// never changes what it returns — policies cannot observe waiter lists or
 /// ready queues, only the occupancy counters below.
 class SteerView {
  public:
@@ -53,24 +66,9 @@ class SteerView {
   /// balance counters of the paper's Figure 4.
   virtual std::uint32_t inflight(std::uint32_t cluster) const = 0;
 
-  /// Cluster producing/holding the current value of `reg` (sequential view,
-  /// reflecting all previously steered micro-ops), or kNoHome when the value
-  /// has no producer in flight and no recorded home.
-  virtual int value_home(isa::ArchReg reg) const = 0;
-
-  /// Same, but frozen at the start of the current decode cycle — what a
-  /// parallel (register-renaming-style) steering implementation would see.
-  virtual int value_home_stale(isa::ArchReg reg) const = 0;
-
-  /// True when the value of `reg` is (or is already being copied)
-  /// into `cluster`.
-  virtual bool value_in_cluster(isa::ArchReg reg,
-                                std::uint32_t cluster) const = 0;
-
-  /// True while the producer of `reg`'s current value has not completed —
-  /// following such a source avoids a copy on the critical path, which the
-  /// occupancy-aware scheme prioritises.
-  virtual bool value_in_flight(isa::ArchReg reg) const = 0;
+  /// Location of `reg`'s current value, reflecting all previously steered
+  /// micro-ops (the sequential view).
+  virtual Operand operand(isa::ArchReg reg) const = 0;
 
   /// Interconnect links a copy from `from` to `to` would traverse (0 when
   /// equal): the static topology distance, independent of load. Uniform
@@ -110,8 +108,9 @@ class SteeringPolicy {
  public:
   virtual ~SteeringPolicy() = default;
 
-  /// Called once at the start of every decode cycle (lets the parallel
-  /// policy snapshot state; most policies ignore it).
+  /// Called once at the start of every decode cycle that has a micro-op
+  /// to steer (lets the parallel policy latch its cycle-start view; most
+  /// policies ignore it).
   virtual void begin_cycle(const SteerView& /*view*/) {}
 
   /// Decide the destination cluster for `uop` (or stall). Must not mutate
@@ -138,13 +137,6 @@ class SteeringPolicy {
   /// topology-aware mode; the simulator surfaces it as
   /// SimStats::avoided_contended_links.
   virtual std::uint64_t avoided_contended_links() const { return 0; }
-
-  /// True when choose() reads SteerView::value_home_stale. The simulator
-  /// maintains the cycle-start rename snapshot (an every-cycle delta apply
-  /// on the dispatch path) only for such policies — the parallel-steering
-  /// ablation; everyone else skips the bookkeeping entirely. Policies that
-  /// delegate choose() to an inner policy must forward this too.
-  virtual bool uses_stale_view() const { return false; }
 
   virtual void reset() {}
   virtual std::string name() const = 0;

@@ -9,6 +9,7 @@
 #include "common/config.hpp"
 #include "common/fixed_queue.hpp"
 #include "common/rng.hpp"
+#include "unfinishable_machines.hpp"
 
 namespace vcsteer {
 namespace {
@@ -175,7 +176,7 @@ TEST(MachineConfig, DefaultTwoClusterIsValidTable2) {
   EXPECT_EQ(cfg.num_clusters, 2u);
   EXPECT_EQ(cfg.fetch_width, 6u);
   EXPECT_EQ(cfg.fetch_to_dispatch, 5u);
-  EXPECT_EQ(cfg.decode_width(), 6u);
+  EXPECT_EQ(cfg.decode_width_int + cfg.decode_width_fp, 6u);
   EXPECT_EQ(cfg.iq_int_entries, 48u);
   EXPECT_EQ(cfg.iq_copy_entries, 24u);
   EXPECT_EQ(cfg.l1d.size_bytes, 32u * 1024);
@@ -212,6 +213,24 @@ TEST(MachineConfig, ValidateCatchesBadValues) {
   cfg = MachineConfig();
   cfg.iq_copy_entries = 0;
   EXPECT_NE(cfg.validate(), "");
+}
+
+TEST(MachineConfig, ValidateRejectsMachinesThatCanNeverFinish) {
+  for (const testing::UnfinishableMachine& u :
+       testing::unfinishable_machines()) {
+    EXPECT_EQ(u.machine.validate(), u.problem) << u.change;
+  }
+  // The boundaries stay valid: one register beyond the architectural count,
+  // single ports and 1-wide commit, decode and copy queue. The last two
+  // livelock only on traces needing two copies at once, which the
+  // simulator's commit watchdog reports (sim_stress_test).
+  MachineConfig edge = MachineConfig::two_cluster();
+  edge.regfile_int = edge.regfile_fp = 17;
+  edge.l1_read_ports = edge.l1_write_ports = 1;
+  edge.commit_width_int = edge.commit_width_fp = 1;
+  edge.decode_width_int = edge.decode_width_fp = 1;
+  edge.iq_copy_entries = 1;
+  EXPECT_EQ(edge.validate(), "");
 }
 
 TEST(MachineConfig, CacheSetCount) {

@@ -19,6 +19,7 @@
 #include "exec/sweep.hpp"
 #include "scratch_dir.hpp"
 #include "steer/mod_policy.hpp"
+#include "unfinishable_machines.hpp"
 #include "workload/profiles.hpp"
 
 namespace vcsteer::exec {
@@ -154,6 +155,25 @@ TEST(Sweep, JobExceptionReachesTheCaller) {
   };
   EXPECT_THROW(run_sweep(small_grid(), opt), std::runtime_error);
   EXPECT_GE(default_jobs(), 1u);
+}
+
+// A sweep refuses, before any work, each machine on which no run could
+// finish — instead of stepping its core without end.
+TEST(Sweep, RejectsMachinesThatCanNeverFinish) {
+  SweepGrid grid;
+  grid.profiles = {*workload::find_profile("164.gzip-1"),
+                   *workload::find_profile("178.galgel")};
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0}};
+  grid.budget = harness::SimBudget::smoke();
+  SweepOptions opt;
+  opt.jobs = 1;
+  for (const testing::UnfinishableMachine& u :
+       testing::unfinishable_machines()) {
+    grid.machines = {u.machine};
+    EXPECT_DEATH(run_sweep(grid, opt),
+                 "grid machine 0 is invalid: " + u.problem)
+        << u.change;
+  }
 }
 
 TEST(Sweep, ProgressReportsEveryJob) {

@@ -18,7 +18,6 @@ class FakeSteerView : public SteerView {
  public:
   explicit FakeSteerView(std::uint32_t clusters) : clusters_(clusters) {
     homes_.fill(kNoHome);
-    stale_homes_.fill(kNoHome);
     inflight_.fill(0);
     occupancy_.fill(0);
   }
@@ -32,19 +31,10 @@ class FakeSteerView : public SteerView {
   std::uint32_t inflight(std::uint32_t c) const override {
     return inflight_[c];
   }
-  int value_home(isa::ArchReg reg) const override {
-    return homes_[isa::flat_reg(reg)];
-  }
-  int value_home_stale(isa::ArchReg reg) const override {
-    return stale_homes_[isa::flat_reg(reg)];
-  }
-  bool value_in_cluster(isa::ArchReg reg, std::uint32_t c) const override {
-    const int home = homes_[isa::flat_reg(reg)];
-    return home == kNoHome || home == static_cast<int>(c) ||
-           (replicas_[isa::flat_reg(reg)] & (1u << c));
-  }
-  bool value_in_flight(isa::ArchReg reg) const override {
-    return inflight_regs_[isa::flat_reg(reg)];
+  Operand operand(isa::ArchReg reg) const override {
+    const std::uint16_t f = isa::flat_reg(reg);
+    if (homes_[f] == kNoHome) return {};
+    return {homes_[f], (1u << homes_[f]) | replicas_[f], inflight_regs_[f]};
   }
   std::uint32_t copy_distance(std::uint32_t from,
                               std::uint32_t to) const override {
@@ -60,12 +50,7 @@ class FakeSteerView : public SteerView {
   FakeSteerView& set_home(isa::ArchReg reg, int cluster,
                           bool in_flight = false) {
     homes_[isa::flat_reg(reg)] = cluster;
-    stale_homes_[isa::flat_reg(reg)] = cluster;
     inflight_regs_[isa::flat_reg(reg)] = in_flight;
-    return *this;
-  }
-  FakeSteerView& set_stale_home(isa::ArchReg reg, int cluster) {
-    stale_homes_[isa::flat_reg(reg)] = cluster;
     return *this;
   }
   FakeSteerView& add_replica(isa::ArchReg reg, std::uint32_t cluster) {
@@ -123,7 +108,6 @@ class FakeSteerView : public SteerView {
   std::uint32_t clusters_;
   std::uint32_t capacity_ = 48;
   std::array<int, isa::kNumFlatRegs> homes_{};
-  std::array<int, isa::kNumFlatRegs> stale_homes_{};
   std::array<bool, isa::kNumFlatRegs> inflight_regs_{};
   std::array<std::uint32_t, isa::kNumFlatRegs> replicas_{};
   std::array<std::uint32_t, 16> inflight_{};

@@ -5,8 +5,9 @@
 // and sweep determinism (--jobs 8 == --jobs 1) for every topology.
 //
 // Property section: for every topology, distance() is zero iff from == to,
-// agrees with the shared topology_distance() helper (which the compiler
-// cost matrices derive from), respects the triangle inequality, is
+// is one hop off the diagonal on the ideal link, bus and crossbar and
+// matches a written-out table on the 4-cluster ring, respects the triangle
+// inequality, is
 // symmetric on the single-medium fabrics and a directed hop count with
 // n-cycle round trips on the ring; random traffic conserves copies
 // (injected == delivered, hops == sum of path distances) and the
@@ -197,7 +198,7 @@ TEST(Interconnect, RingPaysOneLatencyPerHopAndSerialisesSharedLinks) {
 constexpr Topology kAllTopologies[] = {Topology::kIdeal, Topology::kBus,
                                        Topology::kRing, Topology::kCrossbar};
 
-TEST(InterconnectProperties, DistanceZeroIffEqualAndMatchesSharedHelper) {
+TEST(InterconnectProperties, DistanceZeroIffEqualAndMatchesWrittenOutHops) {
   for (const Topology kind : kAllTopologies) {
     for (const std::uint32_t n : {2u, 4u, 8u}) {
       Interconnect ic(machine_with(n, kind));
@@ -205,10 +206,29 @@ TEST(InterconnectProperties, DistanceZeroIffEqualAndMatchesSharedHelper) {
         for (std::uint32_t b = 0; b < n; ++b) {
           const std::uint32_t d = ic.distance(a, b);
           EXPECT_EQ(d == 0, a == b) << topology_name(kind) << " n=" << n;
-          EXPECT_EQ(d, topology_distance(kind, n, a, b))
-              << topology_name(kind) << " n=" << n << " " << a << "->" << b;
+          // Every pair is one hop apart on the point-to-point link, the bus
+          // and the crossbar.
+          if (kind != Topology::kRing) {
+            EXPECT_EQ(d, a == b ? 0u : 1u)
+                << topology_name(kind) << " n=" << n << " " << a << "->" << b;
+          }
         }
       }
+    }
+  }
+  // The 4-cluster ring is directed: row `from`, column `to`, hops forward
+  // around 0 -> 1 -> 2 -> 3 -> 0.
+  constexpr std::uint32_t kRing4[4][4] = {
+      {0, 1, 2, 3},
+      {3, 0, 1, 2},
+      {2, 3, 0, 1},
+      {1, 2, 3, 0},
+  };
+  Interconnect ring(machine_with(4, Topology::kRing));
+  for (std::uint32_t from = 0; from < 4; ++from) {
+    for (std::uint32_t to = 0; to < 4; ++to) {
+      EXPECT_EQ(ring.distance(from, to), kRing4[from][to])
+          << from << "->" << to;
     }
   }
 }

@@ -149,6 +149,43 @@ TEST(SimStress, TinyCopyQueueBackpressure) {
   EXPECT_GT(stats.copyq_stalls, 0u);
 }
 
+// ----- commit watchdog (sim/core.hpp, max_commit_gap) ----------------------
+// Machines validate() accepts but that livelock on some traces: the head
+// micro-op can never dispatch, so the run must fail within max_commit_gap
+// cycles, naming the stall it is stuck on, instead of stepping forever.
+
+// `a` and `b` are produced in cluster 0 and read by a consumer in cluster 1,
+// which needs a copy of each.
+Bench two_remote_sources(OpClass op, ArchReg a, ArchReg b) {
+  return Bench({op_on(op, a, {}, 0), op_on(op, b, {}, 0),
+                op_on(op, a, {a, b}, 1)},
+               1);
+}
+
+TEST(SimWatchdogDeathTest, IntDecodeTooNarrowForAMicroOpAndItsCopies) {
+  MachineConfig cfg = MachineConfig::two_cluster();
+  cfg.decode_width_int = 2;
+  ASSERT_EQ(cfg.validate(), "");
+  Bench bench = two_remote_sources(OpClass::kIntAlu, r(1), r(2));
+  EXPECT_DEATH(run_static(bench, cfg), "no commit for .*copy_bandwidth [1-9]");
+}
+
+TEST(SimWatchdogDeathTest, FpDecodeTooNarrowForAMicroOpAndItsCopies) {
+  MachineConfig cfg = MachineConfig::two_cluster();
+  cfg.decode_width_fp = 1;
+  ASSERT_EQ(cfg.validate(), "");
+  Bench bench = two_remote_sources(OpClass::kFpAdd, f(1), f(2));
+  EXPECT_DEATH(run_static(bench, cfg), "no commit for .*copy_bandwidth [1-9]");
+}
+
+TEST(SimWatchdogDeathTest, OneEntryCopyQueueForTwoCopiesFromOneProducer) {
+  MachineConfig cfg = MachineConfig::two_cluster();
+  cfg.iq_copy_entries = 1;
+  ASSERT_EQ(cfg.validate(), "");
+  Bench bench = two_remote_sources(OpClass::kIntAlu, r(1), r(2));
+  EXPECT_DEATH(run_static(bench, cfg), "no commit for .*copyq [1-9]");
+}
+
 // ----- reused-core bit-identity --------------------------------------------
 
 void expect_results_equal(const harness::RunResult& a,

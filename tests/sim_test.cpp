@@ -332,9 +332,6 @@ class HybridTestPolicy : public steer::SteeringPolicy {
     inner_->on_dispatched(uop, c);
   }
   void reset() override { inner_->reset(); }
-  // Delegating wrappers must forward this, or the core skips the stale-view
-  // bookkeeping the inner policy steers from.
-  bool uses_stale_view() const override { return inner_->uses_stale_view(); }
   std::string name() const override { return "hybrid-test"; }
 
  private:

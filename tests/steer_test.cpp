@@ -124,13 +124,45 @@ TEST(OpPolicy, DivertsWhenAnotherClusterIsIdle) {
 }
 
 TEST(ParallelOpPolicy, UsesStaleRenameView) {
+  // r1 was renamed into cluster 0 in an earlier cycle, then into cluster 1
+  // by a micro-op of the current bundle: the cycle-start latch still says 0.
   MockView view(2);
-  view.set_home(r(1), 1);
-  view.set_stale_home(r(1), 0);  // cycle-start state says cluster 0
   ParallelOpPolicy par(two_clusters());
+  par.on_dispatched(alu({}, r(1)), 0);
+  par.begin_cycle(view);
+  par.on_dispatched(alu({}, r(1)), 1);
+  view.set_home(r(1), 1);
   OpPolicy seq(two_clusters());
   EXPECT_EQ(par.choose(alu({r(1)}), view).cluster, 0);
   EXPECT_EQ(seq.choose(alu({r(1)}), view).cluster, 1);
+}
+
+TEST(ParallelOpPolicy, BundleRenameStaysInvisibleUntilTheNextBeginCycle) {
+  // r1's producer dispatches to cluster 1 after this cycle's begin_cycle.
+  // Sequential OP follows it at once; the parallel variant still sees r1
+  // as a cold value (no votes: least loaded cluster 0) until the next
+  // cycle latches the rename.
+  MockView view(2);
+  view.set_inflight(1, 5);
+  ParallelOpPolicy par(two_clusters());
+  OpPolicy seq(two_clusters());
+  par.begin_cycle(view);
+  seq.begin_cycle(view);
+  const MicroOp producer = alu({}, r(1));
+  par.on_dispatched(producer, 1);
+  seq.on_dispatched(producer, 1);
+  view.set_home(r(1), 1, /*in_flight=*/true);
+
+  const MicroOp consumer = alu({r(1)});
+  EXPECT_EQ(seq.choose(consumer, view).cluster, 1);
+  EXPECT_EQ(par.choose(consumer, view).cluster, 0);
+  par.begin_cycle(view);
+  EXPECT_EQ(par.choose(consumer, view).cluster, 1);
+
+  // A new run forgets every latched home.
+  par.reset();
+  par.begin_cycle(view);
+  EXPECT_EQ(par.choose(consumer, view).cluster, 0);
 }
 
 // ---------------------------------------------------- topology-aware OP --
@@ -220,16 +252,19 @@ TEST(TopologyAwareOp, StallOverSteerDivertsToCheapestPath) {
 
 TEST(TopologyAwareOp, ParallelVariantUsesStaleViewAndDistances) {
   MockView view(4);
-  view.ring_distances()
-      .set_home(r(1), 1)
-      .set_home(r(2), 2)
-      .set_stale_home(r(2), 3)  // cycle-start state: r2 still in 3
-      .set_inflight(1, 0);
+  view.ring_distances().set_congestion(1, 3, 4.0);
   ParallelOpPolicy aware(aware_ring());
-  // From the stale view the candidates are 1 and 3, both 2 hops from the
-  // other source's home; congestion on 1 -> 3 breaks the tie towards 1.
-  view.set_congestion(1, 3, 4.0);
+  aware.on_dispatched(alu({}, r(1)), 1);
+  aware.on_dispatched(alu({}, r(2)), 3);
+  aware.begin_cycle(view);
+  aware.on_dispatched(alu({}, r(2)), 2);  // this bundle moves r2 to 2
+  view.set_home(r(1), 1).set_home(r(2), 2);
+  // From the cycle-start view (r1 in 1, r2 still in 3) the candidates are 1
+  // and 3, both 2 hops from the other source's home; congestion on 1 -> 3
+  // breaks the tie towards 1. The live view puts r2 one hop after r1.
   EXPECT_EQ(aware.choose(alu({r(1), r(2)}), view).cluster, 1);
+  OpPolicy sequential(aware_ring());
+  EXPECT_EQ(sequential.choose(alu({r(1), r(2)}), view).cluster, 2);
 }
 
 TEST(TopologyAwareOp, FlatConfigReportsNoAvoidedLinks) {
