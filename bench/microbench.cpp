@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <utility>
+#include <variant>
 
 #include "compiler/ob_pass.hpp"
 #include "compiler/rhop_pass.hpp"
@@ -47,7 +48,7 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   const auto entries = trace.take(50'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
   sim::ClusteredCore core(cfg, wl.program);
-  const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
+  const auto policy = harness::policy_for_scheme({steer::Scheme::kOp, 0}, cfg);
   for (auto _ : state) {
     const sim::SimStats stats = core.run(entries, *policy);
     benchmark::DoNotOptimize(stats.cycles);
@@ -66,7 +67,7 @@ void BM_SimulatorThroughputNullObserver(benchmark::State& state) {
   const auto entries = trace.take(50'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
   sim::ClusteredCoreT<sim::NullObserver> core(cfg, wl.program);
-  const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
+  const auto policy = harness::policy_for_scheme({steer::Scheme::kOp, 0}, cfg);
   for (auto _ : state) {
     const sim::SimStats stats = core.run(entries, *policy);
     benchmark::DoNotOptimize(stats.cycles);
@@ -81,7 +82,7 @@ void BM_SimulatorThroughputTimelineObserver(benchmark::State& state) {
   const auto entries = trace.take(50'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
   sim::ClusteredCoreT<sim::TimelineObserver> core(cfg, wl.program);
-  const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
+  const auto policy = harness::policy_for_scheme({steer::Scheme::kOp, 0}, cfg);
   for (auto _ : state) {
     const sim::SimStats stats = core.run(entries, *policy);
     benchmark::DoNotOptimize(stats.cycles);
@@ -220,7 +221,7 @@ void BM_ArenaRunReused(benchmark::State& state) {
   const auto entries = trace.take(5'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
   sim::ClusteredCore core(cfg, wl.program);
-  const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
+  const auto policy = harness::policy_for_scheme({steer::Scheme::kOp, 0}, cfg);
   for (auto _ : state) {
     const sim::SimStats stats = core.run(entries, *policy);
     benchmark::DoNotOptimize(stats.cycles);
@@ -234,7 +235,7 @@ void BM_ArenaRunFresh(benchmark::State& state) {
   workload::TraceSource trace(wl);
   const auto entries = trace.take(5'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
-  const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
+  const auto policy = harness::policy_for_scheme({steer::Scheme::kOp, 0}, cfg);
   for (auto _ : state) {
     sim::ClusteredCore core(cfg, wl.program);
     const sim::SimStats stats = core.run(entries, *policy);
@@ -294,10 +295,16 @@ void BM_MultilevelPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_MultilevelPartition)->Arg(64)->Arg(256)->Arg(1024);
 
+// The software passes run with the options Fig 5 gives them.
+template <typename Options>
+Options fig5_pass_options(steer::Scheme scheme) {
+  return std::get<Options>(
+      harness::pass_options({scheme, 0}, MachineConfig::two_cluster()));
+}
+
 void BM_VcPass(benchmark::State& state) {
   workload::GeneratedWorkload wl = workload::generate(bench_profile());
-  compiler::VcOptions opt;
-  opt.num_vcs = 2;
+  const auto opt = fig5_pass_options<compiler::VcOptions>(steer::Scheme::kVc);
   for (auto _ : state) {
     wl.program.clear_hints();
     const auto stats = compiler::assign_virtual_clusters(wl.program, opt);
@@ -309,8 +316,8 @@ BENCHMARK(BM_VcPass);
 
 void BM_RhopPass(benchmark::State& state) {
   workload::GeneratedWorkload wl = workload::generate(bench_profile());
-  compiler::RhopOptions opt;
-  opt.num_clusters = 2;
+  const auto opt =
+      fig5_pass_options<compiler::RhopOptions>(steer::Scheme::kRhop);
   for (auto _ : state) {
     wl.program.clear_hints();
     const auto stats = compiler::assign_rhop(wl.program, opt);
@@ -322,8 +329,7 @@ BENCHMARK(BM_RhopPass);
 
 void BM_ObPass(benchmark::State& state) {
   workload::GeneratedWorkload wl = workload::generate(bench_profile());
-  compiler::ObOptions opt;
-  opt.num_clusters = 2;
+  const auto opt = fig5_pass_options<compiler::ObOptions>(steer::Scheme::kOb);
   for (auto _ : state) {
     wl.program.clear_hints();
     const auto stats = compiler::assign_ob(wl.program, opt);

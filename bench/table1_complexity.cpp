@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 
 #include "steer/op_policy.hpp"
 #include "steer/policy.hpp"

@@ -6,15 +6,16 @@
 //
 // Prints the annotated micro-ops of the first few regions, one line per
 // micro-op, plus the pass statistics, and contrasts the OB and RHOP static
-// assignments for the same code. A malformed or out-of-range VC count, or
-// an extra argument, prints the usage and exits 2.
+// assignments for the same code. Every pass runs with the settings
+// harness::pass_options gives it on the two-cluster Table 2 machine, so the
+// OB/RH column shows what Fig 5 runs. A malformed or out-of-range VC count,
+// or an extra argument, prints the usage and exits 2.
 #include <cstdio>
+#include <variant>
 
 #include "cli_args.hpp"
-#include "compiler/ob_pass.hpp"
 #include "compiler/region.hpp"
-#include "compiler/rhop_pass.hpp"
-#include "compiler/vc_pass.hpp"
+#include "harness/experiment.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -44,29 +45,30 @@ int main(int argc, char** argv) {
 
   // Run all three software passes; VC last so its hints survive for the
   // per-instruction dump (we stash the static assignments first).
-  compiler::ObOptions ob_opt;
-  ob_opt.num_clusters = 2;
-  compiler::assign_ob(wl.program, ob_opt);
+  const MachineConfig machine = MachineConfig::two_cluster();
+  const auto options = [&machine](steer::Scheme scheme, std::uint32_t vcs) {
+    return harness::pass_options({scheme, vcs}, machine);
+  };
+  compiler::assign_ob(wl.program, std::get<compiler::ObOptions>(
+                                      options(steer::Scheme::kOb, 0)));
   std::vector<std::int8_t> ob_cluster(wl.program.num_uops());
   for (prog::UopId u = 0; u < wl.program.num_uops(); ++u) {
     ob_cluster[u] = wl.program.uop(u).hint.static_cluster;
   }
 
   wl.program.clear_hints();
-  compiler::RhopOptions rhop_opt;
-  rhop_opt.num_clusters = 2;
-  const compiler::RhopPassStats rhop_stats =
-      compiler::assign_rhop(wl.program, rhop_opt);
+  const compiler::RhopPassStats rhop_stats = compiler::assign_rhop(
+      wl.program,
+      std::get<compiler::RhopOptions>(options(steer::Scheme::kRhop, 0)));
   std::vector<std::int8_t> rhop_cluster(wl.program.num_uops());
   for (prog::UopId u = 0; u < wl.program.num_uops(); ++u) {
     rhop_cluster[u] = wl.program.uop(u).hint.static_cluster;
   }
 
   wl.program.clear_hints();
-  compiler::VcOptions vc_opt;
-  vc_opt.num_vcs = *num_vcs;
-  const compiler::VcPassStats vc_stats =
-      compiler::assign_virtual_clusters(wl.program, vc_opt);
+  const compiler::VcPassStats vc_stats = compiler::assign_virtual_clusters(
+      wl.program,
+      std::get<compiler::VcOptions>(options(steer::Scheme::kVc, *num_vcs)));
 
   const auto regions = compiler::form_regions(wl.program);
   std::printf("regions: %zu (superblocks along expected paths)\n\n",

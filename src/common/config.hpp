@@ -45,9 +45,9 @@ std::uint32_t topology_distance(Topology kind, std::uint32_t num_clusters,
 struct SteerConfig {
   /// When set, the hardware policies weigh candidate clusters by topology
   /// hop cost plus observed link contention (both in cycles) instead of the
-  /// flat occupancy tiebreak, and the software passes use the per-pair
-  /// topology cost matrix instead of a scalar comm_cost. Off reproduces the
-  /// flat (pre-topology) behaviour bit-identically.
+  /// flat occupancy tiebreak, and the software passes plan with the active
+  /// topology's per-pair cost matrix instead of the ideal fabric's. Off
+  /// reproduces the flat (pre-topology) behaviour bit-identically.
   bool topology_aware = false;
 };
 

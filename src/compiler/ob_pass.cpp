@@ -10,11 +10,10 @@
 namespace vcsteer::compiler {
 
 ObPassStats assign_ob(prog::Program& program, const ObOptions& options) {
-  VCSTEER_CHECK(options.num_clusters >= 1 && options.num_clusters <= 127);
-  VCSTEER_CHECK_MSG(options.comm_cost_matrix.empty() ||
-                        options.comm_cost_matrix.size() ==
-                            static_cast<std::size_t>(options.num_clusters) *
-                                options.num_clusters,
+  const std::uint32_t clusters = options.num_clusters;
+  VCSTEER_CHECK(clusters >= 1 && clusters <= 127);
+  VCSTEER_CHECK_MSG(options.comm_cost_matrix.size() ==
+                        static_cast<std::size_t>(clusters) * clusters,
                     "comm_cost_matrix must be num_clusters x num_clusters");
   ObPassStats stats;
 
@@ -40,23 +39,16 @@ ObPassStats assign_ob(prog::Program& program, const ObOptions& options) {
       std::uint32_t best_c;
       double best_completion;
       if (ddg.graph.in_degree(i) == 0) {
-        best_c = round_robin++ % options.num_clusters;
+        best_c = round_robin++ % clusters;
         best_completion = lat;
       } else {
         best_c = 0;
         best_completion = std::numeric_limits<double>::max();
-        for (std::uint32_t c = 0; c < options.num_clusters; ++c) {
+        for (std::uint32_t c = 0; c < clusters; ++c) {
           double ready = 0.0;
           for (const graph::HalfEdge& e : ddg.graph.preds(i)) {
-            // Per-pair topology estimate when provided, flat scalar else.
             const double comm =
-                cluster_of[e.to] == c
-                    ? 0.0
-                    : (options.comm_cost_matrix.empty()
-                           ? options.comm_cost
-                           : options.comm_cost_matrix[cluster_of[e.to] *
-                                                          options.num_clusters +
-                                                      c]);
+                options.comm_cost_matrix[cluster_of[e.to] * clusters + c];
             ready = std::max(ready, est[e.to] + comm);
           }
           const double completion = ready + lat;

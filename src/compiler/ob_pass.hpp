@@ -19,13 +19,12 @@
 
 namespace vcsteer::compiler {
 
+/// The inputs that vary between targets; harness::pass_options chooses them.
 struct ObOptions {
-  std::uint32_t num_clusters = 2;
-  double comm_cost = 2.0;     ///< estimated inter-cluster copy cost, cycles.
-  /// Optional per-pair cost (row-major num_clusters^2): entry [p * n + c]
-  /// estimates consuming in cluster c a value placed in cluster p, derived
-  /// from the target fabric (see harness::comm_cost_matrix). Empty falls
-  /// back to the scalar comm_cost — the flat estimate, bit-identical.
+  std::uint32_t num_clusters = 0;
+  /// Per-pair cost in cycles (row-major num_clusters^2, 0 on the diagonal):
+  /// entry [p * n + c] estimates consuming in cluster c a value placed in
+  /// cluster p (see harness::comm_cost_matrix).
   std::vector<double> comm_cost_matrix;
 
   bool operator==(const ObOptions&) const = default;

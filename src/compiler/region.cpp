@@ -6,9 +6,14 @@
 #include "isa/uop.hpp"
 
 namespace vcsteer::compiler {
+namespace {
 
-std::vector<Region> form_regions(const prog::Program& program,
-                                 const RegionFormationOptions& options) {
+/// Length cap of a superblock, in blocks.
+constexpr std::size_t kMaxRegionBlocks = 4;
+
+}  // namespace
+
+std::vector<Region> form_regions(const prog::Program& program) {
   const std::size_t n = program.num_blocks();
   std::vector<bool> taken(n, false);
   std::vector<Region> regions;
@@ -17,7 +22,7 @@ std::vector<Region> form_regions(const prog::Program& program,
     Region region;
     prog::BlockId current = seed;
     double prob = 1.0;
-    while (region.blocks.size() < options.max_blocks) {
+    while (region.blocks.size() < kMaxRegionBlocks) {
       taken[current] = true;
       region.blocks.push_back(current);
       region.reach_probability.push_back(prob);

@@ -13,10 +13,10 @@
 //
 // Regions here are superblocks: starting from an unvisited seed block, we
 // follow the most-likely CFG successor while it is unvisited, up to a
-// length cap. Every block belongs to exactly one region. Each region node
-// carries its *reach probability* — the product of branch probabilities
-// from the region entry — which the passes use as the execution-weight
-// estimate.
+// length cap of four blocks. Every block belongs to exactly one region.
+// Each region node carries its *reach probability* — the product of branch
+// probabilities from the region entry — which the passes use as the
+// execution-weight estimate.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +33,9 @@ struct Region {
   std::vector<double> reach_probability; ///< per block, from region entry.
 };
 
-struct RegionFormationOptions {
-  std::uint32_t max_blocks = 4;
-};
-
 /// Partition all blocks into superblock regions (deterministic; seeds are
 /// taken in block-id order starting from the program entry).
-std::vector<Region> form_regions(const prog::Program& program,
-                                 const RegionFormationOptions& options = {});
+std::vector<Region> form_regions(const prog::Program& program);
 
 /// Static latency estimate used by all software passes (loads assume an L1
 /// hit: address generation + 3-cycle cache).

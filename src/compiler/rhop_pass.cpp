@@ -8,11 +8,24 @@
 #include "graph/partition.hpp"
 
 namespace vcsteer::compiler {
+namespace {
+
+/// Extra edge weight for fully critical edges (slack 0), decaying linearly
+/// to zero at slack >= critical length.
+constexpr double kCriticalEdgeBonus = 4.0;
+/// Balance tolerance of the refinement stage. RHOP refines aggressively
+/// towards balanced estimated workload (its balance is better than VC's in
+/// Fig. 6(b.2)).
+constexpr double kImbalanceTolerance = 0.05;
+/// Seed of the partitioner's refinement order.
+constexpr std::uint64_t kSeed = 0x5eed;
+
+}  // namespace
 
 RhopPassStats assign_rhop(prog::Program& program, const RhopOptions& options) {
   VCSTEER_CHECK(options.num_clusters >= 1 && options.num_clusters <= 127);
   RhopPassStats stats;
-  Rng rng(options.seed);
+  Rng rng(kSeed);
 
   for (const Region& region : form_regions(program)) {
     const RegionDdg ddg = build_region_ddg(program, region);
@@ -28,8 +41,7 @@ RhopPassStats assign_rhop(prog::Program& program, const RhopOptions& options) {
         const double slack =
             std::min(ddg.crit.slack(u), ddg.crit.slack(e.to));
         const double criticality = std::max(0.0, 1.0 - slack / crit_len);
-        weighted.add_edge(u, e.to,
-                          1.0 + options.critical_edge_bonus * criticality);
+        weighted.add_edge(u, e.to, 1.0 + kCriticalEdgeBonus * criticality);
       }
     }
     // Node weight = estimated resource usage: RHOP balances slot counts
@@ -40,12 +52,11 @@ RhopPassStats assign_rhop(prog::Program& program, const RhopOptions& options) {
     // workload-estimation weakness the paper pins on RHOP (§3.3).
     std::vector<double> node_weight(ddg.exec_weight);
 
-    graph::PartitionOptions popt;
-    popt.num_parts = options.num_clusters;
-    popt.imbalance_tolerance = options.imbalance_tolerance;
-    popt.refine_passes = options.refine_passes;
-    const graph::PartitionResult part =
-        graph::multilevel_partition(weighted, node_weight, popt, rng);
+    const graph::PartitionResult part = graph::multilevel_partition(
+        weighted, node_weight,
+        {.num_parts = options.num_clusters,
+         .imbalance_tolerance = kImbalanceTolerance},
+        rng);
 
     for (graph::NodeId i = 0; i < n; ++i) {
       program.mutable_uop(ddg.uop_of[i]).hint.static_cluster =

@@ -18,15 +18,9 @@
 
 namespace vcsteer::compiler {
 
+/// The inputs that vary between targets; harness::pass_options chooses them.
 struct RhopOptions {
-  std::uint32_t num_clusters = 2;
-  /// Extra edge weight for fully critical edges (slack 0), decaying linearly
-  /// to zero at slack >= critical length.
-  double critical_edge_bonus = 8.0;
-  /// Balance tolerance of the refinement stage.
-  double imbalance_tolerance = 0.15;
-  std::uint32_t refine_passes = 4;
-  std::uint64_t seed = 0x5eed;
+  std::uint32_t num_clusters = 0;
 
   bool operator==(const RhopOptions&) const = default;
 };

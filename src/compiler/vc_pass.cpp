@@ -11,6 +11,11 @@
 namespace vcsteer::compiler {
 namespace {
 
+/// Weight of the VC-load term in the benefit function. Small: balance only
+/// breaks near-ties, criticality dominates (the paper found copy reduction
+/// matters more than balance, §5.3).
+constexpr double kBalanceWeight = 0.55;
+
 /// Per-region VC assignment: top-down greedy minimising estimated
 /// completion time (paper Figure 2, step 2). Nodes are visited in path
 /// order, which is a topological order of the region DDG.
@@ -19,13 +24,6 @@ void partition_region(prog::Program& program, const RegionDdg& ddg,
                       std::vector<std::uint8_t>& vc_of) {
   const std::size_t n = ddg.uop_of.size();
   const std::uint32_t v_count = opt.num_vcs;
-  // Per-pair communication estimate: topology cost matrix when provided,
-  // the flat scalar otherwise (identical for every pair).
-  auto pair_cost = [&opt, v_count](std::uint8_t from, std::uint32_t to) {
-    return opt.comm_cost_matrix.empty()
-               ? opt.comm_cost
-               : opt.comm_cost_matrix[from * v_count + to];
-  };
 
   // est[i]: estimated completion time of node i in its assigned VC.
   std::vector<double> est(n, 0.0);
@@ -45,14 +43,14 @@ void partition_region(prog::Program& program, const RegionDdg& ddg,
       // estimate on top of the producer's completion time.
       double ready = 0.0;
       for (const graph::HalfEdge& e : ddg.graph.preds(i)) {
-        const double comm = vc_of[e.to] == v ? 0.0 : pair_cost(vc_of[e.to], v);
+        const double comm = opt.comm_cost_matrix[vc_of[e.to] * v_count + v];
         ready = std::max(ready, est[e.to] + comm);
       }
       // Contention: the VC issues opt.issue_width work per cycle; vc_front
       // approximates when the next slot is free.
       const double start = std::max(ready, vc_front[v]);
       const double completion = start + lat;
-      const double benefit = completion + opt.balance_weight * vc_load[v];
+      const double benefit = completion + kBalanceWeight * vc_load[v];
       if (benefit < best_benefit) {
         best_benefit = benefit;
         best_vc = v;
@@ -113,11 +111,11 @@ VcPassStats assign_virtual_clusters(prog::Program& program,
                                     const VcOptions& options) {
   VCSTEER_CHECK(options.num_vcs >= 1 &&
                 options.num_vcs < isa::SteerHint::kNoVc);
-  VCSTEER_CHECK_MSG(options.comm_cost_matrix.empty() ||
-                        options.comm_cost_matrix.size() ==
-                            static_cast<std::size_t>(options.num_vcs) *
-                                options.num_vcs,
+  VCSTEER_CHECK_MSG(options.comm_cost_matrix.size() ==
+                        static_cast<std::size_t>(options.num_vcs) *
+                            options.num_vcs,
                     "comm_cost_matrix must be num_vcs x num_vcs");
+  VCSTEER_CHECK(options.issue_width > 0.0);
   VcPassStats stats;
   std::vector<std::uint8_t> vc_of;
   for (const Region& region : form_regions(program)) {

@@ -25,30 +25,24 @@
 
 namespace vcsteer::compiler {
 
+/// The inputs that vary between targets; harness::pass_options chooses them.
 struct VcOptions {
-  std::uint32_t num_vcs = 2;
-  /// Estimated cost of consuming a value produced in another VC (copy issue
-  /// + link), in cycles. Compile-time estimate of the runtime penalty.
-  double comm_cost = 2.0;
-  /// Optional per-pair cost (row-major num_vcs^2): comm_cost_matrix[u *
-  /// num_vcs + v] estimates consuming in VC v a value produced in VC u,
-  /// derived from the target fabric's topology (see
-  /// harness::comm_cost_matrix). Empty falls back to the scalar comm_cost
-  /// for every pair — the flat pre-topology estimate, bit-identical.
+  std::uint32_t num_vcs = 0;
+  /// Estimated cost in cycles (row-major num_vcs^2, 0 on the diagonal) of
+  /// consuming a value produced in another VC (copy issue + link):
+  /// entry [u * num_vcs + v] is for a value produced in VC u and consumed
+  /// in VC v. A compile-time estimate of the runtime penalty, derived from
+  /// the target fabric (see harness::comm_cost_matrix).
   std::vector<double> comm_cost_matrix;
   /// Per-VC issue bandwidth assumed by the contention model (matches the
   /// per-cluster issue width of the target machine).
-  double issue_width = 2.0;
-  /// Weight of the VC-load term in the benefit function. Small: balance
-  /// only breaks near-ties, criticality dominates (the paper found copy
-  /// reduction matters more than balance, §5.3).
-  double balance_weight = 0.55;
-  /// Minimum chain size that gets a leader mark. Trivial chains (isolated
+  double issue_width = 0.0;
+  /// Minimum chain size that gets a leader mark. Smaller chains (isolated
   /// micro-ops) follow their VC's current mapping instead of triggering a
   /// remap — leaders are meant to head real dependence chains (Figure 3),
   /// and remapping at every stray micro-op would turn the scheme into a
   /// pure hardware balancer.
-  std::uint32_t min_leader_chain = 3;
+  std::uint32_t min_leader_chain = 0;
 
   bool operator==(const VcOptions&) const = default;
 };

@@ -9,6 +9,9 @@
 namespace vcsteer::graph {
 namespace {
 
+/// Refinement passes per uncoarsening level.
+constexpr std::uint32_t kRefinePasses = 4;
+
 /// One coarsening level: a coarse graph plus the fine->coarse node map.
 struct Level {
   Digraph graph;
@@ -172,7 +175,7 @@ void refine(const Digraph& g, const std::vector<double>& node_weight,
   };
 
   rebalance();
-  for (std::uint32_t pass = 0; pass < options.refine_passes; ++pass) {
+  for (std::uint32_t pass = 0; pass < kRefinePasses; ++pass) {
     for (std::size_t i = n; i > 1; --i) {
       std::swap(order[i - 1], order[rng.below(i)]);
     }

@@ -25,8 +25,6 @@ struct PartitionOptions {
   std::uint32_t num_parts = 2;
   /// Maximum allowed part weight is (1 + tolerance) * total / num_parts.
   double imbalance_tolerance = 0.20;
-  /// Refinement passes per uncoarsening level.
-  std::uint32_t refine_passes = 4;
 };
 
 struct PartitionResult {

@@ -5,6 +5,8 @@
 
 #include "common/check.hpp"
 #include "mem/hierarchy.hpp"
+#include "steer/op_policy.hpp"
+#include "steer/simple_policies.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
 
@@ -88,12 +90,17 @@ class WeightedAccum {
   std::array<double, sim::kMaxClusters> w_copyq_occ_{};
 };
 
+// The VC scheme's virtual-cluster count: SchemeSpec::num_vcs, where 0
+// means one per physical cluster.
+std::uint32_t vc_count(const SchemeSpec& spec, const MachineConfig& machine) {
+  return spec.num_vcs == 0 ? machine.num_clusters : spec.num_vcs;
+}
+
 }  // namespace
 
 std::string SchemeSpec::label(const MachineConfig& machine) const {
   if (scheme != steer::Scheme::kVc) return steer::scheme_name(scheme);
-  const std::uint32_t vcs = num_vcs == 0 ? machine.num_clusters : num_vcs;
-  return "VC(" + std::to_string(vcs) + "->" +
+  return "VC(" + std::to_string(vc_count(*this, machine)) + "->" +
          std::to_string(machine.num_clusters) + ")";
 }
 
@@ -101,13 +108,17 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
                                      std::uint32_t n, double per_hop,
                                      double fixed) {
   VCSTEER_CHECK(n >= 1);
+  // A flat machine plans for the ideal fabric: every pair is one hop.
+  const Topology fabric = machine.steer.topology_aware
+                              ? machine.interconnect.kind
+                              : Topology::kIdeal;
   std::vector<double> cost(static_cast<std::size_t>(n) * n, 0.0);
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = 0; j < n; ++j) {
       if (i == j) continue;
       const std::uint32_t hops = std::max(
-          1u, topology_distance(machine.interconnect.kind,
-                                machine.num_clusters, i % machine.num_clusters,
+          1u, topology_distance(fabric, machine.num_clusters,
+                                i % machine.num_clusters,
                                 j % machine.num_clusters));
       cost[i * n + j] = fixed + per_hop * static_cast<double>(hops);
     }
@@ -117,50 +128,28 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
 
 PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
   switch (spec.scheme) {
-    case steer::Scheme::kOb: {
-      compiler::ObOptions opt;
-      opt.num_clusters = machine.num_clusters;
+    case steer::Scheme::kOb:
       // SPDI models a cheap operand network (EDGE grids), so it
       // underestimates the copy cost of a clustered machine and splits
       // chains more freely than VC does — the copy excess of Fig. 6(a.1).
-      // Half a cycle per hop, no fixed cost; the flat scalar is one hop.
-      constexpr double kPerHop = 0.5;
-      opt.comm_cost = kPerHop;
-      if (machine.steer.topology_aware) {
-        opt.comm_cost_matrix = comm_cost_matrix(machine, machine.num_clusters,
-                                                kPerHop, /*fixed=*/0.0);
-      }
-      return opt;
-    }
-    case steer::Scheme::kRhop: {
-      compiler::RhopOptions opt;
-      opt.num_clusters = machine.num_clusters;
-      // RHOP refines aggressively towards balanced estimated workload
-      // (its balance is better than VC's in Fig. 6(b.2)).
-      opt.imbalance_tolerance = 0.05;
-      opt.critical_edge_bonus = 4.0;
-      return opt;
-    }
+      // Half a cycle per hop, no fixed cost.
+      return compiler::ObOptions{
+          machine.num_clusters,
+          comm_cost_matrix(machine, machine.num_clusters, /*per_hop=*/0.5,
+                           /*fixed=*/0.0)};
+    case steer::Scheme::kRhop:
+      return compiler::RhopOptions{machine.num_clusters};
     case steer::Scheme::kVc: {
-      compiler::VcOptions opt;
-      opt.num_vcs = spec.num_vcs == 0 ? machine.num_clusters : spec.num_vcs;
+      const std::uint32_t vcs = vc_count(spec, machine);
       // One link transit per hop plus one cycle of copy issue/writeback.
-      // The flat scalar is the one-hop cost (link_latency + 1, the
-      // pre-topology value); topology-aware runs hand the pass the full
-      // per-pair matrix.
       const auto per_hop =
           static_cast<double>(machine.interconnect.link_latency);
-      constexpr double kFixed = 1.0;
-      opt.comm_cost = kFixed + per_hop;
-      if (machine.steer.topology_aware) {
-        opt.comm_cost_matrix =
-            comm_cost_matrix(machine, opt.num_vcs, per_hop, kFixed);
-      }
-      opt.issue_width = machine.issue_width_int;
-      if (spec.vc_min_leader_chain != 0) {
-        opt.min_leader_chain = spec.vc_min_leader_chain;
-      }
-      return opt;
+      // Chains of three or more get a leader unless the spec says otherwise
+      // (the chain-granularity ablation).
+      return compiler::VcOptions{
+          vcs, comm_cost_matrix(machine, vcs, per_hop, /*fixed=*/1.0),
+          static_cast<double>(machine.issue_width_int),
+          spec.vc_min_leader_chain != 0 ? spec.vc_min_leader_chain : 3};
     }
     default:
       return std::monostate{};  // hardware-only schemes need no annotations
@@ -185,12 +174,25 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
 
 std::unique_ptr<steer::SteeringPolicy> policy_for_scheme(
     const SchemeSpec& spec, const MachineConfig& machine) {
-  if (spec.scheme == steer::Scheme::kVc) {
-    const std::uint32_t vcs =
-        spec.num_vcs == 0 ? machine.num_clusters : spec.num_vcs;
-    return std::make_unique<steer::VcPolicy>(machine, vcs);
+  switch (spec.scheme) {
+    case steer::Scheme::kOp:
+      return std::make_unique<steer::OpPolicy>(machine);
+    case steer::Scheme::kParallelOp:
+      return std::make_unique<steer::ParallelOpPolicy>(machine);
+    case steer::Scheme::kOneCluster:
+      return std::make_unique<steer::OneClusterPolicy>();
+    // OB and RHOP share the static-assignment follower; they differ only in
+    // the software pass.
+    case steer::Scheme::kOb:
+      return std::make_unique<steer::StaticFollowerPolicy>("OB");
+    case steer::Scheme::kRhop:
+      return std::make_unique<steer::StaticFollowerPolicy>("RHOP");
+    case steer::Scheme::kVc:
+      // The VC table holds as many virtual clusters as the pass used.
+      return std::make_unique<steer::VcPolicy>(machine,
+                                               vc_count(spec, machine));
   }
-  return steer::make_policy(spec.scheme, machine);
+  VCSTEER_CHECK_MSG(false, "unknown steering scheme");
 }
 
 TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,

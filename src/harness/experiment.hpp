@@ -56,8 +56,8 @@ struct SchemeSpec {
   /// Virtual-cluster count for the VC scheme; 0 = same as cluster count.
   /// E.g. {kVc, 2} on a 4-cluster machine is the paper's VC(2->4).
   std::uint32_t num_vcs = 0;
-  /// Override for VcOptions::min_leader_chain (0 = library default); used
-  /// by the chain-granularity ablation.
+  /// Override for VcOptions::min_leader_chain (0 = pass_options' default);
+  /// used by the chain-granularity ablation.
   std::uint32_t vc_min_leader_chain = 0;
 
   std::string label(const MachineConfig& machine) const;
@@ -220,13 +220,15 @@ class TraceExperiment {
 };
 
 /// Per-pair compile-time communication-cost matrix for `n` placement
-/// targets (virtual clusters or physical clusters) on `machine`'s fabric,
-/// row-major n^2: cost(i, j) = fixed + per_hop * hops for i != j, 0 on the
-/// diagonal. Hops come from the active topology (common/config.hpp
-/// topology_distance); targets map onto physical clusters modulo
-/// num_clusters and distinct targets are never estimated closer than one
-/// hop (two VCs sharing a physical cluster today may be remapped apart at
-/// any chain leader).
+/// targets (virtual clusters or physical clusters) on `machine`, row-major
+/// n^2: cost(i, j) = fixed + per_hop * hops for i != j, 0 on the diagonal.
+/// Hops come from the fabric the passes plan for (common/config.hpp
+/// topology_distance): the active topology when
+/// machine.steer.topology_aware is set, else the ideal fabric, where every
+/// pair is one hop whatever the machine's topology. Targets map onto
+/// physical clusters modulo num_clusters and distinct targets are never
+/// estimated closer than one hop (two VCs sharing a physical cluster today
+/// may be remapped apart at any chain leader).
 std::vector<double> comm_cost_matrix(const MachineConfig& machine,
                                      std::uint32_t n, double per_hop,
                                      double fixed);
@@ -238,10 +240,10 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
 using PassOptions = std::variant<std::monostate, compiler::ObOptions,
                                  compiler::RhopOptions, compiler::VcOptions>;
 
-/// The options of `spec`'s software pass for `machine`. When
-/// machine.steer.topology_aware is set, the OB and VC passes estimate
-/// communication with the per-pair topology matrix instead of the flat
-/// scalar, which is the one-hop cost of that matrix.
+/// The options of `spec`'s software pass for `machine`: the only place a
+/// pass's settings are chosen. The OB and VC passes estimate communication
+/// with comm_cost_matrix, so a flat machine's options are the same on every
+/// topology.
 PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine);
 
 /// Clears `program`'s hints, then runs the pass `options` names (none for
@@ -253,7 +255,8 @@ void run_pass(prog::Program& program, const PassOptions& options);
 void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
                          const MachineConfig& machine);
 
-/// Instantiates the hardware policy for `spec`.
+/// Instantiates the hardware policy for `spec`; every scheme's policy is
+/// built here.
 std::unique_ptr<steer::SteeringPolicy> policy_for_scheme(
     const SchemeSpec& spec, const MachineConfig& machine);
 

@@ -33,13 +33,11 @@ class ClusterBackend {
         cluster_(cluster),
         obs_(obs) {}
 
-  /// One cycle of compute-queue issue (INT then FP, issue_width each).
-  void issue() { issue_some(/*int_ready=*/true, /*fp_ready=*/true); }
-
-  /// issue() with per-queue ready hints from the ready-summary mask: a
-  /// queue whose ready list is known empty is not visited at all. Visiting
-  /// an empty queue is a no-op, so any hint combination is bit-identical —
-  /// the hints only skip provably idle walks.
+  /// One cycle of compute-queue issue (INT then FP, issue_width each), with
+  /// per-queue ready hints from the ready-summary mask: a queue whose ready
+  /// list is known empty is not visited at all. Visiting an empty queue is
+  /// a no-op, so any hint combination is bit-identical — the hints only skip
+  /// provably idle walks.
   void issue_some(bool int_ready, bool fp_ready) {
     ClusterState& cl = state_.clusters[cluster_];
     if (int_ready) {

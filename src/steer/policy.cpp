@@ -1,10 +1,5 @@
 #include "steer/policy.hpp"
 
-#include "common/check.hpp"
-#include "steer/op_policy.hpp"
-#include "steer/simple_policies.hpp"
-#include "steer/vc_policy.hpp"
-
 namespace vcsteer::steer {
 
 const char* scheme_name(Scheme scheme) {
@@ -17,33 +12,6 @@ const char* scheme_name(Scheme scheme) {
     case Scheme::kParallelOp: return "OP-parallel";
   }
   return "?";
-}
-
-bool needs_software_pass(Scheme scheme) {
-  return scheme == Scheme::kOb || scheme == Scheme::kRhop ||
-         scheme == Scheme::kVc;
-}
-
-std::unique_ptr<SteeringPolicy> make_policy(Scheme scheme,
-                                            const MachineConfig& config) {
-  switch (scheme) {
-    case Scheme::kOp:
-      return std::make_unique<OpPolicy>(config);
-    case Scheme::kParallelOp:
-      return std::make_unique<ParallelOpPolicy>(config);
-    case Scheme::kOneCluster:
-      return std::make_unique<OneClusterPolicy>();
-    case Scheme::kOb:
-      return std::make_unique<StaticFollowerPolicy>("OB");
-    case Scheme::kRhop:
-      return std::make_unique<StaticFollowerPolicy>("RHOP");
-    case Scheme::kVc:
-      // The VC table size is the number of virtual clusters the software
-      // pass used; default to the cluster count (VC(n->n)). Callers that
-      // want VC(2->4) construct VcPolicy directly.
-      return std::make_unique<VcPolicy>(config, config.num_clusters);
-  }
-  VCSTEER_CHECK_MSG(false, "unknown steering scheme");
 }
 
 }  // namespace vcsteer::steer

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -154,13 +153,5 @@ enum class Scheme {
 };
 
 const char* scheme_name(Scheme scheme);
-
-/// True when the scheme requires a software pass to annotate the program.
-bool needs_software_pass(Scheme scheme);
-
-/// Instantiate the hardware side of a scheme. OB and RHOP share the
-/// static-assignment follower; they differ only in the compiler pass.
-std::unique_ptr<SteeringPolicy> make_policy(Scheme scheme,
-                                            const MachineConfig& config);
 
 }  // namespace vcsteer::steer

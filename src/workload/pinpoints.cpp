@@ -12,6 +12,9 @@ namespace {
 
 using Bbv = std::vector<double>;
 
+/// Lloyd iterations at most; they stop early once no assignment changes.
+constexpr std::uint32_t kKmeansIters = 25;
+
 double sq_distance(const Bbv& a, const Bbv& b) {
   double d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -24,8 +27,7 @@ double sq_distance(const Bbv& a, const Bbv& b) {
 /// k-means++ seeding followed by Lloyd iterations. Small n (tens of
 /// intervals), so the plain O(n*k) implementation is appropriate.
 std::vector<std::uint32_t> kmeans(const std::vector<Bbv>& points,
-                                  std::uint32_t k, std::uint32_t iters,
-                                  vcsteer::Rng& rng) {
+                                  std::uint32_t k, vcsteer::Rng& rng) {
   const std::size_t n = points.size();
   VCSTEER_CHECK(k >= 1 && k <= n);
   std::vector<Bbv> centroids;
@@ -58,7 +60,7 @@ std::vector<std::uint32_t> kmeans(const std::vector<Bbv>& points,
   }
 
   std::vector<std::uint32_t> assign(n, 0);
-  for (std::uint32_t iter = 0; iter < iters; ++iter) {
+  for (std::uint32_t iter = 0; iter < kKmeansIters; ++iter) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
       double best = std::numeric_limits<double>::max();
@@ -121,8 +123,7 @@ std::vector<SimPoint> select_pinpoints(TraceSource& trace,
   vcsteer::Rng rng(seed);
   const std::uint32_t k = static_cast<std::uint32_t>(
       std::min<std::size_t>(options.max_phases, bbvs.size()));
-  const std::vector<std::uint32_t> assign =
-      kmeans(bbvs, k, options.kmeans_iters, rng);
+  const std::vector<std::uint32_t> assign = kmeans(bbvs, k, rng);
 
   // Per cluster: centroid, population, and the member interval closest to
   // the centroid becomes the simulation point.

@@ -30,7 +30,6 @@ struct PinPointsOptions {
   std::uint64_t total_uops = 2'000'000;   ///< trace prefix to analyse.
   std::uint64_t interval_uops = 100'000;  ///< BBV interval size.
   std::uint32_t max_phases = 10;          ///< paper: at most 10 phases.
-  std::uint32_t kmeans_iters = 25;
 };
 
 /// Select weighted representative intervals. Weights sum to 1. The trace

@@ -1,14 +1,14 @@
 // Tests for the software-side steering passes: DDG construction,
 // criticality, the VC partitioner + chain identification (paper Figures 2
-// and 3), the OB/SPDI placement and the RHOP partitioning pass.
+// and 3), the OB/SPDI placement and the RHOP partitioning pass. The passes
+// run with the options harness::pass_options gives them.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <variant>
 
-#include "compiler/ob_pass.hpp"
 #include "compiler/region.hpp"
-#include "compiler/rhop_pass.hpp"
-#include "compiler/vc_pass.hpp"
+#include "harness/experiment.hpp"
 #include "program/program.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
@@ -23,6 +23,25 @@ using prog::Program;
 using prog::ProgramBuilder;
 
 ArchReg r(std::uint8_t i) { return {RegFile::kInt, i}; }
+
+/// The options harness::pass_options gives `scheme` on the Table 2 machine
+/// with `clusters` clusters (VC: one virtual cluster per cluster).
+template <typename Options>
+Options options_for(steer::Scheme scheme, std::uint32_t clusters) {
+  MachineConfig machine = MachineConfig::two_cluster();
+  machine.num_clusters = clusters;
+  return std::get<Options>(harness::pass_options({scheme, 0}, machine));
+}
+
+VcOptions vc_options(std::uint32_t num_vcs) {
+  return options_for<VcOptions>(steer::Scheme::kVc, num_vcs);
+}
+ObOptions ob_options(std::uint32_t clusters) {
+  return options_for<ObOptions>(steer::Scheme::kOb, clusters);
+}
+RhopOptions rhop_options(std::uint32_t clusters) {
+  return options_for<RhopOptions>(steer::Scheme::kRhop, clusters);
+}
 
 /// One block: two independent chains (r1->r1 and r2->r2) plus an isolated op.
 Program two_chain_program(std::uint32_t chain_len = 4) {
@@ -84,8 +103,7 @@ TEST(Ddg, CriticalityOfSerialChain) {
 
 TEST(VcPass, AssignsEveryUopAVc) {
   Program p = two_chain_program();
-  VcOptions opt;
-  opt.num_vcs = 2;
+  const VcOptions opt = vc_options(2);
   const VcPassStats stats = assign_virtual_clusters(p, opt);
   EXPECT_EQ(stats.instructions, p.num_uops());
   for (prog::UopId u = 0; u < p.num_uops(); ++u) {
@@ -97,8 +115,7 @@ TEST(VcPass, AssignsEveryUopAVc) {
 
 TEST(VcPass, TwoChainsLandInDifferentVcs) {
   Program p = two_chain_program(6);
-  VcOptions opt;
-  opt.num_vcs = 2;
+  const VcOptions opt = vc_options(2);
   assign_virtual_clusters(p, opt);
   // Each chain stays within one VC...
   const std::uint8_t vc_a = p.uop(0).hint.vc_id;
@@ -113,8 +130,7 @@ TEST(VcPass, TwoChainsLandInDifferentVcs) {
 
 TEST(VcPass, ChainLeadersHeadChains) {
   Program p = two_chain_program(6);
-  VcOptions opt;
-  opt.num_vcs = 2;
+  VcOptions opt = vc_options(2);
   opt.min_leader_chain = 2;
   const VcPassStats stats = assign_virtual_clusters(p, opt);
   // The first op of each chain is a leader; mid-chain ops are not.
@@ -129,8 +145,7 @@ TEST(VcPass, ChainLeadersHeadChains) {
 
 TEST(VcPass, TrivialChainsGetNoLeaderMark) {
   Program p = two_chain_program(6);
-  VcOptions opt;
-  opt.num_vcs = 2;
+  VcOptions opt = vc_options(2);
   opt.min_leader_chain = 2;
   assign_virtual_clusters(p, opt);
   // The isolated final op forms a singleton chain: no leader mark.
@@ -139,8 +154,7 @@ TEST(VcPass, TrivialChainsGetNoLeaderMark) {
 
 TEST(VcPass, SingleVcPutsEverythingTogether) {
   Program p = two_chain_program();
-  VcOptions opt;
-  opt.num_vcs = 1;
+  const VcOptions opt = vc_options(1);
   assign_virtual_clusters(p, opt);
   for (prog::UopId u = 0; u < p.num_uops(); ++u) {
     EXPECT_EQ(p.uop(u).hint.vc_id, 0);
@@ -149,8 +163,7 @@ TEST(VcPass, SingleVcPutsEverythingTogether) {
 
 TEST(VcPass, StatsAreConsistent) {
   Program p = two_chain_program();
-  VcOptions opt;
-  opt.num_vcs = 2;
+  const VcOptions opt = vc_options(2);
   const VcPassStats stats = assign_virtual_clusters(p, opt);
   EXPECT_GT(stats.chains, 0u);
   EXPECT_LE(stats.leaders, stats.chains);
@@ -159,8 +172,7 @@ TEST(VcPass, StatsAreConsistent) {
 
 TEST(ObPass, AssignsEveryUopACluster) {
   Program p = two_chain_program();
-  ObOptions opt;
-  opt.num_clusters = 2;
+  const ObOptions opt = ob_options(2);
   const ObPassStats stats = assign_ob(p, opt);
   EXPECT_EQ(stats.instructions, p.num_uops());
   for (prog::UopId u = 0; u < p.num_uops(); ++u) {
@@ -179,8 +191,7 @@ TEST(ObPass, RootsRoundRobinAcrossClusters) {
   }
   b.end_block({{0, 1.0}});
   Program p = std::move(b).finish();
-  ObOptions opt;
-  opt.num_clusters = 2;
+  const ObOptions opt = ob_options(2);
   assign_ob(p, opt);
   for (prog::UopId u = 0; u < 8; ++u) {
     EXPECT_EQ(p.uop(u).hint.static_cluster, static_cast<std::int8_t>(u % 2));
@@ -195,9 +206,8 @@ TEST(ObPass, DependentsFollowOperands) {
   b.add(OpClass::kIntAlu, r(3), {r(2)});  // follows r2
   b.end_block({{0, 1.0}});
   Program p = std::move(b).finish();
-  ObOptions opt;
-  opt.num_clusters = 2;
-  opt.comm_cost = 2.0;
+  ObOptions opt = ob_options(2);
+  opt.comm_cost_matrix = {0.0, 2.0, 2.0, 0.0};  // a copy costs 2 cycles
   const ObPassStats stats = assign_ob(p, opt);
   EXPECT_EQ(p.uop(1).hint.static_cluster, p.uop(0).hint.static_cluster);
   EXPECT_EQ(p.uop(2).hint.static_cluster, p.uop(1).hint.static_cluster);
@@ -206,8 +216,7 @@ TEST(ObPass, DependentsFollowOperands) {
 
 TEST(RhopPass, AssignsEveryUopACluster) {
   Program p = two_chain_program();
-  RhopOptions opt;
-  opt.num_clusters = 2;
+  const RhopOptions opt = rhop_options(2);
   const RhopPassStats stats = assign_rhop(p, opt);
   EXPECT_EQ(stats.instructions, p.num_uops());
   for (prog::UopId u = 0; u < p.num_uops(); ++u) {
@@ -218,8 +227,7 @@ TEST(RhopPass, AssignsEveryUopACluster) {
 
 TEST(RhopPass, KeepsChainsTogetherSplitsAcrossChains) {
   Program p = two_chain_program(8);
-  RhopOptions opt;
-  opt.num_clusters = 2;
+  const RhopOptions opt = rhop_options(2);
   assign_rhop(p, opt);
   // Within each chain, all ops share a cluster (heavy slack-weighted edges
   // are never cut when a zero-cost split exists); the two chains separate
@@ -236,9 +244,7 @@ TEST(RhopPass, KeepsChainsTogetherSplitsAcrossChains) {
 TEST(RhopPass, DeterministicForFixedSeed) {
   Program p1 = two_chain_program();
   Program p2 = two_chain_program();
-  RhopOptions opt;
-  opt.num_clusters = 2;
-  opt.seed = 1234;
+  const RhopOptions opt = rhop_options(2);
   assign_rhop(p1, opt);
   assign_rhop(p2, opt);
   for (prog::UopId u = 0; u < p1.num_uops(); ++u) {
@@ -257,8 +263,7 @@ TEST_P(PassesOnWorkloads, AllPassesCoverAllUops) {
   ASSERT_NE(profile, nullptr);
   workload::GeneratedWorkload wl = workload::generate(*profile);
 
-  VcOptions vc;
-  vc.num_vcs = 4;
+  const VcOptions vc = vc_options(4);
   const VcPassStats vc_stats = assign_virtual_clusters(wl.program, vc);
   EXPECT_EQ(vc_stats.instructions, wl.program.num_uops());
   std::set<std::uint8_t> vcs_used;
@@ -270,8 +275,7 @@ TEST_P(PassesOnWorkloads, AllPassesCoverAllUops) {
   EXPECT_GT(vc_stats.leaders, 0u);
 
   wl.program.clear_hints();
-  ObOptions ob;
-  ob.num_clusters = 4;
+  const ObOptions ob = ob_options(4);
   assign_ob(wl.program, ob);
   std::set<std::int8_t> ob_clusters;
   for (prog::UopId u = 0; u < wl.program.num_uops(); ++u) {
@@ -281,8 +285,7 @@ TEST_P(PassesOnWorkloads, AllPassesCoverAllUops) {
   EXPECT_EQ(ob_clusters.size(), 4u);
 
   wl.program.clear_hints();
-  RhopOptions rhop;
-  rhop.num_clusters = 4;
+  const RhopOptions rhop = rhop_options(4);
   const RhopPassStats rhop_stats = assign_rhop(wl.program, rhop);
   EXPECT_EQ(rhop_stats.instructions, wl.program.num_uops());
   // RHOP's refinement respects its balance tolerance per block (allowing

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,31 +41,42 @@ TEST(SchemeSpec, Labels) {
   EXPECT_EQ((SchemeSpec{steer::Scheme::kVc, 2}).label(m4), "VC(2->4)");
 }
 
-// Pins the communication-cost values annotate_for_scheme derives from each
-// topology kind: the flat VC pass's scalar is the one-hop matrix entry
-// (link_latency + 1 on every fabric — the pre-topology estimate, so flat
-// runs stay bit-identical), and the per-pair matrix reflects the directed
-// hop counts of the active topology.
+// Every micro-op's hints as (vc_id, chain_leader, static_cluster).
+std::vector<std::tuple<int, bool, int>> hints_of(const prog::Program& p) {
+  std::vector<std::tuple<int, bool, int>> hints;
+  for (prog::UopId u = 0; u < p.num_uops(); ++u) {
+    const isa::SteerHint& h = p.uop(u).hint;
+    hints.emplace_back(h.vc_id, h.chain_leader, h.static_cluster);
+  }
+  return hints;
+}
+
+// Pins the communication-cost values pass_options derives from each
+// topology kind: a topology-aware machine's per-pair matrix reflects the
+// directed hop counts of its topology, and a flat machine's is the ideal
+// fabric's, one hop (link_latency + 1 for VC) for every pair on every
+// fabric — the pre-topology estimate, so flat runs stay bit-identical.
 TEST(Annotate, CommCostMatrixDerivesFromTopology) {
-  auto machine = [](Topology kind, std::uint32_t link_latency) {
+  auto machine = [](Topology kind, std::uint32_t link_latency, bool aware) {
     MachineConfig m = MachineConfig::four_cluster();
     m.interconnect.kind = kind;
     m.interconnect.link_latency = link_latency;
+    m.steer.topology_aware = aware;
     return m;
   };
   auto vc_matrix = [&](Topology kind, std::uint32_t link_latency,
                        std::uint32_t n) {
-    return comm_cost_matrix(machine(kind, link_latency), n,
+    return comm_cost_matrix(machine(kind, link_latency, /*aware=*/true), n,
                             /*per_hop=*/static_cast<double>(link_latency),
                             /*fixed=*/1.0);
   };
-  // The scalar the flat VC(n) pass charges every cross-VC pair.
-  auto vc_scalar = [&](Topology kind, std::uint32_t link_latency,
-                       std::uint32_t n) {
+  // The matrix the flat VC(n) pass charges.
+  auto flat_vc_matrix = [&](Topology kind, std::uint32_t link_latency,
+                            std::uint32_t n) {
     return std::get<compiler::VcOptions>(
                pass_options({steer::Scheme::kVc, n},
-                            machine(kind, link_latency)))
-        .comm_cost;
+                            machine(kind, link_latency, /*aware=*/false)))
+        .comm_cost_matrix;
   };
 
   // Uniform single-hop fabrics: every off-diagonal pair costs latency + 1.
@@ -77,7 +89,7 @@ TEST(Annotate, CommCostMatrixDerivesFromTopology) {
             << topology_name(kind);
       }
     }
-    EXPECT_DOUBLE_EQ(vc_scalar(kind, 2, 4), 3.0) << topology_name(kind);
+    EXPECT_EQ(flat_vc_matrix(kind, 2, 4), m) << topology_name(kind);
   }
 
   // Ring, latency 2: directed hops, 2 * hops + 1 per pair.
@@ -88,35 +100,38 @@ TEST(Annotate, CommCostMatrixDerivesFromTopology) {
   EXPECT_DOUBLE_EQ(ring[3 * 4 + 0], 3.0);   // wrap-around is 1 hop
   EXPECT_DOUBLE_EQ(ring[1 * 4 + 0], 7.0);   // backwards = the long way
   EXPECT_DOUBLE_EQ(ring[2 * 4 + 2], 0.0);
-  // The scalar the flat pass uses is the one-hop entry — exactly the
-  // historical link_latency + 1, even on the non-uniform ring.
-  EXPECT_DOUBLE_EQ(vc_scalar(Topology::kRing, 2, 4), 3.0);
+  // The flat pass plans for the ideal fabric even on the non-uniform ring:
+  // the historical link_latency + 1 for every pair.
+  EXPECT_EQ(flat_vc_matrix(Topology::kRing, 2, 4),
+            vc_matrix(Topology::kIdeal, 2, 4));
 
   // VC(2->4): two virtual clusters mapped onto clusters 0 and 1.
   const std::vector<double> vc24 = vc_matrix(Topology::kRing, 1, 2);
   EXPECT_DOUBLE_EQ(vc24[0 * 2 + 1], 2.0);  // d(0,1) = 1 hop
   EXPECT_DOUBLE_EQ(vc24[1 * 2 + 0], 4.0);  // d(1,0) = 3 hops
-  EXPECT_DOUBLE_EQ(vc_scalar(Topology::kRing, 1, 2), 2.0);
+  EXPECT_EQ(flat_vc_matrix(Topology::kRing, 1, 2),
+            (std::vector<double>{0.0, 2.0, 2.0, 0.0}));
 
   // More placement targets than clusters: aliased targets (0 and 4 both
   // map to cluster 0) are still estimated at least one hop apart.
-  MachineConfig m = MachineConfig::four_cluster();
-  const std::vector<double> wide = comm_cost_matrix(m, 5, 1.0, 1.0);
+  const std::vector<double> wide =
+      comm_cost_matrix(machine(Topology::kRing, 1, /*aware=*/true), 5, 1.0,
+                       1.0);
   EXPECT_DOUBLE_EQ(wide[0 * 5 + 4], 2.0);
   EXPECT_DOUBLE_EQ(wide[4 * 5 + 0], 2.0);
 }
 
 TEST(Annotate, TopologyAwareKnobHandsThePassesTheMatrix) {
-  // Flat and aware annotation agree on the ideal fabric (the matrix is the
-  // scalar replicated), so the knob cannot perturb Table-2 results; on the
-  // ring they may legitimately place differently.
+  // Flat and aware annotation agree on the ideal fabric (both plan for
+  // it), so the knob cannot perturb Table-2 results; on the ring they may
+  // legitimately place differently.
   workload::GeneratedWorkload flat_wl = workload::generate(smoke_profile());
   workload::GeneratedWorkload aware_wl = workload::generate(smoke_profile());
   MachineConfig ideal = MachineConfig::four_cluster();
   MachineConfig aware_ideal = ideal;
   aware_ideal.steer.topology_aware = true;
-  // Only the aware machine's passes get a matrix; the flat ones charge the
-  // one-hop scalar (OB: half a cycle per hop, no fixed cost).
+  MachineConfig aware_ring = aware_ideal;
+  aware_ring.interconnect.kind = Topology::kRing;
   auto ob = [](const MachineConfig& m) {
     return std::get<compiler::ObOptions>(
         pass_options({steer::Scheme::kOb, 0}, m));
@@ -125,21 +140,59 @@ TEST(Annotate, TopologyAwareKnobHandsThePassesTheMatrix) {
     return std::get<compiler::VcOptions>(
         pass_options({steer::Scheme::kVc, 2}, m));
   };
-  EXPECT_TRUE(ob(ideal).comm_cost_matrix.empty());
-  EXPECT_TRUE(vc(ideal).comm_cost_matrix.empty());
-  EXPECT_DOUBLE_EQ(ob(ideal).comm_cost, 0.5);
-  EXPECT_DOUBLE_EQ(vc(ideal).comm_cost, 2.0);
-  EXPECT_EQ(ob(aware_ideal).comm_cost_matrix,
-            comm_cost_matrix(ideal, 4, 0.5, 0.0));
-  EXPECT_EQ(vc(aware_ideal).comm_cost_matrix,
-            comm_cost_matrix(ideal, 2, 1.0, 1.0));
+  // One hop off the diagonal: OB charges half a cycle per hop and no fixed
+  // cost, VC link_latency + 1.
+  std::vector<double> ob_one_hop(16, 0.5);
+  for (std::uint32_t i = 0; i < 4; ++i) ob_one_hop[i * 4 + i] = 0.0;
+  EXPECT_EQ(ob(ideal).comm_cost_matrix, ob_one_hop);
+  EXPECT_EQ(vc(ideal).comm_cost_matrix,
+            (std::vector<double>{0.0, 2.0, 2.0, 0.0}));
+  EXPECT_EQ(ob(aware_ideal), ob(ideal));
+  EXPECT_EQ(vc(aware_ideal), vc(ideal));
+  // An aware ring machine's passes get the ring's matrix.
+  EXPECT_EQ(ob(aware_ring).comm_cost_matrix,
+            comm_cost_matrix(aware_ring, 4, 0.5, 0.0));
+  EXPECT_EQ(vc(aware_ring).comm_cost_matrix,
+            comm_cost_matrix(aware_ring, 2, 1.0, 1.0));
+  EXPECT_NE(vc(aware_ring).comm_cost_matrix, vc(ideal).comm_cost_matrix);
   annotate_for_scheme(flat_wl.program, {steer::Scheme::kVc, 2}, ideal);
   annotate_for_scheme(aware_wl.program, {steer::Scheme::kVc, 2}, aware_ideal);
-  for (prog::UopId u = 0; u < flat_wl.program.num_uops(); ++u) {
-    ASSERT_EQ(flat_wl.program.uop(u).hint.vc_id,
-              aware_wl.program.uop(u).hint.vc_id);
-    ASSERT_EQ(flat_wl.program.uop(u).hint.chain_leader,
-              aware_wl.program.uop(u).hint.chain_leader);
+  EXPECT_EQ(hints_of(flat_wl.program), hints_of(aware_wl.program));
+}
+
+// A flat machine's passes plan for the ideal fabric whatever its topology:
+// their options carry the ideal fabric's matrix, so they annotate exactly
+// as on the ideal machine, and flat machines that differ only in topology
+// share one pass.
+TEST(Annotate, FlatPassesPlanForTheIdealFabric) {
+  const MachineConfig ideal = MachineConfig::four_cluster();
+  workload::GeneratedWorkload wl = workload::generate(smoke_profile());
+  const auto hints = [&wl](const SchemeSpec& spec, const MachineConfig& m) {
+    annotate_for_scheme(wl.program, spec, m);
+    return hints_of(wl.program);
+  };
+  for (const Topology kind :
+       {Topology::kBus, Topology::kRing, Topology::kCrossbar}) {
+    MachineConfig flat = ideal;
+    flat.interconnect.kind = kind;
+    EXPECT_EQ(std::get<compiler::ObOptions>(
+                  pass_options({steer::Scheme::kOb, 0}, flat))
+                  .comm_cost_matrix,
+              comm_cost_matrix(ideal, 4, /*per_hop=*/0.5, /*fixed=*/0.0))
+        << topology_name(kind);
+    for (const std::uint32_t vcs : {2u, 4u}) {
+      EXPECT_EQ(std::get<compiler::VcOptions>(
+                    pass_options({steer::Scheme::kVc, vcs}, flat))
+                    .comm_cost_matrix,
+                comm_cost_matrix(ideal, vcs, /*per_hop=*/1.0, /*fixed=*/1.0))
+          << topology_name(kind) << " VC(" << vcs << ")";
+    }
+    for (const SchemeSpec spec :
+         {SchemeSpec{steer::Scheme::kOb, 0}, SchemeSpec{steer::Scheme::kVc, 2},
+          SchemeSpec{steer::Scheme::kVc, 4}}) {
+      EXPECT_EQ(hints(spec, flat), hints(spec, ideal))
+          << topology_name(kind) << " " << spec.label(flat);
+    }
   }
 }
 

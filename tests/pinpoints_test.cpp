@@ -41,7 +41,9 @@ TEST(PinPoints, PointsWithinAnalysedPrefixAndSorted) {
     EXPECT_EQ(p.length, opt.interval_uops);
     EXPECT_LE(p.start_uop + p.length, opt.total_uops);
     EXPECT_EQ(p.start_uop % opt.interval_uops, 0u);
-    if (!first) EXPECT_GT(p.start_uop, prev_start);
+    if (!first) {
+      EXPECT_GT(p.start_uop, prev_start);
+    }
     prev_start = p.start_uop;
     first = false;
     EXPECT_GT(p.weight, 0.0);

@@ -2,11 +2,14 @@
 // (tests/fake_steer_view.hpp): OP preference / tie-break / stall-over-steer,
 // the topology-aware OP and VC paths (hand-built occupancy / distance /
 // contention scenarios), the VC mapping table and chain-leader remapping,
-// the static follower and the factory.
+// the static follower and the one policy factory, harness::policy_for_scheme.
 #include <gtest/gtest.h>
+
+#include <variant>
 
 #include "common/check.hpp"
 #include "fake_steer_view.hpp"
+#include "harness/experiment.hpp"
 #include "steer/mod_policy.hpp"
 #include "steer/op_policy.hpp"
 #include "steer/policy.hpp"
@@ -479,12 +482,17 @@ TEST(Factory, SchemeNamesAndPasses) {
   EXPECT_STREQ(scheme_name(Scheme::kOp), "OP");
   EXPECT_STREQ(scheme_name(Scheme::kOneCluster), "one-cluster");
   EXPECT_STREQ(scheme_name(Scheme::kVc), "VC");
-  EXPECT_TRUE(needs_software_pass(Scheme::kOb));
-  EXPECT_TRUE(needs_software_pass(Scheme::kRhop));
-  EXPECT_TRUE(needs_software_pass(Scheme::kVc));
-  EXPECT_FALSE(needs_software_pass(Scheme::kOp));
-  EXPECT_FALSE(needs_software_pass(Scheme::kOneCluster));
-  EXPECT_FALSE(needs_software_pass(Scheme::kParallelOp));
+  // Only OB, RHOP and VC run a software pass.
+  const auto has_pass = [](Scheme s) {
+    return !std::holds_alternative<std::monostate>(
+        harness::pass_options({s, 0}, two_clusters()));
+  };
+  EXPECT_TRUE(has_pass(Scheme::kOb));
+  EXPECT_TRUE(has_pass(Scheme::kRhop));
+  EXPECT_TRUE(has_pass(Scheme::kVc));
+  EXPECT_FALSE(has_pass(Scheme::kOp));
+  EXPECT_FALSE(has_pass(Scheme::kOneCluster));
+  EXPECT_FALSE(has_pass(Scheme::kParallelOp));
 }
 
 TEST(Factory, InstantiatesEveryScheme) {
@@ -492,7 +500,7 @@ TEST(Factory, InstantiatesEveryScheme) {
   for (const Scheme s :
        {Scheme::kOp, Scheme::kOneCluster, Scheme::kOb, Scheme::kRhop,
         Scheme::kVc, Scheme::kParallelOp}) {
-    const auto policy = make_policy(s, cfg);
+    const auto policy = harness::policy_for_scheme({s, 0}, cfg);
     ASSERT_NE(policy, nullptr);
     EXPECT_FALSE(policy->name().empty());
   }

@@ -210,7 +210,9 @@ TEST_P(AllProfiles, MemOpsHaveStreamsOthersDont) {
     const bool is_mem = wl.program.uop(u).is_mem();
     const bool has_stream = wl.stream_of_uop[u] != kNoStream;
     EXPECT_EQ(is_mem, has_stream) << GetParam().name << " uop " << u;
-    if (has_stream) EXPECT_LT(wl.stream_of_uop[u], wl.streams.size());
+    if (has_stream) {
+      EXPECT_LT(wl.stream_of_uop[u], wl.streams.size());
+    }
   }
 }
 
@@ -231,8 +233,12 @@ TEST_P(AllProfiles, InstructionMixTracksProfile) {
   EXPECT_NEAR(load_frac, p.load_fraction, 0.08) << p.name;
   const double store_frac = static_cast<double>(stores) / total;
   EXPECT_NEAR(store_frac, p.store_fraction, 0.06) << p.name;
-  if (p.fp_fraction == 0.0) EXPECT_EQ(fp, 0u) << p.name;
-  if (p.fp_fraction > 0.3) EXPECT_GT(fp, 0u) << p.name;
+  if (p.fp_fraction == 0.0) {
+    EXPECT_EQ(fp, 0u) << p.name;
+  }
+  if (p.fp_fraction > 0.3) {
+    EXPECT_GT(fp, 0u) << p.name;
+  }
 }
 
 TEST_P(AllProfiles, TraceStaysInWorkingSet) {
