@@ -248,16 +248,13 @@ BENCHMARK(BM_ArenaRunFresh);
 void BM_PinPointsSelection(benchmark::State& state) {
   const workload::GeneratedWorkload wl = workload::generate(bench_profile());
   workload::TraceSource trace(wl);
-  workload::PinPointsOptions opt;
-  opt.total_uops = 200'000;
-  opt.interval_uops = 20'000;
-  opt.max_phases = 6;
+  const workload::SimBudget budget{200'000, 20'000, 6};
   for (auto _ : state) {
     const auto points = workload::select_pinpoints(
-        trace, wl.program.num_blocks(), opt, 42);
+        trace, wl.program.num_blocks(), budget, 42);
     benchmark::DoNotOptimize(points.size());
   }
-  state.SetItemsProcessed(state.iterations() * opt.total_uops);
+  state.SetItemsProcessed(state.iterations() * budget.total_uops);
 }
 BENCHMARK(BM_PinPointsSelection)->Unit(benchmark::kMillisecond);
 
@@ -289,7 +286,7 @@ void BM_MultilevelPartition(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(7);
     const auto result =
-        graph::multilevel_partition(g, w, {.num_parts = 4}, rng);
+        graph::multilevel_partition(g, w, /*num_parts=*/4, rng);
     benchmark::DoNotOptimize(result.cut_weight);
   }
 }

@@ -1,21 +1,22 @@
 // custom_policy: extend the library with your own steering policy.
 //
 // Implements a round-robin steering unit (the textbook strawman: perfect
-// balance, zero locality) against the SteeringPolicy interface, runs it
-// through the full simulator next to OP and VC, and prints the comparison.
-// This is the extension point a downstream user would use to prototype a
-// new steering idea against the paper's baselines.
+// balance, zero locality) against the SteeringPolicy interface, evaluates
+// it in the same harness call as OP and VC — a custom SchemeRequest runs
+// through the full simulator on the same simulation points — and prints
+// the comparison. This is the extension point a downstream user would use
+// to prototype a new steering idea against the paper's baselines.
 //
 //   $ ./examples/custom_policy [trace-name]
+#include <cstdio>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "harness/experiment.hpp"
-#include "sim/core.hpp"
 #include "stats/table.hpp"
 #include "steer/policy.hpp"
-#include "workload/pinpoints.hpp"
 #include "workload/profiles.hpp"
-#include "workload/trace.hpp"
 
 namespace {
 
@@ -51,61 +52,28 @@ int main(int argc, char** argv) {
   const MachineConfig machine = MachineConfig::two_cluster();
   const harness::SimBudget budget;
 
-  // Built-in schemes through the harness...
+  // Built-in schemes and the custom policy through one harness call.
   harness::TraceExperiment experiment(*profile, machine, budget);
   const std::vector<harness::SchemeRequest> schemes = {
       harness::SchemeSpec{steer::Scheme::kOp, 0},
-      harness::SchemeSpec{steer::Scheme::kVc, 2}};
-  const std::vector<harness::RunResult> builtin = experiment.evaluate(schemes);
-  const harness::RunResult& op = builtin[0];
-  const harness::RunResult& vc = builtin[1];
-
-  // ...and the custom policy driven manually against the same simulation
-  // points (this is all the harness does under the hood).
-  workload::GeneratedWorkload wl = workload::generate(*profile);
-  wl.program.clear_hints();
-  workload::TraceSource trace(wl);
-  RoundRobinPolicy rr;
-  sim::ClusteredCore core(machine, wl.program);
-
-  double w_cycles = 0, w_uops = 0, w_copies = 0, w_alloc = 0;
-  for (const workload::SimPoint& point : experiment.simpoints()) {
-    trace.reset();
-    std::vector<std::uint32_t> warm;
-    for (std::uint64_t u = 0; u < point.start_uop; ++u) {
-      const workload::TraceEntry e = trace.next();
-      if (wl.program.uop(e.uop).is_mem()) warm.push_back(e.addr);
-    }
-    const auto interval = trace.take(point.length);
-    const sim::SimStats stats = core.run(interval, rr, warm);
-    w_cycles += point.weight * static_cast<double>(stats.cycles);
-    w_uops += point.weight * static_cast<double>(stats.committed_uops);
-    w_copies += point.weight * static_cast<double>(stats.copies_generated);
-    w_alloc += point.weight * static_cast<double>(stats.alloc_stalls);
-  }
+      harness::SchemeSpec{steer::Scheme::kVc, 2},
+      harness::SchemeRequest{"round-robin", [](const MachineConfig&) {
+                               return std::make_unique<RoundRobinPolicy>();
+                             }}};
+  const std::vector<harness::RunResult> results = experiment.evaluate(schemes);
+  const harness::RunResult& op = results[0];
 
   stats::Table table("custom policy vs built-ins on " + profile->name);
   table.set_columns(
       {"scheme", "IPC", "slowdown vs OP (%)", "copies/kuop", "stalls/kuop"});
-  table.row()
-      .add(op.scheme)
-      .add(op.ipc, 3)
-      .add(0.0, 2)
-      .add(op.copies_per_kuop, 1)
-      .add(op.alloc_stalls_per_kuop, 1);
-  table.row()
-      .add(vc.scheme)
-      .add(vc.ipc, 3)
-      .add(stats::slowdown_pct(op.ipc, vc.ipc), 2)
-      .add(vc.copies_per_kuop, 1)
-      .add(vc.alloc_stalls_per_kuop, 1);
-  const double rr_ipc = w_uops / w_cycles;
-  table.row()
-      .add(rr.name())
-      .add(rr_ipc, 3)
-      .add(stats::slowdown_pct(op.ipc, rr_ipc), 2)
-      .add(1000.0 * w_copies / w_uops, 1)
-      .add(1000.0 * w_alloc / w_uops, 1);
+  for (const harness::RunResult& r : results) {
+    table.row()
+        .add(r.scheme)
+        .add(r.ipc, 3)
+        .add(stats::slowdown_pct(op.ipc, r.ipc), 2)
+        .add(r.copies_per_kuop, 1)
+        .add(r.alloc_stalls_per_kuop, 1);
+  }
   table.print(std::cout);
   return 0;
 }

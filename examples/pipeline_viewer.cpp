@@ -59,7 +59,7 @@ int usage() {
       "                       [--skip 0-%" PRIu64 "] [--window START:LEN] "
       "[--capacity N] [--print N]\n"
       "                       [--json FILE] [--quiet] [--list]\n",
-      sim::kMaxClusters, kMaxUops, kMaxSkip);
+      kMaxClusters, kMaxUops, kMaxSkip);
   return 2;
 }
 
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
       // VC ids stay below isa::SteerHint::kNoVc (255).
       if (!number(vcs, 0, 254)) return usage();
     } else if (arg == "--clusters") {
-      if (!number(clusters, 1, sim::kMaxClusters)) return usage();
+      if (!number(clusters, 1, kMaxClusters)) return usage();
     } else if (arg == "--uops") {
       if (!number(uops, 1, kMaxUops)) return usage();
     } else if (arg == "--skip") {

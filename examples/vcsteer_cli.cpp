@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       if (!n) return usage();
       vcs = *n;
     } else if (arg == "--clusters") {
-      const auto n = cli::parse_in_range(value(), 1, 8);
+      const auto n = cli::parse_in_range(value(), 1, kMaxClusters);
       if (!n) return usage();
       clusters = *n;
     } else if (arg == "--budget") {

@@ -55,6 +55,8 @@ std::string MachineConfig::summary() const {
 
 std::string MachineConfig::validate() const {
   if (num_clusters == 0) return "num_clusters must be > 0";
+  if (num_clusters > kMaxClusters)
+    return "num_clusters must be at most " + std::to_string(kMaxClusters);
   if (fetch_width == 0) return "fetch_width must be > 0";
   if (decode_width_int == 0 || decode_width_fp == 0)
     return "decode widths must be > 0";

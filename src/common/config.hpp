@@ -9,6 +9,12 @@
 
 namespace vcsteer {
 
+/// Most clusters a machine may have (MachineConfig::validate() refuses
+/// more). The simulator tracks a value's holders in an 8-bit mask, and every
+/// per-cluster array — SimStats, RunResult, the model's walk, OP's scores —
+/// is sized by it.
+inline constexpr std::uint32_t kMaxClusters = 8;
+
 /// Inter-cluster interconnect topologies. The paper's Table 2 machine uses a
 /// contention-free point-to-point link (kIdeal); the others model the
 /// bandwidth/latency trade-offs a real copy network would impose.

@@ -13,10 +13,6 @@ namespace {
 /// Extra edge weight for fully critical edges (slack 0), decaying linearly
 /// to zero at slack >= critical length.
 constexpr double kCriticalEdgeBonus = 4.0;
-/// Balance tolerance of the refinement stage. RHOP refines aggressively
-/// towards balanced estimated workload (its balance is better than VC's in
-/// Fig. 6(b.2)).
-constexpr double kImbalanceTolerance = 0.05;
 /// Seed of the partitioner's refinement order.
 constexpr std::uint64_t kSeed = 0x5eed;
 
@@ -53,10 +49,7 @@ RhopPassStats assign_rhop(prog::Program& program, const RhopOptions& options) {
     std::vector<double> node_weight(ddg.exec_weight);
 
     const graph::PartitionResult part = graph::multilevel_partition(
-        weighted, node_weight,
-        {.num_parts = options.num_clusters,
-         .imbalance_tolerance = kImbalanceTolerance},
-        rng);
+        weighted, node_weight, options.num_clusters, rng);
 
     for (graph::NodeId i = 0; i < n; ++i) {
       program.mutable_uop(ddg.uop_of[i]).hint.static_cluster =

@@ -50,7 +50,7 @@ void write_sim_stats(FieldWriter& w, std::string_view prefix,
   f("link_busy_cycles", s.link_busy_cycles);
   f("link_contention_cycles", s.link_contention_cycles);
   f("avoided_contended_links", s.avoided_contended_links);
-  for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
+  for (std::uint32_t c = 0; c < kMaxClusters; ++c) {
     f("dispatched_to." + std::to_string(c), s.dispatched_to[c]);
     f("occupancy_sum." + std::to_string(c), s.occupancy_sum[c]);
     f("copyq_occupancy_sum." + std::to_string(c), s.copyq_occupancy_sum[c]);
@@ -143,7 +143,7 @@ bool read_sim_stats(const FieldMap& m, std::string_view prefix,
             f("link_busy_cycles", &s->link_busy_cycles) &&
             f("link_contention_cycles", &s->link_contention_cycles) &&
             f("avoided_contended_links", &s->avoided_contended_links);
-  for (std::uint32_t c = 0; ok && c < sim::kMaxClusters; ++c) {
+  for (std::uint32_t c = 0; ok && c < kMaxClusters; ++c) {
     ok = f("dispatched_to." + std::to_string(c), &s->dispatched_to[c]) &&
          f("occupancy_sum." + std::to_string(c), &s->occupancy_sum[c]) &&
          f("copyq_occupancy_sum." + std::to_string(c),
@@ -385,7 +385,7 @@ bool decode_result(const std::string& text, harness::RunResult* out) {
   std::uint64_t num_clusters = 0;
   if (!get_u64(fields, "num_clusters", &num_clusters)) return false;
   r.num_clusters = static_cast<std::uint32_t>(num_clusters);
-  for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
+  for (std::uint32_t c = 0; c < kMaxClusters; ++c) {
     const std::string idx = std::to_string(c);
     if (!get_double(fields, "avg_iq_occupancy." + idx,
                     &r.avg_iq_occupancy[c]) ||
@@ -425,7 +425,7 @@ std::string encode_result(const harness::RunResult& result) {
   w.field("num_points", result.num_points);
   write_sim_stats(w, "last_interval.", result.last_interval);
   w.field("num_clusters", std::uint64_t{result.num_clusters});
-  for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
+  for (std::uint32_t c = 0; c < kMaxClusters; ++c) {
     const std::string idx = std::to_string(c);
     w.field("avg_iq_occupancy." + idx, result.avg_iq_occupancy[c]);
     w.field("avg_copyq_occupancy." + idx, result.avg_copyq_occupancy[c]);

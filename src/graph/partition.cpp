@@ -11,6 +11,11 @@ namespace {
 
 /// Refinement passes per uncoarsening level.
 constexpr std::uint32_t kRefinePasses = 4;
+/// Balance tolerance of refinement: a move may not raise a part's weight
+/// above (1 + kImbalanceTolerance) * total / num_parts. RHOP refines
+/// aggressively towards balanced estimated workload (its balance is better
+/// than VC's in Fig. 6(b.2)).
+constexpr double kImbalanceTolerance = 0.05;
 
 /// One coarsening level: a coarse graph plus the fine->coarse node map.
 struct Level {
@@ -119,22 +124,21 @@ std::vector<std::uint32_t> initial_partition(
 /// FM-style refinement: repeatedly sweep nodes (random order), moving a node
 /// to the part that maximises cut-weight gain subject to the balance cap.
 void refine(const Digraph& g, const std::vector<double>& node_weight,
-            std::vector<std::uint32_t>& part_of,
-            const PartitionOptions& options, vcsteer::Rng& rng) {
+            std::vector<std::uint32_t>& part_of, std::uint32_t num_parts,
+            vcsteer::Rng& rng) {
   const std::size_t n = g.num_nodes();
   const auto adj = undirected_adjacency(g);
   const double total =
       std::accumulate(node_weight.begin(), node_weight.end(), 0.0);
-  const double cap =
-      (1.0 + options.imbalance_tolerance) * total / options.num_parts;
+  const double cap = (1.0 + kImbalanceTolerance) * total / num_parts;
 
-  std::vector<double> load(options.num_parts, 0.0);
+  std::vector<double> load(num_parts, 0.0);
   for (NodeId v = 0; v < n; ++v) load[part_of[v]] += node_weight[v];
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0u);
 
-  std::vector<double> affinity(options.num_parts);
+  std::vector<double> affinity(num_parts);
 
   // Rebalance step: while any part exceeds the cap, evict the node whose
   // move costs the least cut weight to the lightest part. Gain-driven
@@ -144,12 +148,12 @@ void refine(const Digraph& g, const std::vector<double>& node_weight,
   auto rebalance = [&]() {
     for (std::size_t guard = 0; guard < n; ++guard) {
       std::uint32_t heaviest = 0;
-      for (std::uint32_t p = 1; p < options.num_parts; ++p) {
+      for (std::uint32_t p = 1; p < num_parts; ++p) {
         if (load[p] > load[heaviest]) heaviest = p;
       }
       if (load[heaviest] <= cap) return;
       std::uint32_t lightest = 0;
-      for (std::uint32_t p = 1; p < options.num_parts; ++p) {
+      for (std::uint32_t p = 1; p < num_parts; ++p) {
         if (load[p] < load[lightest]) lightest = p;
       }
       NodeId best_v = kInvalidNode;
@@ -186,7 +190,7 @@ void refine(const Digraph& g, const std::vector<double>& node_weight,
       const std::uint32_t from = part_of[v];
       std::uint32_t best = from;
       double best_gain = 0.0;
-      for (std::uint32_t p = 0; p < options.num_parts; ++p) {
+      for (std::uint32_t p = 0; p < num_parts; ++p) {
         if (p == from) continue;
         if (load[p] + node_weight[v] > cap) continue;
         const double gain = affinity[p] - affinity[from];
@@ -228,13 +232,13 @@ double cut_weight(const Digraph& g,
 
 PartitionResult multilevel_partition(const Digraph& g,
                                      const std::vector<double>& node_weight,
-                                     const PartitionOptions& options,
+                                     std::uint32_t num_parts,
                                      vcsteer::Rng& rng) {
-  VCSTEER_CHECK(options.num_parts >= 1);
+  VCSTEER_CHECK(num_parts >= 1);
   VCSTEER_CHECK(node_weight.size() == g.num_nodes());
   PartitionResult result;
   if (g.num_nodes() == 0) {
-    result.part_weight.assign(options.num_parts, 0.0);
+    result.part_weight.assign(num_parts, 0.0);
     return result;
   }
 
@@ -243,7 +247,7 @@ PartitionResult multilevel_partition(const Digraph& g,
   std::vector<Level> levels;
   const Digraph* current = &g;
   const std::vector<double>* current_w = &node_weight;
-  while (current->num_nodes() > options.num_parts) {
+  while (current->num_nodes() > num_parts) {
     Level level = coarsen(*current, *current_w, rng);
     if (level.graph.num_nodes() == current->num_nodes()) break;
     levels.push_back(std::move(level));
@@ -252,8 +256,8 @@ PartitionResult multilevel_partition(const Digraph& g,
   }
 
   std::vector<std::uint32_t> part_of =
-      initial_partition(*current_w, options.num_parts);
-  refine(*current, *current_w, part_of, options, rng);
+      initial_partition(*current_w, num_parts);
+  refine(*current, *current_w, part_of, num_parts, rng);
 
   // Uncoarsening phase: project the partition one level up, refine, repeat.
   for (std::size_t li = levels.size(); li-- > 0;) {
@@ -265,11 +269,11 @@ PartitionResult multilevel_partition(const Digraph& g,
       fine_part[v] = part_of[levels[li].fine_to_coarse[v]];
     }
     part_of = std::move(fine_part);
-    refine(fine, fine_w, part_of, options, rng);
+    refine(fine, fine_w, part_of, num_parts, rng);
   }
 
   result.part_of = std::move(part_of);
-  result.part_weight.assign(options.num_parts, 0.0);
+  result.part_weight.assign(num_parts, 0.0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     result.part_weight[result.part_of[v]] += node_weight[v];
   }

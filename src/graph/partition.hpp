@@ -21,12 +21,6 @@
 
 namespace vcsteer::graph {
 
-struct PartitionOptions {
-  std::uint32_t num_parts = 2;
-  /// Maximum allowed part weight is (1 + tolerance) * total / num_parts.
-  double imbalance_tolerance = 0.20;
-};
-
 struct PartitionResult {
   std::vector<std::uint32_t> part_of;   ///< part id per node.
   std::vector<double> part_weight;      ///< total node weight per part.
@@ -37,11 +31,11 @@ struct PartitionResult {
 double cut_weight(const Digraph& g, const std::vector<std::uint32_t>& part_of);
 
 /// Partition `g` (interpreted as undirected, edge weights = communication
-/// volume) into `options.num_parts` parts balancing `node_weight`.
-/// Deterministic given the Rng seed.
+/// volume) into `num_parts` parts balancing `node_weight`, with a 5%
+/// tolerance over total / num_parts. Deterministic given the Rng seed.
 PartitionResult multilevel_partition(const Digraph& g,
                                      const std::vector<double>& node_weight,
-                                     const PartitionOptions& options,
+                                     std::uint32_t num_parts,
                                      vcsteer::Rng& rng);
 
 }  // namespace vcsteer::graph

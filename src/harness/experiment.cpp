@@ -86,8 +86,8 @@ class WeightedAccum {
   RunResult result_;
   double w_cycles_ = 0, w_uops_ = 0, w_copies_ = 0, w_alloc_ = 0,
          w_policy_ = 0, w_hops_ = 0, w_contention_ = 0, w_avoided_ = 0;
-  std::array<double, sim::kMaxClusters> w_occ_{};
-  std::array<double, sim::kMaxClusters> w_copyq_occ_{};
+  std::array<double, kMaxClusters> w_occ_{};
+  std::array<double, kMaxClusters> w_copyq_occ_{};
 };
 
 // The VC scheme's virtual-cluster count: SchemeSpec::num_vcs, where 0
@@ -203,11 +203,7 @@ TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
       wl_(timed_generate(profile, phases_)) {
   const Clock::time_point t0 = Clock::now();
   workload::TraceSource trace(wl_);
-  workload::PinPointsOptions popt;
-  popt.total_uops = budget.total_uops;
-  popt.interval_uops = budget.interval_uops;
-  popt.max_phases = budget.max_phases;
-  points_ = workload::select_pinpoints(trace, wl_.program.num_blocks(), popt,
+  points_ = workload::select_pinpoints(trace, wl_.program.num_blocks(), budget,
                                        profile.seed(/*stream=*/3));
   VCSTEER_CHECK(!points_.empty());
   // One forward walk from uop 0: every point's warm addresses are a prefix
@@ -294,12 +290,9 @@ std::vector<RunResult> TraceExperiment::evaluate(
       for (prog::UopId u = 0; u < hints[k].size(); ++u) {
         program.mutable_uop(u).hint = hints[k][u];
       }
-      core.begin_run_prewarmed(intervals_[i], *policies[k], warmed);
-      const Clock::time_point t1 = Clock::now();
-      phases_.warmup_s += std::chrono::duration<double>(t1 - t0).count();
-      while (!core.done()) core.step();
-      const sim::SimStats stats = core.finish_run();
-      simulate_s[k] += seconds_since(t1);
+      const sim::SimStats stats =
+          core.run(intervals_[i], *policies[k], &warmed);
+      simulate_s[k] += seconds_since(t0);
       accs[k].add_point(points_[i].weight, stats, core.observer(),
                         machine_.num_clusters);
     }

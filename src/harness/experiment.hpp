@@ -37,18 +37,9 @@
 
 namespace vcsteer::harness {
 
-/// Simulation sizing. Defaults keep a full 40-trace x 5-scheme figure sweep
-/// in the tens of seconds; the methodology (intervals + k-means + weights)
-/// is identical to the paper's 10M-uop PinPoints at larger sizes.
-struct SimBudget {
-  std::uint64_t total_uops = 600'000;    ///< trace prefix analysed by PinPoints.
-  std::uint64_t interval_uops = 30'000;  ///< simulation-point size.
-  std::uint32_t max_phases = 6;          ///< paper uses up to 10.
-
-  static SimBudget smoke() { return {120'000, 20'000, 3}; }
-
-  bool operator==(const SimBudget&) const = default;
-};
+/// Simulation sizing (workload/pinpoints.hpp), under the name sweep grids
+/// and benches use.
+using SimBudget = workload::SimBudget;
 
 /// One steering configuration of the paper's Table 3 (plus VC(v->n) forms).
 struct SchemeSpec {
@@ -119,18 +110,18 @@ struct RunResult {
   std::uint32_t num_clusters = 0;
   /// PinPoints-weighted mean issue-queue (INT+FP) / copy-queue occupancy
   /// per cluster, in entries (= weighted occupancy_sum / weighted cycles).
-  std::array<double, sim::kMaxClusters> avg_iq_occupancy{};
-  std::array<double, sim::kMaxClusters> avg_copyq_occupancy{};
+  std::array<double, kMaxClusters> avg_iq_occupancy{};
+  std::array<double, kMaxClusters> avg_copyq_occupancy{};
   /// Per-cluster histogram of per-cycle IQ occupancy over all simulated
   /// intervals (raw cycle counts; sim::kOccupancyBuckets equal slices of
   /// the combined INT+FP capacity, last bucket includes exactly-full).
   std::array<std::array<std::uint64_t, sim::kOccupancyBuckets>,
-             sim::kMaxClusters>
+             kMaxClusters>
       iq_occupancy_hist{};
   /// Dispatches per destination cluster that generated at least one
   /// inter-cluster copy vs. none (steer-decision provenance).
-  std::array<std::uint64_t, sim::kMaxClusters> steered_with_copy{};
-  std::array<std::uint64_t, sim::kMaxClusters> steered_local{};
+  std::array<std::uint64_t, kMaxClusters> steered_with_copy{};
+  std::array<std::uint64_t, kMaxClusters> steered_local{};
 };
 
 /// Wall-clock spans of an experiment's work, by phase. Accumulated per
@@ -139,8 +130,8 @@ struct RunResult {
 struct PhaseTimes {
   double trace_build_s = 0;  ///< workload generation + PinPoints + replay.
   double annotate_s = 0;     ///< software passes (OB/RHOP/VC).
-  double warmup_s = 0;       ///< cache warming and arming each run.
-  double simulate_s = 0;     ///< the cycle loops.
+  double warmup_s = 0;       ///< the carried functional warm walk.
+  double simulate_s = 0;     ///< hint restore and each run on the core.
 
   PhaseTimes& operator+=(const PhaseTimes& o) {
     trace_build_s += o.trace_build_s;
@@ -168,8 +159,8 @@ class TraceExperiment {
   /// warmed forward from point to point, only over the addresses between
   /// one point's prefix end and the next's, and every run starts from a
   /// copy of it: one functional warm pass per call, bit-identical to
-  /// warming each run locally from empty. Results come back in request
-  /// order.
+  /// warming a fresh hierarchy from empty for each run. Results come back
+  /// in request order.
   std::vector<RunResult> evaluate(
       std::span<const SchemeRequest> requests,
       // Ignored; kept because perfbench/ still passes a lane count.
@@ -185,8 +176,9 @@ class TraceExperiment {
   /// warming), in point order, 4 bytes each like TraceEntry::addr. Each is
   /// a prefix view of one stream the experiment owns, so they all start at
   /// the same address and stay valid for the experiment's lifetime (it is
-  /// neither copied nor moved). Consumed by the analytical model, which
-  /// warms its functional caches exactly like the simulator does.
+  /// neither copied nor moved). Consumed by the analytical model's memory
+  /// replay (model::memory_latencies), which warms a mem::MemoryHierarchy
+  /// with them.
   const std::vector<std::span<const std::uint32_t>>& warm_addrs() const {
     return warm_addrs_;
   }

@@ -38,10 +38,18 @@ class MemoryHierarchy {
   /// holds the LSQ slot (commit does not wait for it).
   std::uint32_t store_latency(std::uint32_t addr, std::uint64_t cycle);
 
+  /// Latency of an access to `addr` without port arbitration: the L1 hit,
+  /// L2 hit or memory latency, filling both levels on the way. Counts the
+  /// hit or miss in stats(). The analytical model replays memory through it
+  /// (model::memory_latencies).
+  std::uint32_t lookup_latency(std::uint32_t addr);
+
   /// Functional warming: install the line for `addr` in L1/L2 without
   /// touching ports or stats. Used to warm the hierarchy with the trace
   /// prefix preceding a simulation point (standard SimPoint methodology —
-  /// cold-start misses would otherwise dominate short intervals).
+  /// cold-start misses would otherwise dominate short intervals). The one
+  /// warming rule: the core's runs and the model's memory replay both start
+  /// from a hierarchy warmed here.
   void warm(std::uint32_t addr);
 
   /// True when `other` has identical L1/L2 geometry, so its warmed cache
@@ -61,7 +69,6 @@ class MemoryHierarchy {
   void reset();
 
  private:
-  std::uint32_t lookup_latency(std::uint32_t addr);
   std::uint32_t arbitrate(std::uint64_t cycle, bool write);
 
   MachineConfig config_;

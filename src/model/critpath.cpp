@@ -9,14 +9,10 @@
 
 #include "common/check.hpp"
 #include "isa/uop.hpp"
-#include "mem/cache.hpp"
+#include "mem/hierarchy.hpp"
 
 namespace vcsteer::model {
 namespace {
-
-// The per-cluster state below lives in fixed arrays; the sweep grids top out
-// at 4 clusters, so this is generous.
-constexpr std::uint32_t kMaxModelClusters = 16;
 
 // Steering balance window: how many of the most recent assignments the
 // model's load proxy looks at. The real policies read live IQ occupancy; the
@@ -247,7 +243,7 @@ struct RegState {
   std::uint32_t home = 0;
   std::uint32_t mask = ~0u;  ///< clusters holding the value.
   std::uint64_t write_index = 0;  ///< program-order position of the writer.
-  std::array<std::uint64_t, kMaxModelClusters> avail{};
+  std::array<std::uint64_t, kMaxClusters> avail{};
 };
 
 class Walker {
@@ -257,8 +253,9 @@ class Walker {
       : program_(program), machine_(machine), scheme_(walked_scheme(scheme)) {
     VCSTEER_CHECK_MSG(machine.num_clusters >= 1,
                       "model needs num_clusters >= 1");
-    VCSTEER_CHECK_MSG(machine.num_clusters <= kMaxModelClusters,
-                      "model supports at most 16 clusters");
+    // The per-cluster state lives in arrays of kMaxClusters.
+    VCSTEER_CHECK_MSG(machine.num_clusters <= kMaxClusters,
+                      "model supports at most kMaxClusters clusters");
     VCSTEER_CHECK_MSG(machine.fetch_width >= 1, "model needs fetch_width >= 1");
     // Link pools only where they can bind (see operand_ready); a 0-wide
     // copy port is unlimited, as in RatePool.
@@ -458,7 +455,7 @@ class Walker {
         break;
     }
     if (c >= n) {
-      std::uint32_t votes[kMaxModelClusters] = {};
+      std::uint32_t votes[kMaxClusters] = {};
       bool any = false;
       for (std::uint8_t s = 0; s < uop.num_srcs; ++s) {
         const RegState& r = regs_[isa::flat_reg(uop.srcs[s])];
@@ -506,7 +503,7 @@ class Walker {
   bool limited_bw_ = false;
 
   std::array<RegState, isa::kNumFlatRegs> regs_{};
-  std::array<std::uint32_t, kMaxModelClusters> recent_{};
+  std::array<std::uint32_t, kMaxClusters> recent_{};
   std::vector<std::uint32_t> window_;
   std::size_t window_pos_ = 0;
   std::array<int, 256> vc_table_{};
@@ -514,11 +511,11 @@ class Walker {
   Stream rob_[2];
   Stream commit_[2];
   FreePool lsq_;
-  FreePool iq_window_[kMaxModelClusters][2];
-  FreePool copy_window_[kMaxModelClusters];
-  RatePool iq_rate_[kMaxModelClusters][2];
-  RatePool copy_rate_[kMaxModelClusters];
-  RatePool link_[kMaxModelClusters][kMaxModelClusters];
+  FreePool iq_window_[kMaxClusters][2];
+  FreePool copy_window_[kMaxClusters];
+  RatePool iq_rate_[kMaxClusters][2];
+  RatePool copy_rate_[kMaxClusters];
+  RatePool link_[kMaxClusters][kMaxClusters];
 };
 
 }  // namespace
@@ -527,25 +524,17 @@ std::vector<std::uint32_t> memory_latencies(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,
     std::span<const std::uint32_t> warm_addrs, const MachineConfig& machine) {
-  mem::Cache l1(machine.l1d);
-  mem::Cache l2(machine.l2);
-  // Same warming rule as MemoryHierarchy::warm: L2 is only touched when L1
-  // misses, so the functional contents match the simulator's warmed state.
-  for (std::uint32_t addr : warm_addrs) {
-    if (!l1.access(addr)) l2.access(addr);
-  }
+  // The simulator's hierarchy, warmed by its own rule. Without port
+  // arbitration it reads only l1d, l2 and memory_latency.
+  mem::MemoryHierarchy memory(machine);
+  for (const std::uint32_t addr : warm_addrs) memory.warm(addr);
   std::vector<std::uint32_t> extra(interval.size(), 0);
   for (std::size_t i = 0; i < interval.size(); ++i) {
     const isa::MicroOp& uop = program.uop(interval[i].uop);
     if (!uop.is_mem()) continue;
-    std::uint32_t lat = machine.memory_latency;
-    if (l1.access(interval[i].addr)) {
-      lat = machine.l1d.hit_latency;
-    } else if (l2.access(interval[i].addr)) {
-      lat = machine.l2.hit_latency;
-    }
-    // Stores still update the caches above (they do in the simulator too),
-    // but only loads gate dependent work on the access latency.
+    const std::uint32_t lat = memory.lookup_latency(interval[i].addr);
+    // Stores still update the caches (they do in the simulator too), but
+    // only loads gate dependent work on the access latency.
     if (uop.is_load()) extra[i] = lat;
   }
   return extra;

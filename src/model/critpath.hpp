@@ -108,11 +108,11 @@ struct IntervalEstimate {
   std::uint64_t copy_hops = 0;  ///< topology links those transfers crossed.
 };
 
-/// Functional memory replay: per-interval-entry extra access latency
-/// (0 for non-loads), from private L1/L2 LRU caches with `machine`'s
-/// geometry, warmed with `warm_addrs` exactly like the simulator warms its
-/// hierarchy. Scheme-independent — compute once per (point, machine) and
-/// reuse across every scheme's walk.
+/// Functional memory replay: per-interval-entry access latency (0 for
+/// non-loads), read from a mem::MemoryHierarchy with `machine`'s caches
+/// warmed with `warm_addrs`, as the simulator's runs start. Reads only
+/// `machine`'s l1d, l2 and memory_latency. Scheme-independent — compute
+/// once per (point, memory geometry) and reuse across every scheme's walk.
 std::vector<std::uint32_t> memory_latencies(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,

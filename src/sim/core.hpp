@@ -91,7 +91,6 @@ class ClusteredCoreT : public steer::SteerView {
         steer_(state_, frontend_, commit_, copies_, obs_),
         max_commit_gap_(max_commit_gap(config_)) {
     VCSTEER_CHECK_MSG(config_.validate().empty(), config_.validate().c_str());
-    VCSTEER_CHECK(config_.num_clusters <= kMaxClusters);
     backends_.reserve(config_.num_clusters);
     for (std::uint32_t c = 0; c < config_.num_clusters; ++c) {
       backends_.emplace_back(state_, commit_, memory_, c, obs_);
@@ -100,73 +99,25 @@ class ClusteredCoreT : public steer::SteerView {
   }
 
   /// Run one trace segment to completion under `policy`; returns the stats.
-  /// The core is fully reset between runs. `warm_addrs` (addresses of the
-  /// memory operations preceding the segment in the full trace) functionally
-  /// warm the cache hierarchy first, as the SimPoint methodology requires.
-  SimStats run(std::span<const workload::TraceEntry> trace,
+  /// The core and the policy are fully reset first. The caches start from
+  /// `warmed`'s contents — a hierarchy with the same cache geometry,
+  /// functionally warmed (mem::MemoryHierarchy::warm) with the memory
+  /// addresses preceding the segment, as the SimPoint methodology requires
+  /// — or cold when it is null.
+  SimStats run(std::span<const workload::TraceEntry> segment,
                steer::SteeringPolicy& policy,
-               std::span<const std::uint32_t> warm_addrs = {}) {
-    begin_run(trace, policy, warm_addrs);
-    while (!done()) step();
-    return finish_run();
-  }
-
-  // ----- stepwise run API ------------------------------------------------
-
-  /// Reset the core and the policy, warm the cache hierarchy, and arm the
-  /// run. Pair with step()-until-done() and finish_run(); run() is exactly
-  /// this sequence.
-  void begin_run(std::span<const workload::TraceEntry> trace,
-                 steer::SteeringPolicy& policy,
-                 std::span<const std::uint32_t> warm_addrs = {}) {
+               const mem::MemoryHierarchy* warmed = nullptr) {
     reset();
     policy.reset();
-    trace_ = trace;
-    policy_ = &policy;
-    for (const std::uint32_t addr : warm_addrs) memory_.warm(addr);
+    if (warmed != nullptr) memory_.adopt_warm_state(*warmed);
     if constexpr (Obs::enabled) obs_.on_run_begin(state_);
-  }
-
-  /// begin_run from caches already warmed for this simulation point:
-  /// adopts the contents of `warmed` (any compatible hierarchy warmed with
-  /// the same addresses) instead of replaying the warm addresses —
-  /// bit-identical, since functional warming is deterministic.
-  void begin_run_prewarmed(std::span<const workload::TraceEntry> trace,
-                           steer::SteeringPolicy& policy,
-                           const mem::MemoryHierarchy& warmed) {
-    reset();
-    policy.reset();
-    trace_ = trace;
-    policy_ = &policy;
-    memory_.adopt_warm_state(warmed);
-    if constexpr (Obs::enabled) obs_.on_run_begin(state_);
-  }
-
-  /// True once the armed trace has fully fetched, dispatched and retired.
-  bool done() const { return frontend_.drained(trace_) && commit_.empty(); }
-
-  /// Advance one cycle (or jump a provably idle span when the observer
-  /// allows it). Caller loops until done().
-  void step() {
-    if constexpr (kSkipIdle) skip_idle_cycles(trace_);
-    phase_cycle_begin();
-    phase_commit();
-    phase_complete();
-    phase_select();
-    phase_dispatch();
-    phase_fetch();
-    phase_cycle_end();
-  }
-
-  /// Finalize stats after done() and disarm the run; returns the stats.
-  SimStats finish_run() {
+    while (!frontend_.drained(segment) || !commit_.empty()) {
+      step(segment, policy);
+    }
     state_.stats.cycles = state_.cycle;
     state_.stats.memory = memory_.stats();
-    state_.stats.avoided_contended_links = policy_->avoided_contended_links();
+    state_.stats.avoided_contended_links = policy.avoided_contended_links();
     copies_.flush_stats();
-    if constexpr (Obs::enabled) obs_.on_run_end(state_);
-    policy_ = nullptr;
-    trace_ = {};
     return state_.stats;
   }
 
@@ -219,6 +170,20 @@ class ClusteredCoreT : public steer::SteerView {
     }
   }();
 
+  /// Advance one cycle (or jump a provably idle span when the observer
+  /// allows it).
+  void step(std::span<const workload::TraceEntry> trace,
+            steer::SteeringPolicy& policy) {
+    if constexpr (kSkipIdle) skip_idle_cycles(trace);
+    phase_cycle_begin();
+    phase_commit();
+    phase_complete();
+    phase_select();
+    phase_dispatch(policy);
+    phase_fetch(trace);
+    phase_cycle_end();
+  }
+
   // ----- pipeline phases --------------------------------------------------
   // step() sequences these in reverse pipeline order; they are split so a
   // per-stage timer can wrap each one.
@@ -246,8 +211,12 @@ class ClusteredCoreT : public steer::SteerView {
     }
   }
 
-  void phase_dispatch() { steer_.dispatch(*policy_, *this); }
-  void phase_fetch() { frontend_.fetch(trace_, state_.cycle, obs_); }
+  void phase_dispatch(steer::SteeringPolicy& policy) {
+    steer_.dispatch(policy, *this);
+  }
+  void phase_fetch(std::span<const workload::TraceEntry> trace) {
+    frontend_.fetch(trace, state_.cycle, obs_);
+  }
 
   void phase_cycle_end() {
     // Occupancy bookkeeping for balance and copy-network diagnostics now
@@ -356,10 +325,6 @@ class ClusteredCoreT : public steer::SteerView {
   SteerStage<Obs> steer_;
   std::vector<ClusterBackend<Obs>> backends_;
   const std::uint64_t max_commit_gap_;
-
-  // Armed by begin_run for the stepwise API; cleared by finish_run.
-  std::span<const workload::TraceEntry> trace_{};
-  steer::SteeringPolicy* policy_ = nullptr;
 };
 
 /// The harness default: occupancy accumulation + steer provenance recorded

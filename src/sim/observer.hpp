@@ -158,7 +158,6 @@ struct ObserverBase {
   /// `count` idle cycles ending just before CoreState::cycle were jumped;
   /// cluster state was constant across them.
   void on_cycles_skipped(CoreState&, std::uint64_t /*count*/) {}
-  void on_run_end(const CoreState&) {}
 };
 
 // ------------------------------------------------------------------ sinks --

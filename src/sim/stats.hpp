@@ -12,11 +12,10 @@
 #include <array>
 #include <cstdint>
 
+#include "common/config.hpp"
 #include "mem/hierarchy.hpp"
 
 namespace vcsteer::sim {
-
-constexpr std::uint32_t kMaxClusters = 8;
 
 /// Buckets of the per-cluster issue-queue occupancy histograms recorded by
 /// the StatsObserver sink (equal slices of the combined INT+FP capacity;

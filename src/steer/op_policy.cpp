@@ -13,7 +13,7 @@ std::uint32_t OpPolicy::flat_preferred(std::span<const Operand> srcs,
   // copy. The rename-table replica bits provide this for free (§4.3). A
   // source still in flight weighs double: consuming it remotely puts a copy
   // on the critical path, whereas a long-ready value's copy can be hidden.
-  std::uint32_t votes[kScoreClusters] = {};
+  std::uint32_t votes[kMaxClusters] = {};
   for (const Operand& src : srcs) {
     if (src.home == kNoHome) continue;
     const std::uint32_t weight = src.in_flight ? 2 : 1;
@@ -67,7 +67,7 @@ double OpPolicy::comm_cost(std::span<const Operand> srcs,
 std::uint32_t OpPolicy::aware_preferred(std::span<const Operand> srcs,
                                         const SteerView& view) {
   const std::uint32_t n = view.num_clusters();
-  double cost[kScoreClusters];
+  double cost[kMaxClusters];
   std::uint32_t preferred = 0;
   double best_cost = std::numeric_limits<double>::max();
   std::uint32_t best_load = std::numeric_limits<std::uint32_t>::max();

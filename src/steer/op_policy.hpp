@@ -77,10 +77,8 @@ class OpPolicy : public SteeringPolicy {
   std::uint64_t avoided_contended_ = 0;
   int pending_avoided_cluster_ = -1;
   // Provenance for last_scores(); written by choose() via flat_preferred /
-  // aware_preferred (mutable: the flat path is logically const). Also the
-  // bound of their per-cluster arrays.
-  static constexpr std::uint32_t kScoreClusters = 16;
-  mutable std::array<double, kScoreClusters> scores_{};
+  // aware_preferred (mutable: the flat path is logically const).
+  mutable std::array<double, kMaxClusters> scores_{};
   mutable std::uint32_t num_scores_ = 0;
 };
 

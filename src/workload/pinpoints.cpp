@@ -100,29 +100,29 @@ std::vector<std::uint32_t> kmeans(const std::vector<Bbv>& points,
 
 std::vector<SimPoint> select_pinpoints(TraceSource& trace,
                                        std::size_t num_blocks,
-                                       const PinPointsOptions& options,
+                                       const SimBudget& budget,
                                        std::uint64_t seed) {
-  VCSTEER_CHECK(options.interval_uops > 0);
-  VCSTEER_CHECK(options.total_uops >= options.interval_uops);
+  VCSTEER_CHECK(budget.interval_uops > 0);
+  VCSTEER_CHECK(budget.total_uops >= budget.interval_uops);
   trace.reset();
 
   const std::size_t n_intervals =
-      static_cast<std::size_t>(options.total_uops / options.interval_uops);
+      static_cast<std::size_t>(budget.total_uops / budget.interval_uops);
   std::vector<Bbv> bbvs;
   bbvs.reserve(n_intervals);
   for (std::size_t i = 0; i < n_intervals; ++i) {
     Bbv bbv(num_blocks, 0.0);
-    for (std::uint64_t u = 0; u < options.interval_uops; ++u) {
+    for (std::uint64_t u = 0; u < budget.interval_uops; ++u) {
       trace.next();
       bbv[trace.current_block()] += 1.0;
     }
-    for (double& v : bbv) v /= static_cast<double>(options.interval_uops);
+    for (double& v : bbv) v /= static_cast<double>(budget.interval_uops);
     bbvs.push_back(std::move(bbv));
   }
 
   vcsteer::Rng rng(seed);
   const std::uint32_t k = static_cast<std::uint32_t>(
-      std::min<std::size_t>(options.max_phases, bbvs.size()));
+      std::min<std::size_t>(budget.max_phases, bbvs.size()));
   const std::vector<std::uint32_t> assign = kmeans(bbvs, k, rng);
 
   // Per cluster: centroid, population, and the member interval closest to
@@ -150,8 +150,8 @@ std::vector<SimPoint> select_pinpoints(TraceSource& trace,
       }
     }
     SimPoint p;
-    p.start_uop = best_i * options.interval_uops;
-    p.length = options.interval_uops;
+    p.start_uop = best_i * budget.interval_uops;
+    p.length = budget.interval_uops;
     p.weight = static_cast<double>(population[c]) /
                static_cast<double>(bbvs.size());
     p.phase = c;

@@ -26,17 +26,26 @@ struct SimPoint {
   std::uint32_t phase = 0;      ///< cluster id the interval represents.
 };
 
-struct PinPointsOptions {
-  std::uint64_t total_uops = 2'000'000;   ///< trace prefix to analyse.
-  std::uint64_t interval_uops = 100'000;  ///< BBV interval size.
-  std::uint32_t max_phases = 10;          ///< paper: at most 10 phases.
+/// Simulation sizing. Defaults keep a full 40-trace x 5-scheme figure sweep
+/// in the tens of seconds; the methodology (intervals + k-means + weights)
+/// is identical to the paper's 10M-uop PinPoints at larger sizes.
+struct SimBudget {
+  std::uint64_t total_uops = 600'000;    ///< trace prefix analysed by PinPoints.
+  std::uint64_t interval_uops = 30'000;  ///< simulation-point size.
+  std::uint32_t max_phases = 6;          ///< paper uses up to 10.
+
+  static SimBudget smoke() { return {120'000, 20'000, 3}; }
+
+  bool operator==(const SimBudget&) const = default;
 };
 
-/// Select weighted representative intervals. Weights sum to 1. The trace
-/// source is reset before and left at an unspecified position after.
+/// Select weighted representative intervals of `budget.interval_uops` from
+/// the first `budget.total_uops`, at most `budget.max_phases` of them.
+/// Weights sum to 1. The trace source is reset before and left at an
+/// unspecified position after.
 std::vector<SimPoint> select_pinpoints(TraceSource& trace,
                                        std::size_t num_blocks,
-                                       const PinPointsOptions& options,
+                                       const SimBudget& budget,
                                        std::uint64_t seed);
 
 /// Materialise one simpoint's entries for simulation (replays the trace

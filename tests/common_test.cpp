@@ -220,16 +220,22 @@ TEST(MachineConfig, ValidateRejectsMachinesThatCanNeverFinish) {
        testing::unfinishable_machines()) {
     EXPECT_EQ(u.machine.validate(), u.problem) << u.change;
   }
+  // More clusters than the simulator's per-cluster arrays hold.
+  MachineConfig wide = MachineConfig::two_cluster();
+  wide.num_clusters = kMaxClusters + 1;
+  EXPECT_EQ(wide.validate(), "num_clusters must be at most 8");
   // The boundaries stay valid: one register beyond the architectural count,
-  // single ports and 1-wide commit, decode and copy queue. The last two
-  // livelock only on traces needing two copies at once, which the
-  // simulator's commit watchdog reports (sim_stress_test).
+  // single ports and 1-wide commit, decode and copy queue, and kMaxClusters
+  // clusters. 1-wide decode and a 1-entry copy queue livelock only on
+  // traces needing two copies at once, which the simulator's commit
+  // watchdog reports (sim_stress_test).
   MachineConfig edge = MachineConfig::two_cluster();
   edge.regfile_int = edge.regfile_fp = 17;
   edge.l1_read_ports = edge.l1_write_ports = 1;
   edge.commit_width_int = edge.commit_width_fp = 1;
   edge.decode_width_int = edge.decode_width_fp = 1;
   edge.iq_copy_entries = 1;
+  edge.num_clusters = kMaxClusters;
   EXPECT_EQ(edge.validate(), "");
 }
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/model_evaluator.hpp"
@@ -288,30 +289,38 @@ TEST(PrunedSweep, FrontierIsByteIdenticalAndRestIsModelTagged) {
 }
 
 // A pruned sweep must not return estimates for a machine the simulator
-// refuses. Here the invalid machine falls outside the top-2 frontier, so
+// refuses. Here each invalid machine falls outside the top-1 frontier, so
 // without validation up front it comes back as model-tagged points; an
-// unpruned sweep would fail inside the core, partway through.
+// unpruned sweep would fail inside the core, partway through. The second
+// machine has more clusters than RunResult's per-cluster arrays hold.
 TEST(PrunedSweep, RejectsInvalidMachineBeforeEstimating) {
   exec::SweepGrid grid;
   const auto smoke = workload::smoke_profiles();
   grid.profiles = {smoke[0], smoke[1]};
-  MachineConfig invalid = MachineConfig::two_cluster();
-  invalid.iq_int_entries = 8;
-  invalid.iq_fp_entries = 8;
-  invalid.op_occupancy_threshold = 0;
-  ASSERT_FALSE(invalid.validate().empty());
-  grid.machines = {MachineConfig::four_cluster(), invalid};
+  MachineConfig bad_threshold = MachineConfig::two_cluster();
+  bad_threshold.iq_int_entries = 8;
+  bad_threshold.iq_fp_entries = 8;
+  bad_threshold.op_occupancy_threshold = 0;
+  MachineConfig too_many_clusters = MachineConfig::four_cluster();
+  too_many_clusters.num_clusters = 12;
   grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
                   harness::SchemeSpec{steer::Scheme::kVc, 0}};
   grid.budget = harness::SimBudget::smoke();
-  exec::SweepOptions opt;
-  opt.jobs = 1;
-  opt.prune_top_k = 2;
-  EXPECT_DEATH(exec::run_sweep(grid, opt),
-               "grid machine 1 is invalid: op_occupancy_threshold");
-  opt.prune_top_k = 0;
-  EXPECT_DEATH(exec::run_sweep(grid, opt),
-               "grid machine 1 is invalid: op_occupancy_threshold");
+  for (const auto& [invalid, problem] :
+       {std::pair{bad_threshold, "op_occupancy_threshold"},
+        std::pair{too_many_clusters, "num_clusters must be at most 8"}}) {
+    SCOPED_TRACE(problem);
+    ASSERT_FALSE(invalid.validate().empty());
+    grid.machines = {MachineConfig::four_cluster(), invalid};
+    exec::SweepOptions opt;
+    opt.jobs = 1;
+    opt.prune_top_k = 1;
+    EXPECT_DEATH(exec::run_sweep(grid, opt),
+                 std::string("grid machine 1 is invalid: ") + problem);
+    opt.prune_top_k = 0;
+    EXPECT_DEATH(exec::run_sweep(grid, opt),
+                 std::string("grid machine 1 is invalid: ") + problem);
+  }
 }
 
 TEST(PrunedSweep, FrontierCoveringWholeGridReproducesUnprunedBytes) {

@@ -10,6 +10,8 @@
 #include <array>
 #include <vector>
 
+#include "common/check.hpp"
+#include "common/config.hpp"
 #include "steer/policy.hpp"
 
 namespace vcsteer::steer {
@@ -17,6 +19,8 @@ namespace vcsteer::steer {
 class FakeSteerView : public SteerView {
  public:
   explicit FakeSteerView(std::uint32_t clusters) : clusters_(clusters) {
+    // No more clusters than the policies' per-cluster arrays hold.
+    VCSTEER_CHECK(clusters >= 1 && clusters <= kMaxClusters);
     homes_.fill(kNoHome);
     inflight_.fill(0);
     occupancy_.fill(0);
@@ -110,8 +114,8 @@ class FakeSteerView : public SteerView {
   std::array<int, isa::kNumFlatRegs> homes_{};
   std::array<bool, isa::kNumFlatRegs> inflight_regs_{};
   std::array<std::uint32_t, isa::kNumFlatRegs> replicas_{};
-  std::array<std::uint32_t, 16> inflight_{};
-  std::array<std::uint32_t, 16> occupancy_{};
+  std::array<std::uint32_t, kMaxClusters> inflight_{};
+  std::array<std::uint32_t, kMaxClusters> occupancy_{};
   std::vector<std::uint32_t> distance_;   ///< empty = uniform single hop.
   std::vector<double> congestion_;        ///< empty = contention-free.
 };

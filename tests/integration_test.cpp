@@ -168,7 +168,7 @@ TEST(EndToEnd, SimulatorInvariantsHoldForEveryScheme) {
             << scheme << " on " << r.trace;
         // Per-cluster dispatch counts account for every micro-op.
         std::uint64_t sum = 0;
-        for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
+        for (std::uint32_t c = 0; c < kMaxClusters; ++c) {
           if (c >= clusters) {
             EXPECT_EQ(s.dispatched_to[c], 0u) << scheme << " cluster " << c;
           }

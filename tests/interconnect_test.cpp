@@ -17,25 +17,14 @@
 #include <memory>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "exec/sweep.hpp"
-#include "program/program.hpp"
-#include "sim/core.hpp"
 #include "sim/interconnect.hpp"
-#include "steer/simple_policies.hpp"
+#include "sim_bench.hpp"
 #include "workload/profiles.hpp"
-#include "workload/trace.hpp"
 
 namespace vcsteer::sim {
 namespace {
-
-using isa::ArchReg;
-using isa::MicroOp;
-using isa::OpClass;
-using isa::RegFile;
-using prog::ProgramBuilder;
-using workload::TraceEntry;
 
 constexpr std::uint32_t kUnlimited = ~0u;
 
@@ -51,43 +40,6 @@ MachineConfig machine_with(std::uint32_t clusters, Topology kind,
   return cfg;
 }
 
-ArchReg r(std::uint8_t i) { return {RegFile::kInt, i}; }
-
-MicroOp alu(ArchReg dst, std::initializer_list<ArchReg> srcs,
-            std::int8_t cluster) {
-  MicroOp u;
-  u.op = OpClass::kIntAlu;
-  u.has_dst = true;
-  u.dst = dst;
-  VCSTEER_CHECK(srcs.size() <= 2);
-  for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
-  u.hint.static_cluster = cluster;
-  return u;
-}
-
-/// Single-block program executed `repeats` times under static steering.
-struct TestBench {
-  explicit TestBench(std::vector<MicroOp> uops, std::uint32_t repeats = 1) {
-    ProgramBuilder builder("interconnect-test");
-    builder.begin_block();
-    for (const MicroOp& u : uops) builder.add(u);
-    builder.end_block({{0, 1.0}});
-    program = std::make_unique<prog::Program>(std::move(builder).finish());
-    for (std::uint32_t rep = 0; rep < repeats; ++rep) {
-      for (prog::UopId u = 0; u < uops.size(); ++u) trace.push_back({u, 0});
-    }
-  }
-
-  SimStats run(const MachineConfig& cfg) {
-    ClusteredCore core(cfg, *program);
-    steer::StaticFollowerPolicy policy("static");
-    return core.run(trace, policy);
-  }
-
-  std::unique_ptr<prog::Program> program;
-  std::vector<TraceEntry> trace;
-};
-
 /// Producers in clusters 0..2 feed consumers in cluster 3 every iteration;
 /// redefinition forces a fresh burst of three same-cycle copies that all
 /// target cluster 3 (heavy shared-medium contention).
@@ -96,27 +48,6 @@ TestBench fan_in_bench(std::uint32_t repeats = 40) {
                     alu(r(3), {r(3)}, 2), alu(r(4), {r(1)}, 3),
                     alu(r(5), {r(2)}, 3), alu(r(6), {r(3)}, 3)},
                    repeats);
-}
-
-void expect_stats_equal(const SimStats& a, const SimStats& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.committed_uops, b.committed_uops);
-  EXPECT_EQ(a.dispatched_uops, b.dispatched_uops);
-  EXPECT_EQ(a.copies_generated, b.copies_generated);
-  EXPECT_EQ(a.alloc_stalls, b.alloc_stalls);
-  EXPECT_EQ(a.policy_stalls, b.policy_stalls);
-  EXPECT_EQ(a.rob_stalls, b.rob_stalls);
-  EXPECT_EQ(a.lsq_stalls, b.lsq_stalls);
-  EXPECT_EQ(a.copyq_stalls, b.copyq_stalls);
-  EXPECT_EQ(a.copy_bandwidth_stalls, b.copy_bandwidth_stalls);
-  EXPECT_EQ(a.regfile_stalls, b.regfile_stalls);
-  EXPECT_EQ(a.frontend_empty, b.frontend_empty);
-  EXPECT_EQ(a.dispatched_to, b.dispatched_to);
-  EXPECT_EQ(a.occupancy_sum, b.occupancy_sum);
-  EXPECT_EQ(a.copies_routed, b.copies_routed);
-  EXPECT_EQ(a.copy_hops, b.copy_hops);
-  EXPECT_EQ(a.link_contention_cycles, b.link_contention_cycles);
-  EXPECT_EQ(a.copyq_occupancy_sum, b.copyq_occupancy_sum);
 }
 
 // -------------------------------------------------------------- unit level --
@@ -312,7 +243,7 @@ TEST(InterconnectProperties, SimLevelConservationForEveryTopology) {
   // End to end: every copy the dispatch stage generates is injected into
   // the network exactly once, on every topology.
   for (const Topology kind : kAllTopologies) {
-    const SimStats stats = fan_in_bench().run(machine_with(4, kind));
+    const SimStats stats = run_static(fan_in_bench(), machine_with(4, kind));
     EXPECT_GT(stats.copies_generated, 0u);
     EXPECT_EQ(stats.copies_routed, stats.copies_generated)
         << topology_name(kind);
@@ -378,11 +309,10 @@ TEST(InterconnectCongestion, ResetClearsTheSignal) {
 // --------------------------------------------------------- simulator level --
 
 TEST(InterconnectSim, CrossbarUnlimitedBitIdenticalToIdeal) {
-  TestBench ideal_bench = fan_in_bench();
-  TestBench xbar_bench = fan_in_bench();
-  const SimStats ideal = ideal_bench.run(machine_with(4, Topology::kIdeal));
+  const TestBench bench = fan_in_bench();
+  const SimStats ideal = run_static(bench, machine_with(4, Topology::kIdeal));
   const SimStats xbar =
-      xbar_bench.run(machine_with(4, Topology::kCrossbar, kUnlimited));
+      run_static(bench, machine_with(4, Topology::kCrossbar, kUnlimited));
   expect_stats_equal(ideal, xbar);
   EXPECT_GT(ideal.copies_routed, 0u);
 }
@@ -395,10 +325,10 @@ TEST(InterconnectSim, SharedMediaSerialiseCriticalPathCopies) {
   // counts (0->3 crosses three shared links) land on the critical path.
   auto chains = [](MachineConfig cfg) {
     cfg.issue_width_copy = 3;
-    TestBench bench({alu(r(1), {r(4)}, 0), alu(r(2), {r(1)}, 1),
-                     alu(r(3), {r(1)}, 2), alu(r(4), {r(1)}, 3)},
-                    30);
-    return bench.run(cfg);
+    const TestBench bench({alu(r(1), {r(4)}, 0), alu(r(2), {r(1)}, 1),
+                           alu(r(3), {r(1)}, 2), alu(r(4), {r(1)}, 3)},
+                          30);
+    return run_static(bench, cfg);
   };
   const SimStats ideal = chains(machine_with(4, Topology::kIdeal));
   const SimStats bus = chains(machine_with(4, Topology::kBus));
@@ -412,7 +342,8 @@ TEST(InterconnectSim, SharedMediaSerialiseCriticalPathCopies) {
 }
 
 TEST(InterconnectSim, ContentionReachesSimStats) {
-  const SimStats bus = fan_in_bench().run(machine_with(4, Topology::kBus));
+  const SimStats bus =
+      run_static(fan_in_bench(), machine_with(4, Topology::kBus));
   EXPECT_EQ(bus.copies_routed, bus.copies_generated);
   EXPECT_GE(bus.link_busy_cycles, bus.copies_routed);
   std::uint64_t copyq_occupancy = 0;

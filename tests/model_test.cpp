@@ -180,9 +180,10 @@ TEST(CritPath, ZeroCostInterconnectCollapsesToSingleClusterBound) {
 }
 
 // The walker refuses the machines the simulator refuses and it cannot walk:
-// no cluster to steer to, or no fetch bandwidth to pace dispatch by. It does
-// not demand MachineConfig::validate() as a whole — a zero link latency is a
-// machine the model walks (the collapse test above).
+// no cluster to steer to, more clusters than its arrays hold, or no fetch
+// bandwidth to pace dispatch by. It does not demand
+// MachineConfig::validate() as a whole — a zero link latency is a machine
+// the model walks (the collapse test above).
 TEST(CritPath, RejectsMachinesItCannotWalk) {
   const harness::TraceExperiment& exp = shared_trace();
   const prog::Program& program = exp.workload().program;
@@ -193,6 +194,11 @@ TEST(CritPath, RejectsMachinesItCannotWalk) {
   EXPECT_DEATH(estimate_interval(program, interval, extra, no_clusters,
                                  steer::Scheme::kOp),
                "model needs num_clusters >= 1");
+  MachineConfig too_many = MachineConfig::four_cluster();
+  too_many.num_clusters = kMaxClusters + 1;
+  EXPECT_DEATH(estimate_interval(program, interval, extra, too_many,
+                                 steer::Scheme::kOp),
+               "model supports at most kMaxClusters clusters");
   MachineConfig no_fetch = MachineConfig::two_cluster();
   no_fetch.fetch_width = 0;
   EXPECT_DEATH(estimate_interval(program, interval, extra, no_fetch,

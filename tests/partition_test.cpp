@@ -12,6 +12,9 @@
 namespace vcsteer::graph {
 namespace {
 
+/// The balance tolerance multilevel_partition refines to (partition.hpp).
+constexpr double kTolerance = 0.05;
+
 Digraph random_dag(std::size_t n, double edge_prob, Rng& rng) {
   Digraph g(n);
   for (NodeId u = 0; u < n; ++u) {
@@ -37,7 +40,7 @@ TEST(Partition, TwoCliquesSplitCleanly) {
   g.add_edge(3, 4, 0.5);
   Rng rng(1);
   const auto result = multilevel_partition(
-      g, std::vector<double>(8, 1.0), {.num_parts = 2}, rng);
+      g, std::vector<double>(8, 1.0), 2, rng);
   EXPECT_DOUBLE_EQ(result.cut_weight, 0.5);
   EXPECT_EQ(result.part_of[0], result.part_of[3]);
   EXPECT_EQ(result.part_of[4], result.part_of[7]);
@@ -49,8 +52,7 @@ TEST(Partition, TwoCliquesSplitCleanly) {
 TEST(Partition, EmptyGraph) {
   Digraph g(0);
   Rng rng(1);
-  const auto result =
-      multilevel_partition(g, {}, {.num_parts = 3}, rng);
+  const auto result = multilevel_partition(g, {}, 3, rng);
   EXPECT_TRUE(result.part_of.empty());
   EXPECT_EQ(result.part_weight.size(), 3u);
 }
@@ -59,7 +61,7 @@ TEST(Partition, SinglePartTakesEverything) {
   Rng rng(2);
   Digraph g = random_dag(20, 0.2, rng);
   const auto result = multilevel_partition(
-      g, std::vector<double>(20, 1.0), {.num_parts = 1}, rng);
+      g, std::vector<double>(20, 1.0), 1, rng);
   for (const auto p : result.part_of) EXPECT_EQ(p, 0u);
   EXPECT_DOUBLE_EQ(result.cut_weight, 0.0);
 }
@@ -69,7 +71,7 @@ TEST(Partition, FewerNodesThanParts) {
   g.add_edge(0, 1, 1.0);
   Rng rng(3);
   const auto result = multilevel_partition(
-      g, std::vector<double>(2, 1.0), {.num_parts = 4}, rng);
+      g, std::vector<double>(2, 1.0), 4, rng);
   EXPECT_EQ(result.part_of.size(), 2u);
   for (const auto p : result.part_of) EXPECT_LT(p, 4u);
 }
@@ -79,8 +81,8 @@ TEST(Partition, DeterministicGivenSeed) {
   Digraph g = random_dag(60, 0.1, build_rng);
   const std::vector<double> w(60, 1.0);
   Rng rng_a(99), rng_b(99);
-  const auto a = multilevel_partition(g, w, {.num_parts = 2}, rng_a);
-  const auto b = multilevel_partition(g, w, {.num_parts = 2}, rng_b);
+  const auto a = multilevel_partition(g, w, 2, rng_a);
+  const auto b = multilevel_partition(g, w, 2, rng_b);
   EXPECT_EQ(a.part_of, b.part_of);
   EXPECT_DOUBLE_EQ(a.cut_weight, b.cut_weight);
 }
@@ -111,10 +113,7 @@ TEST_P(PartitionProperty, AssignsEveryNodeWithinBalance) {
   std::vector<double> weights(param.nodes);
   for (auto& w : weights) w = 1.0 + rng.uniform() * 3.0;
 
-  PartitionOptions opt;
-  opt.num_parts = param.parts;
-  opt.imbalance_tolerance = 0.25;
-  const auto result = multilevel_partition(g, weights, opt, rng);
+  const auto result = multilevel_partition(g, weights, param.parts, rng);
 
   ASSERT_EQ(result.part_of.size(), param.nodes);
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
@@ -126,9 +125,9 @@ TEST_P(PartitionProperty, AssignsEveryNodeWithinBalance) {
   for (std::uint32_t p = 0; p < param.parts; ++p) {
     EXPECT_DOUBLE_EQ(loads[p], result.part_weight[p]);
   }
-  // Balance: no part exceeds the tolerance cap by more than one max-weight
-  // node (the mover granularity).
-  const double cap = (1.0 + opt.imbalance_tolerance) * total / param.parts;
+  // Balance: no part exceeds the partitioner's 5% tolerance cap by more
+  // than one max-weight node (the mover granularity).
+  const double cap = (1.0 + kTolerance) * total / param.parts;
   const double max_w = *std::max_element(weights.begin(), weights.end());
   for (const double load : loads) EXPECT_LE(load, cap + max_w + 1e-9);
   // The reported cut matches a recount.
@@ -140,9 +139,7 @@ TEST_P(PartitionProperty, BeatsOrMatchesContiguousSplit) {
   Rng rng(hash_seed("partition-cut", param.nodes * 17 + param.parts));
   Digraph g = random_dag(param.nodes, param.edge_prob, rng);
   const std::vector<double> weights(param.nodes, 1.0);
-  PartitionOptions opt;
-  opt.num_parts = param.parts;
-  const auto result = multilevel_partition(g, weights, opt, rng);
+  const auto result = multilevel_partition(g, weights, param.parts, rng);
 
   // Naive contiguous-range split with the same part count.
   std::vector<std::uint32_t> naive(param.nodes);

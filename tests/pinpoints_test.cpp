@@ -10,19 +10,19 @@
 namespace vcsteer::workload {
 namespace {
 
-PinPointsOptions small_options() {
-  PinPointsOptions opt;
-  opt.total_uops = 160'000;
-  opt.interval_uops = 10'000;
-  opt.max_phases = 4;
-  return opt;
+SimBudget small_budget() {
+  SimBudget budget;
+  budget.total_uops = 160'000;
+  budget.interval_uops = 10'000;
+  budget.max_phases = 4;
+  return budget;
 }
 
 TEST(PinPoints, WeightsSumToOne) {
   const GeneratedWorkload wl = generate(*find_profile("164.gzip-1"));
   TraceSource trace(wl);
   const auto points =
-      select_pinpoints(trace, wl.program.num_blocks(), small_options(), 42);
+      select_pinpoints(trace, wl.program.num_blocks(), small_budget(), 42);
   ASSERT_FALSE(points.empty());
   double total = 0;
   for (const auto& p : points) total += p.weight;
@@ -32,15 +32,15 @@ TEST(PinPoints, WeightsSumToOne) {
 TEST(PinPoints, PointsWithinAnalysedPrefixAndSorted) {
   const GeneratedWorkload wl = generate(*find_profile("186.crafty"));
   TraceSource trace(wl);
-  const PinPointsOptions opt = small_options();
+  const SimBudget budget = small_budget();
   const auto points =
-      select_pinpoints(trace, wl.program.num_blocks(), opt, 42);
+      select_pinpoints(trace, wl.program.num_blocks(), budget, 42);
   std::uint64_t prev_start = 0;
   bool first = true;
   for (const auto& p : points) {
-    EXPECT_EQ(p.length, opt.interval_uops);
-    EXPECT_LE(p.start_uop + p.length, opt.total_uops);
-    EXPECT_EQ(p.start_uop % opt.interval_uops, 0u);
+    EXPECT_EQ(p.length, budget.interval_uops);
+    EXPECT_LE(p.start_uop + p.length, budget.total_uops);
+    EXPECT_EQ(p.start_uop % budget.interval_uops, 0u);
     if (!first) {
       EXPECT_GT(p.start_uop, prev_start);
     }
@@ -53,10 +53,10 @@ TEST(PinPoints, PointsWithinAnalysedPrefixAndSorted) {
 TEST(PinPoints, AtMostMaxPhases) {
   const GeneratedWorkload wl = generate(*find_profile("176.gcc-1"));
   TraceSource trace(wl);
-  PinPointsOptions opt = small_options();
-  opt.max_phases = 3;
+  SimBudget budget = small_budget();
+  budget.max_phases = 3;
   const auto points =
-      select_pinpoints(trace, wl.program.num_blocks(), opt, 7);
+      select_pinpoints(trace, wl.program.num_blocks(), budget, 7);
   EXPECT_LE(points.size(), 3u);
   EXPECT_GE(points.size(), 1u);
 }
@@ -65,9 +65,9 @@ TEST(PinPoints, DeterministicGivenSeed) {
   const GeneratedWorkload wl = generate(*find_profile("171.swim"));
   TraceSource trace(wl);
   const auto a =
-      select_pinpoints(trace, wl.program.num_blocks(), small_options(), 9);
+      select_pinpoints(trace, wl.program.num_blocks(), small_budget(), 9);
   const auto b =
-      select_pinpoints(trace, wl.program.num_blocks(), small_options(), 9);
+      select_pinpoints(trace, wl.program.num_blocks(), small_budget(), 9);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].start_uop, b[i].start_uop);
@@ -82,23 +82,23 @@ TEST(PinPoints, DetectsDistinctPhases) {
   ASSERT_GE(p.phase_count, 2u);
   const GeneratedWorkload wl = generate(p);
   TraceSource trace(wl);
-  PinPointsOptions opt;
+  SimBudget budget;
   // Two full phase rounds, intervals well under a phase length.
-  opt.interval_uops = std::uint64_t{p.phase_length_kuops} * 1024 / 2;
-  opt.total_uops = opt.interval_uops * 4 * p.phase_count;
-  opt.max_phases = 10;
+  budget.interval_uops = std::uint64_t{p.phase_length_kuops} * 1024 / 2;
+  budget.total_uops = budget.interval_uops * 4 * p.phase_count;
+  budget.max_phases = 10;
   const auto points =
-      select_pinpoints(trace, wl.program.num_blocks(), opt, 3);
+      select_pinpoints(trace, wl.program.num_blocks(), budget, 3);
   EXPECT_GE(points.size(), 2u);
 }
 
 TEST(PinPoints, SinglePhaseWhenMaxIsOne) {
   const GeneratedWorkload wl = generate(*find_profile("181.mcf"));
   TraceSource trace(wl);
-  PinPointsOptions opt = small_options();
-  opt.max_phases = 1;
+  SimBudget budget = small_budget();
+  budget.max_phases = 1;
   const auto points =
-      select_pinpoints(trace, wl.program.num_blocks(), opt, 5);
+      select_pinpoints(trace, wl.program.num_blocks(), budget, 5);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_DOUBLE_EQ(points[0].weight, 1.0);
 }
@@ -124,11 +124,11 @@ TEST(PinPoints, CollectIntervalMatchesDirectWalk) {
 TEST(PinPoints, RejectsDegenerateOptions) {
   const GeneratedWorkload wl = generate(*find_profile("181.mcf"));
   TraceSource trace(wl);
-  PinPointsOptions opt;
-  opt.total_uops = 100;
-  opt.interval_uops = 1000;  // interval larger than trace
+  SimBudget budget;
+  budget.total_uops = 100;
+  budget.interval_uops = 1000;  // interval larger than trace
   EXPECT_DEATH(
-      select_pinpoints(trace, wl.program.num_blocks(), opt, 1), "CHECK");
+      select_pinpoints(trace, wl.program.num_blocks(), budget, 1), "CHECK");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // every waiter-list edge path (copy wakeups, dual-source waits, copy-queue
 // back-pressure), plus bit-identity of the experiment's one reused core:
 // runs on it, which start from the warm carried from point to point, must
-// match fresh lone runs that warm locally exactly.
+// match fresh lone runs from hierarchies warmed from empty exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,9 @@
 
 #include "common/check.hpp"
 #include "harness/experiment.hpp"
-#include "program/program.hpp"
+#include "mem/hierarchy.hpp"
 #include "sim/core.hpp"
-#include "steer/simple_policies.hpp"
+#include "sim_bench.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/profiles.hpp"
 #include "workload/trace.hpp"
@@ -28,47 +28,16 @@ namespace {
 using isa::ArchReg;
 using isa::MicroOp;
 using isa::OpClass;
-using isa::RegFile;
+using sim::expect_stats_equal;
+using sim::f;
+using sim::op_on;
+using sim::r;
+using sim::run_static;
 using workload::TraceEntry;
 
-ArchReg r(std::uint8_t i) { return {RegFile::kInt, i}; }
-ArchReg f(std::uint8_t i) { return {RegFile::kFp, i}; }
-
-MicroOp op_on(OpClass op, ArchReg dst, std::initializer_list<ArchReg> srcs,
-              std::int8_t cluster) {
-  MicroOp u;
-  u.op = op;
-  u.has_dst = true;
-  u.dst = dst;
-  VCSTEER_CHECK(srcs.size() <= 2);
-  for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
-  u.hint.static_cluster = cluster;
-  return u;
-}
-
-/// Single-block program + linear trace repeating it `repeats` times.
-struct Bench {
-  explicit Bench(std::vector<MicroOp> uops, std::uint32_t repeats) {
-    prog::ProgramBuilder builder("stress");
-    builder.begin_block();
-    for (const MicroOp& u : uops) builder.add(u);
-    builder.end_block({{0, 1.0}});
-    program = std::make_unique<prog::Program>(std::move(builder).finish());
-    for (std::uint32_t rep = 0; rep < repeats; ++rep) {
-      for (prog::UopId u = 0; u < uops.size(); ++u) {
-        trace.push_back({u, uops[u].is_mem() ? 0x2000 + 64 * (rep % 32) : 0});
-      }
-    }
-  }
-
-  std::unique_ptr<prog::Program> program;
-  std::vector<TraceEntry> trace;
-};
-
-sim::SimStats run_static(Bench& bench, const MachineConfig& cfg) {
-  sim::ClusteredCore core(cfg, *bench.program);
-  steer::StaticFollowerPolicy policy("stress");
-  return core.run(bench.trace, policy);
+/// Memory micro-ops cycle through 32 cache lines from 0x2000.
+std::uint32_t cycling_lines(const MicroOp& u, std::uint32_t rep) {
+  return u.is_mem() ? 0x2000 + 64 * (rep % 32) : 0;
 }
 
 // 1-entry queues and width-1 everything: every dispatch fills a queue, every
@@ -89,13 +58,14 @@ TEST(SimStress, OneEntryQueuesCompleteAndWrapPools) {
   cfg.decode_width_fp = 1;
   cfg.fetch_width = 1;
 
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(0)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),  // cross-cluster
-               op_on(OpClass::kFpAdd, f(1), {f(1)}, 0),
-               op_on(OpClass::kIntDiv, r(3), {r(2)}, 1),
-               op_on(OpClass::kLoad, r(4), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(5), {r(4), r(2)}, 1)},  // two waits
-              60);
+  const sim::TestBench bench(
+      {op_on(OpClass::kIntAlu, r(1), {r(0)}, 0),
+       op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),  // cross-cluster
+       op_on(OpClass::kFpAdd, f(1), {f(1)}, 0),
+       op_on(OpClass::kIntDiv, r(3), {r(2)}, 1),
+       op_on(OpClass::kLoad, r(4), {r(1)}, 0),
+       op_on(OpClass::kIntAlu, r(5), {r(4), r(2)}, 1)},  // two waits
+      60, cycling_lines);
   const sim::SimStats stats = run_static(bench, cfg);
   EXPECT_EQ(stats.committed_uops, bench.trace.size());
   EXPECT_GT(stats.copies_generated, 0u);
@@ -111,19 +81,19 @@ TEST(SimStress, OneEntryQueuesCompleteAndWrapPools) {
 // cluster_bit arithmetic must hold at the ceiling.
 TEST(SimStress, ChainAcrossMaxClusters) {
   MachineConfig cfg = MachineConfig::four_cluster();
-  cfg.num_clusters = sim::kMaxClusters;
+  cfg.num_clusters = kMaxClusters;
 
   std::vector<MicroOp> uops;
-  for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
+  for (std::uint32_t c = 0; c < kMaxClusters; ++c) {
     uops.push_back(op_on(OpClass::kIntAlu, r(1), {r(1)},
                          static_cast<std::int8_t>(c)));
   }
-  Bench bench(uops, 40);
+  const sim::TestBench bench(uops, 40, cycling_lines);
   const sim::SimStats stats = run_static(bench, cfg);
   EXPECT_EQ(stats.committed_uops, bench.trace.size());
   // Every hop of every iteration but the first read needs a copy.
   EXPECT_EQ(stats.copies_generated, bench.trace.size() - 1);
-  for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
+  for (std::uint32_t c = 0; c < kMaxClusters; ++c) {
     EXPECT_EQ(stats.dispatched_to[c], 40u);
   }
 }
@@ -138,11 +108,11 @@ TEST(SimStress, TinyCopyQueueBackpressure) {
   MachineConfig cfg = MachineConfig::two_cluster();
   cfg.iq_copy_entries = 1;
 
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(2)}, 0),
-               op_on(OpClass::kIntAlu, r(3), {r(1)}, 1),
-               op_on(OpClass::kIntAlu, r(4), {r(2)}, 1)},
-              50);
+  const sim::TestBench bench({op_on(OpClass::kIntAlu, r(1), {r(1)}, 0),
+                             op_on(OpClass::kIntAlu, r(2), {r(2)}, 0),
+                             op_on(OpClass::kIntAlu, r(3), {r(1)}, 1),
+                             op_on(OpClass::kIntAlu, r(4), {r(2)}, 1)},
+                            50, cycling_lines);
   const sim::SimStats stats = run_static(bench, cfg);
   EXPECT_EQ(stats.committed_uops, bench.trace.size());
   EXPECT_GT(stats.copies_generated, 0u);
@@ -156,17 +126,17 @@ TEST(SimStress, TinyCopyQueueBackpressure) {
 
 // `a` and `b` are produced in cluster 0 and read by a consumer in cluster 1,
 // which needs a copy of each.
-Bench two_remote_sources(OpClass op, ArchReg a, ArchReg b) {
-  return Bench({op_on(op, a, {}, 0), op_on(op, b, {}, 0),
-                op_on(op, a, {a, b}, 1)},
-               1);
+sim::TestBench two_remote_sources(OpClass op, ArchReg a, ArchReg b) {
+  return sim::TestBench(
+      {op_on(op, a, {}, 0), op_on(op, b, {}, 0), op_on(op, a, {a, b}, 1)}, 1,
+      cycling_lines);
 }
 
 TEST(SimWatchdogDeathTest, IntDecodeTooNarrowForAMicroOpAndItsCopies) {
   MachineConfig cfg = MachineConfig::two_cluster();
   cfg.decode_width_int = 2;
   ASSERT_EQ(cfg.validate(), "");
-  Bench bench = two_remote_sources(OpClass::kIntAlu, r(1), r(2));
+  sim::TestBench bench = two_remote_sources(OpClass::kIntAlu, r(1), r(2));
   EXPECT_DEATH(run_static(bench, cfg), "no commit for .*copy_bandwidth [1-9]");
 }
 
@@ -174,7 +144,7 @@ TEST(SimWatchdogDeathTest, FpDecodeTooNarrowForAMicroOpAndItsCopies) {
   MachineConfig cfg = MachineConfig::two_cluster();
   cfg.decode_width_fp = 1;
   ASSERT_EQ(cfg.validate(), "");
-  Bench bench = two_remote_sources(OpClass::kFpAdd, f(1), f(2));
+  sim::TestBench bench = two_remote_sources(OpClass::kFpAdd, f(1), f(2));
   EXPECT_DEATH(run_static(bench, cfg), "no commit for .*copy_bandwidth [1-9]");
 }
 
@@ -182,7 +152,7 @@ TEST(SimWatchdogDeathTest, OneEntryCopyQueueForTwoCopiesFromOneProducer) {
   MachineConfig cfg = MachineConfig::two_cluster();
   cfg.iq_copy_entries = 1;
   ASSERT_EQ(cfg.validate(), "");
-  Bench bench = two_remote_sources(OpClass::kIntAlu, r(1), r(2));
+  sim::TestBench bench = two_remote_sources(OpClass::kIntAlu, r(1), r(2));
   EXPECT_DEATH(run_static(bench, cfg), "no commit for .*copyq [1-9]");
 }
 
@@ -205,37 +175,6 @@ void expect_results_equal(const harness::RunResult& a,
   EXPECT_EQ(a.last_interval.copies_generated, b.last_interval.copies_generated);
   EXPECT_EQ(a.last_interval.alloc_stalls, b.last_interval.alloc_stalls);
   EXPECT_EQ(a.last_interval.copy_hops, b.last_interval.copy_hops);
-}
-
-void expect_stats_equal(const sim::SimStats& a, const sim::SimStats& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.committed_uops, b.committed_uops);
-  EXPECT_EQ(a.dispatched_uops, b.dispatched_uops);
-  EXPECT_EQ(a.copies_generated, b.copies_generated);
-  EXPECT_EQ(a.alloc_stalls, b.alloc_stalls);
-  EXPECT_EQ(a.policy_stalls, b.policy_stalls);
-  EXPECT_EQ(a.rob_stalls, b.rob_stalls);
-  EXPECT_EQ(a.lsq_stalls, b.lsq_stalls);
-  EXPECT_EQ(a.copyq_stalls, b.copyq_stalls);
-  EXPECT_EQ(a.copy_bandwidth_stalls, b.copy_bandwidth_stalls);
-  EXPECT_EQ(a.regfile_stalls, b.regfile_stalls);
-  EXPECT_EQ(a.frontend_empty, b.frontend_empty);
-  EXPECT_EQ(a.dispatched_to, b.dispatched_to);
-  EXPECT_EQ(a.occupancy_sum, b.occupancy_sum);
-  EXPECT_EQ(a.copies_routed, b.copies_routed);
-  EXPECT_EQ(a.copy_hops, b.copy_hops);
-  EXPECT_EQ(a.link_busy_cycles, b.link_busy_cycles);
-  EXPECT_EQ(a.link_contention_cycles, b.link_contention_cycles);
-  EXPECT_EQ(a.copyq_occupancy_sum, b.copyq_occupancy_sum);
-  EXPECT_EQ(a.remote_steers_by_hops, b.remote_steers_by_hops);
-  EXPECT_EQ(a.avoided_contended_links, b.avoided_contended_links);
-  EXPECT_EQ(a.memory.loads, b.memory.loads);
-  EXPECT_EQ(a.memory.stores, b.memory.stores);
-  EXPECT_EQ(a.memory.l1_hits, b.memory.l1_hits);
-  EXPECT_EQ(a.memory.l1_misses, b.memory.l1_misses);
-  EXPECT_EQ(a.memory.l2_hits, b.memory.l2_hits);
-  EXPECT_EQ(a.memory.l2_misses, b.memory.l2_misses);
-  EXPECT_EQ(a.memory.port_wait_cycles, b.memory.port_wait_cycles);
 }
 
 harness::SimBudget tiny_budget() { return {60'000, 15'000, 2}; }
@@ -339,8 +278,8 @@ TEST(SharedWarmPass, MatchesLocalWarmingInEitherOrder) {
 // evaluate() warms one hierarchy forward from point to point and starts
 // every run from a copy of it, a lone request's runs too, so the test
 // above compares that carried warm only with itself. Here the reference
-// runs each point on a fresh core that warms locally from empty over the
-// point's whole prefix.
+// runs each point on a fresh core from a fresh hierarchy warmed from empty
+// over the point's whole prefix.
 TEST(SharedWarmPass, CarriedWarmMatchesLocalWarming) {
   const workload::WorkloadProfile& profile =
       *workload::find_profile("186.crafty");
@@ -361,9 +300,12 @@ TEST(SharedWarmPass, CarriedWarmMatchesLocalWarming) {
     std::uint64_t committed_uops = 0;
     sim::SimStats last;
     for (std::size_t p = 0; p < num_points; ++p) {
+      mem::MemoryHierarchy warmed(machine);
+      for (const std::uint32_t addr : experiment.warm_addrs()[p]) {
+        warmed.warm(addr);
+      }
       sim::ClusteredCore core(machine, program);
-      last = core.run(experiment.intervals()[p], *policy,
-                      experiment.warm_addrs()[p]);
+      last = core.run(experiment.intervals()[p], *policy, &warmed);
       cycles += last.cycles;
       committed_uops += last.committed_uops;
     }

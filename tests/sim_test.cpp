@@ -8,90 +8,19 @@
 #include <memory>
 #include <vector>
 
-#include "common/check.hpp"
+#include "mem/hierarchy.hpp"
 #include "program/program.hpp"
 #include "sim/core.hpp"
+#include "sim_bench.hpp"
 #include "steer/op_policy.hpp"
 #include "steer/policy.hpp"
 #include "steer/simple_policies.hpp"
-#include "workload/trace.hpp"
 
 namespace vcsteer::sim {
 namespace {
 
-using isa::ArchReg;
 using isa::MicroOp;
 using isa::OpClass;
-using isa::RegFile;
-using prog::ProgramBuilder;
-using workload::TraceEntry;
-
-ArchReg r(std::uint8_t i) { return {RegFile::kInt, i}; }
-ArchReg f(std::uint8_t i) { return {RegFile::kFp, i}; }
-
-/// Builds a single-block program from the given micro-ops and a linear
-/// trace that executes it `repeats` times.
-struct TestBench {
-  explicit TestBench(std::vector<MicroOp> uops, std::uint32_t repeats = 1) {
-    ProgramBuilder builder("test");
-    builder.begin_block();
-    for (const MicroOp& u : uops) builder.add(u);
-    builder.end_block({{0, 1.0}});
-    program = std::make_unique<prog::Program>(std::move(builder).finish());
-    for (std::uint32_t rep = 0; rep < repeats; ++rep) {
-      for (prog::UopId u = 0; u < uops.size(); ++u) {
-        trace.push_back({u, addr_of(uops[u], rep)});
-      }
-    }
-  }
-
-  static std::uint32_t addr_of(const MicroOp& u, std::uint32_t rep) {
-    return u.is_mem() ? 0x1000 + rep * 64 : 0;
-  }
-
-  std::unique_ptr<prog::Program> program;
-  std::vector<TraceEntry> trace;
-};
-
-MicroOp alu(ArchReg dst, std::initializer_list<ArchReg> srcs,
-            std::int8_t cluster = -1) {
-  MicroOp u;
-  u.op = OpClass::kIntAlu;
-  u.has_dst = true;
-  u.dst = dst;
-  VCSTEER_CHECK(srcs.size() <= 2);
-  for (ArchReg s : srcs) u.srcs[u.num_srcs++] = s;
-  u.hint.static_cluster = cluster;
-  return u;
-}
-
-MicroOp load(ArchReg dst, ArchReg addr, std::int8_t cluster = -1) {
-  MicroOp u;
-  u.op = OpClass::kLoad;
-  u.has_dst = true;
-  u.dst = dst;
-  u.num_srcs = 1;
-  u.srcs[0] = addr;
-  u.hint.static_cluster = cluster;
-  return u;
-}
-
-MicroOp div(ArchReg dst, ArchReg src, std::int8_t cluster = -1) {
-  MicroOp u;
-  u.op = OpClass::kIntDiv;
-  u.has_dst = true;
-  u.dst = dst;
-  u.num_srcs = 1;
-  u.srcs[0] = src;
-  u.hint.static_cluster = cluster;
-  return u;
-}
-
-SimStats run_static(TestBench& bench, const MachineConfig& cfg) {
-  ClusteredCore core(cfg, *bench.program);
-  steer::StaticFollowerPolicy policy("test");
-  return core.run(bench.trace, policy);
-}
 
 TEST(Core, CommitsEveryTraceEntry) {
   TestBench bench({alu(r(1), {r(0)}, 0), alu(r(2), {r(1)}, 0)}, 50);
@@ -204,8 +133,9 @@ TEST(Core, WarmedLoadHitsL1) {
   const MachineConfig cfg = MachineConfig::two_cluster();
   ClusteredCore core(cfg, *bench.program);
   steer::StaticFollowerPolicy policy("test");
-  const std::uint32_t warm[] = {0x1000};
-  const SimStats stats = core.run(bench.trace, policy, warm);
+  mem::MemoryHierarchy warmed(cfg);
+  warmed.warm(0x1000);
+  const SimStats stats = core.run(bench.trace, policy, &warmed);
   EXPECT_LT(stats.cycles, 40u);
   EXPECT_EQ(stats.memory.l1_hits, 1u);
 }
